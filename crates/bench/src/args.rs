@@ -13,10 +13,11 @@
 //! * `--lanes on|off|auto` — whether scenarios are tagged for the
 //!   lane-packed bit-parallel kernel (`wp_sim::LaneLidSimulator`).  `auto`
 //!   (the default) behaves as `on`: tagged scenarios that qualify
-//!   (control-plane-only, see the README's *Lane-packed simulation*) are
-//!   stepped 64-per-instruction, and everything else silently falls back
-//!   to the scalar kernel, so results are identical either way.  `off`
-//!   never tags, pinning the scalar path;
+//!   (control-plane-only, see the README's *Lane-packed simulation* — in
+//!   `table1`, the WP1 rows converted by `--oracle on`) are stepped
+//!   64-per-instruction, and everything else falls back to the scalar
+//!   kernel, so results are identical either way.  `off` never tags,
+//!   pinning the scalar path;
 //! * `--oracle on|off|auto` — whether eligible strict-policy (WP1) runs
 //!   are re-expressed as firing goals and allowed to extrapolate their
 //!   steady state with the analytical period oracle
@@ -27,13 +28,14 @@
 //!   full simulation and fails on any mismatch.
 //!
 //! The sharding binaries (`table1`, `figure1`, `ablation_fifo`,
-//! `ablation_oracle`) additionally accept the process-sharding flags
+//! `ablation_oracle`, `dse`) additionally accept the process-sharding flags
 //! ([`ShardArgs`], backed by `wp_dist`):
 //!
-//! * `--shards N` — the parent mode: fork `N` worker processes (one
+//! * `--shards N` — the parent mode: fork up to `N` worker processes (one
 //!   contiguous submission-order range each, re-invoking the current
 //!   executable), merge their NDJSON results and print exactly what a
-//!   single-process run prints;
+//!   single-process run prints.  This is a `--hosts` dispatch over `N`
+//!   capacity-1 `local` hosts (at most one per row), failover included;
 //! * `--hosts hosts.conf` — the cross-machine parent mode: dispatch one
 //!   worker per hostfile entry through its declared transport
 //!   (`local`/`ssh`/`container`/`shell`), each sized by the host's
@@ -53,9 +55,8 @@
 
 use std::fmt;
 use std::ops::Range;
-use std::process::Command;
 
-use wp_dist::{load_hostfile, run_dispatched, run_sharded, Json, ShardPlan, ShardSpec};
+use wp_dist::{load_hostfile, run_dispatched, Host, Json, LocalProcess, ShardPlan, ShardSpec};
 use wp_sim::SweepRunner;
 
 /// A malformed command line, as reported by [`flag_value`] and
@@ -148,8 +149,11 @@ pub fn flag_value(args: &[String], name: &str) -> Result<Option<String>, ArgErro
 ///
 /// Tagging alone never changes results: the sweep scheduler only packs
 /// scenarios that qualify for the control-plane kernel and demotes the
-/// rest to the scalar kernel per scenario (the CI byte-for-byte diff of
-/// `table1 --quick --lanes on` vs `--lanes off` pins this).
+/// rest to the scalar kernel per scenario.  Plain `table1` rows read the
+/// architectural state back and always demote; the WP1 rows that
+/// `--oracle on` converts to firing goals qualify and run lane-packed (the
+/// CI byte-for-byte diff of `table1 --quick --oracle on --lanes on` vs
+/// `--lanes off` pins that the two paths agree).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum LaneMode {
     /// Tag every scenario; qualifying ones run lane-packed.
@@ -508,30 +512,29 @@ impl ShardArgs {
     }
 
     /// The parent side of a sharded experiment, shared by every sharding
-    /// binary: plans `n_items` result rows over contiguous ranges, logs
-    /// the fork to stderr (`noun` names a row, e.g. "table row"; `gate`
+    /// binary: plans `n_items` result rows over a fleet of hosts, logs the
+    /// dispatch to stderr (`noun` names a row, e.g. "table row"; `gate`
     /// reports the equivalence gate, or `None` for binaries without one),
-    /// spawns one worker per populated shard and returns the merged NDJSON
-    /// records in submission order.
+    /// spawns one worker per populated shard through
+    /// [`wp_dist::run_dispatched`] and returns the merged NDJSON records in
+    /// submission order.
     ///
-    /// With `--shards N` the split is uniform and every worker is a
-    /// re-invocation of the current executable on this machine; with
-    /// `--hosts hosts.conf` the split is weighted by each host's declared
-    /// capacity and every worker is launched through its host's transport
-    /// ([`wp_dist::run_dispatched`], with failover to another host when a
-    /// shard's first host fails).
+    /// The fleet is the hostfile's with `--hosts hosts.conf`, and with
+    /// `--shards N` it is `N` capacity-1 `local` hosts (`local_fleet`), each
+    /// worker a re-invocation of the current executable on this machine.
+    /// Either way the split is weighted by the host capacities, and a shard
+    /// whose host fails is re-dispatched to each other host in turn.
     ///
     /// When the command line did not pin `--workers`, every worker that
-    /// executes on *this* machine — all of them in the local mode, and the
-    /// `local`/`shell` hosts of a dispatch
-    /// ([`wp_dist::Transport::runs_on_dispatcher`]) — is handed an equal
-    /// share of the machine's cores (`available_parallelism` divided by
-    /// the number of co-located workers, at least 1) so that a forked
-    /// sweep does not oversubscribe the CPU with `shards × cores` threads.
-    /// Workers on remote hosts (ssh, container) get no override: each
-    /// sizes its own sweep from its own machine's `available_parallelism`.
-    /// Results are unaffected either way — sweep outcomes are
-    /// worker-count-independent.
+    /// executes on *this* machine — the `local`/`shell` hosts
+    /// ([`wp_dist::Transport::runs_on_dispatcher`]), so all of them under
+    /// `--shards` — is handed an equal share of the machine's cores
+    /// (`available_parallelism` divided by the number of co-located
+    /// workers, at least 1) so that a forked sweep does not oversubscribe
+    /// the CPU with `shards × cores` threads.  Workers on remote hosts
+    /// (ssh, container) get no override: each sizes its own sweep from its
+    /// own machine's `available_parallelism`.  Results are unaffected
+    /// either way — sweep outcomes are worker-count-independent.
     ///
     /// # Errors
     ///
@@ -554,77 +557,76 @@ impl ShardArgs {
         // DistErrors are surfaced as their Display text: a binary's `main`
         // prints `Err` via Debug, which would bury the line-numbered
         // hostfile messages in struct syntax.
-        if let Some(path) = &self.hosts {
-            let hosts = load_hostfile(path).map_err(|e| e.to_string())?;
-            let capacities: Vec<usize> = hosts.iter().map(|h| h.capacity).collect();
-            let plan = ShardPlan::split_weighted(n_items, &capacities);
-            eprintln!(
-                "dispatching {n_items} {noun}(s) across {} of {} host(s) from {path}{gate_note}",
-                plan.populated_shards().count(),
-                hosts.len(),
-            );
-            let default_binary = exe
-                .to_str()
-                .ok_or("the current executable path is not UTF-8; set binary= per host")?;
-            // Divide this machine's cores across the workers that run on
-            // it (shell/local hosts); remote hosts size their own sweeps.
-            // The share is keyed to the shard's *assigned* host: a
-            // failed-over shard keeps its argv, which at worst under- or
-            // over-threads one retry without affecting results.
-            let co_located = plan
-                .populated_shards()
-                .filter(|&s| hosts[s].transport.runs_on_dispatcher())
-                .count();
-            let workers_share = if flag_value(&args, "--workers")?.is_none() && co_located > 0 {
-                let cores = std::thread::available_parallelism().map_or(1, usize::from);
-                Some((cores / co_located).max(1))
-            } else {
-                None
-            };
-            let records = run_dispatched(&plan, &hosts, default_binary, |shard| {
-                let mut worker_args = Self::worker_args(
-                    &args,
-                    ShardSpec {
-                        index: shard,
-                        total: plan.shards(),
-                    },
-                    &plan.range(shard),
-                );
-                if let (Some(share), true) =
-                    (workers_share, hosts[shard].transport.runs_on_dispatcher())
-                {
-                    worker_args.push(format!("--workers={share}"));
-                }
-                worker_args
-            })
-            .map_err(|e| e.to_string())?;
-            return Ok(records);
-        }
-
-        let plan = ShardPlan::split(n_items, self.shards);
-        let workers = plan.populated_shards().count();
-        eprintln!("sharding {n_items} {noun}(s) across {workers} worker process(es){gate_note}");
-        let mut args = args;
-        if flag_value(&args, "--workers")?.is_none() {
+        let (hosts, source) = match &self.hosts {
+            Some(path) => (
+                load_hostfile(path).map_err(|e| e.to_string())?,
+                path.clone(),
+            ),
+            None => (
+                local_fleet(self.shards, n_items),
+                format!("--shards {}", self.shards),
+            ),
+        };
+        let capacities: Vec<usize> = hosts.iter().map(|h| h.capacity).collect();
+        let plan = ShardPlan::split_weighted(n_items, &capacities);
+        eprintln!(
+            "dispatching {n_items} {noun}(s) across {} of {} host(s) from {source}{gate_note}",
+            plan.populated_shards().count(),
+            hosts.len(),
+        );
+        let default_binary = exe.to_str().ok_or(
+            "the current executable path is not UTF-8; set binary= per host in a hostfile",
+        )?;
+        // Divide this machine's cores across the workers that run on it;
+        // remote hosts size their own sweeps.  The share is keyed to the
+        // shard's *assigned* host: a failed-over shard keeps its argv, which
+        // at worst under- or over-threads one retry without affecting
+        // results.
+        let co_located = plan
+            .populated_shards()
+            .filter(|&s| hosts[s].transport.runs_on_dispatcher())
+            .count();
+        let workers_share = if flag_value(&args, "--workers")?.is_none() && co_located > 0 {
             let cores = std::thread::available_parallelism().map_or(1, usize::from);
-            let share = (cores / workers.max(1)).max(1);
-            args.push(format!("--workers={share}"));
-        }
-        let records = run_sharded(&plan, |shard| {
-            let mut command = Command::new(&exe);
-            command.args(Self::worker_args(
+            Some((cores / co_located).max(1))
+        } else {
+            None
+        };
+        let records = run_dispatched(&plan, &hosts, default_binary, |shard| {
+            let mut worker_args = Self::worker_args(
                 &args,
                 ShardSpec {
                     index: shard,
                     total: plan.shards(),
                 },
                 &plan.range(shard),
-            ));
-            command
+            );
+            if let (Some(share), true) =
+                (workers_share, hosts[shard].transport.runs_on_dispatcher())
+            {
+                worker_args.push(format!("--workers={share}"));
+            }
+            worker_args
         })
         .map_err(|e| e.to_string())?;
         Ok(records)
     }
+}
+
+/// The fleet a local `--shards N` run dispatches to: `N` capacity-1 `local`
+/// hosts running the dispatcher's own executable, clamped to
+/// `min(N, n_items).max(1)` hosts.  With more shards than rows every
+/// populated shard holds one row either way, so the clamp changes no
+/// output — it only keeps a huge `N` from planning `N` empty shards.
+fn local_fleet(shards: usize, n_items: usize) -> Vec<Host> {
+    (0..shards.min(n_items).max(1))
+        .map(|i| Host {
+            name: format!("local{i}"),
+            capacity: 1,
+            binary: None,
+            transport: Box::new(LocalProcess),
+        })
+        .collect()
 }
 
 /// Parses the `A..B` spelling of `--shard-range` (`A <= B`).
@@ -909,6 +911,39 @@ mod tests {
                 "--emit-ndjson"
             ])
         );
+    }
+
+    /// `--shards N` is a hostfile of `min(N, n).max(1)` capacity-1 `local`
+    /// hosts, and its weighted plan is the uniform split on every
+    /// populated range — however large `N` is.
+    #[test]
+    fn shards_n_is_a_fleet_of_local_hosts() {
+        for (shards, n_items) in [
+            (1, 0),
+            (2, 0),
+            (2, 26),
+            (3, 7),
+            (40, 12),
+            (100_000_000_000, 12),
+            (usize::MAX, 12),
+        ] {
+            let fleet = local_fleet(shards, n_items);
+            let slots = shards.min(n_items).max(1);
+            assert_eq!(fleet.len(), slots, "--shards {shards} over {n_items}");
+            for host in &fleet {
+                assert_eq!(host.transport.describe(), "local");
+                assert_eq!(host.capacity, 1);
+                assert_eq!(host.binary, None);
+                assert!(host.transport.runs_on_dispatcher());
+            }
+            let capacities: Vec<usize> = fleet.iter().map(|h| h.capacity).collect();
+            let plan = ShardPlan::split_weighted(n_items, &capacities);
+            let uniform = ShardPlan::split(n_items, shards.min(n_items));
+            for shard in plan.populated_shards() {
+                assert_eq!(plan.range(shard), uniform.range(shard), "shard {shard}");
+            }
+            assert_eq!(plan.populated_shards().count(), shards.min(n_items));
+        }
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! worker threads by `wp_sim::SweepRunner`'s work-stealing scheduler, and
 //! the table rows can additionally be sharded across worker *processes*
 //! (`wp_dist`): `--shards N` re-invokes this executable once per contiguous
-//! row range, merges the NDJSON results and prints byte-identical output to
-//! a single-process run, and `--hosts hosts.conf` dispatches the same
+//! row range (a fleet of `N` local hosts), merges the NDJSON results and
+//! prints byte-identical output to a single-process run, and `--hosts
+//! hosts.conf` dispatches the same
 //! workers across machines (ssh/container/shell transports,
 //! capacity-weighted ranges, failover — see the README's *Cross-machine
 //! sweeps*).
@@ -18,11 +19,12 @@
 //! [--emit-ndjson]`
 //!
 //! `--lanes on` (and the default `auto`) tags every scenario for the
-//! lane-packed bit-parallel kernel; table rows read the architectural
-//! state back after the run, which disqualifies them from the
-//! control-plane kernel, so the scheduler demotes each to the scalar
-//! kernel and the output is byte-identical to `--lanes off` (CI diffs the
-//! two on every push).
+//! lane-packed bit-parallel kernel.  A plain table row reads the
+//! architectural state back after the run, which disqualifies it from the
+//! control-plane kernel, so the scheduler demotes it to the scalar kernel;
+//! under `--oracle on` the converted WP1 rows carry no read-back and really
+//! run in lane batches.  Either way the output is byte-identical to
+//! `--lanes off` (CI diffs the two with `--oracle on` on every push).
 //!
 //! `--oracle on` re-expresses every WP1 (strict) run as a firing goal and
 //! lets the period oracle extrapolate its steady state: the printed rows

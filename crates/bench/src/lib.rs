@@ -75,7 +75,7 @@ pub struct TableRow {
     pub improvement_percent: f64,
     /// Proven equivalence prefix length (N) of the WP1 run against its
     /// golden twin; `None` when the sweep ran without the equivalence gate
-    /// ([`run_table_verified`]).
+    /// (`verify` of [`run_table_oracle`]).
     pub proven_n_wp1: Option<usize>,
     /// Proven equivalence prefix length (N) of the WP2 run against its
     /// golden twin; `None` when the gate was off.
@@ -348,10 +348,9 @@ fn check_soc_outcome(
     Ok(outcome)
 }
 
-/// Runs golden + WP1 + WP2 for every configuration and collects table rows.
-///
-/// The golden run is sequential (it is the shared denominator); the
-/// 2 × `configs.len()` wire-pipelined runs are swept across worker threads.
+/// Runs golden + WP1 + WP2 for every configuration and collects table rows
+/// with the default scheduler, no equivalence gate and no oracle — the
+/// plain [`run_table_oracle`] run.
 ///
 /// # Errors
 ///
@@ -361,22 +360,8 @@ pub fn run_table(
     org: Organization,
     configs: &[(String, RsConfig)],
 ) -> Result<Vec<TableRow>, SocError> {
-    run_table_on(&SweepRunner::default(), workload, org, configs)
-}
-
-/// [`run_table`] with an explicit [`SweepRunner`] (worker-count control).
-///
-/// # Errors
-///
-/// Propagates any [`SocError`] from the underlying runs.
-pub fn run_table_on(
-    runner: &SweepRunner,
-    workload: &Workload,
-    org: Organization,
-    configs: &[(String, RsConfig)],
-) -> Result<Vec<TableRow>, SocError> {
-    run_table_impl(
-        runner,
+    run_table_oracle(
+        &SweepRunner::default(),
         workload,
         org,
         configs,
@@ -387,78 +372,37 @@ pub fn run_table_on(
     .map(|(rows, _)| rows)
 }
 
-/// [`run_table_on`] with the per-scenario equivalence gate enabled: every
+/// The one table runner: golden + WP1 + WP2 for every configuration,
+/// collected into table rows, plus the sweep's scheduler counters so the
+/// binaries can report the lane and oracle savings
+/// ([`SweepStats::oracle_extrapolated_cycles`] vs
+/// [`SweepStats::oracle_simulated_cycles`]).
+///
+/// The golden run is sequential (it is the shared denominator); the
+/// 2 × `configs.len()` wire-pipelined runs are swept across `runner`'s
+/// worker threads.
+///
+/// With `verify` the per-scenario equivalence gate is on: every
 /// wire-pipelined run is streamed against a demand-stepped golden twin
 /// while it executes, a non-equivalent scenario fails the whole table with
 /// [`SocError::NotEquivalent`], and the proven N per policy lands in
 /// [`TableRow::proven_n_wp1`] / [`TableRow::proven_n_wp2`] (surfaced by
 /// [`format_table`] and the JSON report).
 ///
-/// # Errors
+/// When `lanes` tags lanes (`--lanes`), every scenario carries a lane key
+/// so the sweep scheduler may pack qualifying ones into the bit-parallel
+/// kernel.  Plain table scenarios read the architectural state back after
+/// the run, which disqualifies them, so the scheduler demotes each to the
+/// scalar kernel; the extrapolating WP1 twins of an oracle run carry no
+/// read-back and run in lane batches.  The produced rows are identical in
+/// every mode (pinned byte-for-byte by CI).
 ///
-/// Propagates any [`SocError`] from the underlying runs, including gate
-/// failures.
-pub fn run_table_verified(
-    runner: &SweepRunner,
-    workload: &Workload,
-    org: Organization,
-    configs: &[(String, RsConfig)],
-) -> Result<Vec<TableRow>, SocError> {
-    run_table_impl(
-        runner,
-        workload,
-        org,
-        configs,
-        true,
-        LaneMode::Auto,
-        OracleMode::Off,
-    )
-    .map(|(rows, _)| rows)
-}
-
-/// [`run_table_on`] / [`run_table_verified`] with an explicit lane-packing
-/// mode (`--lanes`): when the mode tags lanes, every scenario carries a
-/// lane key so the sweep scheduler may pack qualifying ones into the
-/// bit-parallel kernel.  Table scenarios read the architectural state back
-/// after the run, which disqualifies them from the control-plane kernel,
-/// so the scheduler demotes each to the scalar kernel and the produced
-/// rows are identical in every mode (pinned byte-for-byte by CI).
-///
-/// # Errors
-///
-/// Propagates any [`SocError`] from the underlying runs.
-pub fn run_table_lanes(
-    runner: &SweepRunner,
-    workload: &Workload,
-    org: Organization,
-    configs: &[(String, RsConfig)],
-    verify: bool,
-    lanes: LaneMode,
-) -> Result<Vec<TableRow>, SocError> {
-    run_table_impl(
-        runner,
-        workload,
-        org,
-        configs,
-        verify,
-        lanes,
-        OracleMode::Off,
-    )
-    .map(|(rows, _)| rows)
-}
-
-/// [`run_table_lanes`] with an explicit period-oracle mode (`--oracle`),
-/// additionally returning the sweep's scheduler counters so the binaries
-/// can report the oracle saving
-/// ([`SweepStats::oracle_extrapolated_cycles`] vs
-/// [`SweepStats::oracle_simulated_cycles`]).
-///
-/// When the mode converts rows and the equivalence gate is off, every WP1
-/// (strict) scenario is replaced by its extrapolating twin
+/// When `oracle` converts rows (`--oracle`) and the equivalence gate is
+/// off, every WP1 (strict) scenario is replaced by its extrapolating twin
 /// ([`soc_oracle_scenario`], with the goal re-expressed as `golden.cycles`
 /// CU firings); the produced cycle columns are bit-identical to a plain
 /// run while orders of magnitude fewer cycles are simulated (pinned
-/// byte-for-byte by CI).  `--verify` wins over the oracle: the equivalence
+/// byte-for-byte by CI).  `verify` wins over the oracle: the equivalence
 /// gate streams every run against a golden twin, which the oracle's
 /// eligibility rules exclude, so verified tables always simulate fully.
 /// With [`OracleMode::Auto`] the first converted row is re-run by full
@@ -467,21 +411,9 @@ pub fn run_table_lanes(
 ///
 /// # Errors
 ///
-/// Propagates any [`SocError`] from the underlying runs, including a
-/// failed `auto` spot-check.
+/// Propagates any [`SocError`] from the underlying runs, including gate
+/// failures and a failed `auto` spot-check.
 pub fn run_table_oracle(
-    runner: &SweepRunner,
-    workload: &Workload,
-    org: Organization,
-    configs: &[(String, RsConfig)],
-    verify: bool,
-    lanes: LaneMode,
-    oracle: OracleMode,
-) -> Result<(Vec<TableRow>, SweepStats), SocError> {
-    run_table_impl(runner, workload, org, configs, verify, lanes, oracle)
-}
-
-fn run_table_impl(
     runner: &SweepRunner,
     workload: &Workload,
     org: Organization,
@@ -562,7 +494,7 @@ fn run_table_impl(
 /// Formats table rows like the paper's Table 1 (plus the analytic column).
 ///
 /// When any row carries proven-N values (the table was produced by
-/// [`run_table_verified`]) two extra columns surface the equivalence prefix
+/// [`run_table_oracle`] with `verify`) two extra columns surface the equivalence prefix
 /// proven per policy; rows without a value show `-`.
 pub fn format_table(title: &str, rows: &[TableRow]) -> String {
     use std::fmt::Write as _;

@@ -15,29 +15,27 @@
 //!   (the workspace builds without registry access, so no serde); workers
 //!   emit newline-delimited JSON (NDJSON) records and the parent parses
 //!   them back;
-//! * [`run_sharded`] — the parent side of the worker protocol: spawn one
-//!   `std::process::Command` child per non-empty shard, collect each
-//!   child's NDJSON stdout, verify that every shard reported exactly the
-//!   indices it was assigned, and merge the payloads in submission order.
-//!   A failed shard (spawn error, crash, non-zero exit, malformed or
-//!   missing records) is retried **once**; a second failure fails the whole
-//!   run loudly with a [`DistError`] naming the shard;
-//! * [`Transport`] — the pluggable launcher layer that scales the same
-//!   protocol beyond one machine.  A transport turns a worker argv into the
-//!   OS command that runs it: [`LocalProcess`] (a plain child, today's
-//!   `--shards` behaviour), [`Ssh`] (the argv shell-quoted behind
-//!   `ssh host --`), [`Container`] (`docker|podman run` with the repo
-//!   image) and [`ShellTransport`] (`sh -c` with an arbitrary prefix — the
-//!   hermetic fake host the tests and the CI dispatch smoke use);
+//! * [`Transport`] — the pluggable launcher layer that runs a worker
+//!   command line *somewhere*: [`LocalProcess`] (a plain child on this
+//!   machine), [`Ssh`] (the argv shell-quoted behind `ssh host --`),
+//!   [`Container`] (`docker|podman run` with the repo image) and
+//!   [`ShellTransport`] (`sh -c` with an arbitrary prefix — the hermetic
+//!   fake host the tests and the CI dispatch smoke use);
 //! * [`Host`] / [`parse_hostfile`] / [`load_hostfile`] — the `--hosts
 //!   hosts.conf` fleet declaration (name, transport, capacity, binary path
 //!   per host; hand-rolled parser, every violation names its line);
-//! * [`run_dispatched`] — [`run_sharded`] across a host fleet: one shard
-//!   per host, sized by [`ShardPlan::split_weighted`] over the declared
-//!   capacities, with **failover on retry** — a shard that fails on one
-//!   host is re-dispatched to the other hosts in turn, and only when every
-//!   host is exhausted does the run die
-//!   ([`DistError::HostsExhausted`]).
+//! * [`run_dispatched`] — the one parent side of the worker protocol: one
+//!   shard per host, sized by [`ShardPlan::split_weighted`] over the
+//!   declared capacities; spawn one child per non-empty shard, collect
+//!   each child's NDJSON stdout, verify that every shard reported exactly
+//!   the indices it was assigned, and merge the payloads in submission
+//!   order.  A failed shard (spawn error, crash, non-zero exit, malformed
+//!   or missing records) **fails over** to the other hosts in turn (a
+//!   one-host fleet retries once in place), and only when every host is
+//!   exhausted does the run die loudly
+//!   ([`DistError::HostsExhausted`], naming the shard).  A local
+//!   `--shards N` run is the same call over a fleet of `N` capacity-1
+//!   [`LocalProcess`] hosts.
 //!
 //! The result merge is *bit-identical* to a single-process run by
 //! construction: shard boundaries (and host assignment) only decide which
@@ -69,5 +67,5 @@ mod transport;
 pub use hostfile::{load_hostfile, parse_hostfile, Host};
 pub use json::{Json, JsonError};
 pub use plan::ShardPlan;
-pub use proto::{parse_ndjson, run_dispatched, run_sharded, DistError, ShardRecord, ShardSpec};
+pub use proto::{parse_ndjson, run_dispatched, DistError, ShardRecord, ShardSpec};
 pub use transport::{shell_quote, Container, LocalProcess, ShellTransport, Ssh, Transport};

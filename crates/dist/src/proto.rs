@@ -7,18 +7,20 @@
 //! record carries the item's global submission index in an `"index"`
 //! member; everything else is payload the caller interprets.
 //!
-//! The parent ([`run_sharded`]) spawns all populated shards concurrently,
-//! validates each child's output (exit status, well-formed records, and
-//! *exactly* the planned index set — no holes, no duplicates, no
-//! trespassing into another shard's range) and merges the payloads in
-//! submission order.  A shard that fails validation is retried once,
-//! sequentially; a second failure aborts the whole run with a [`DistError`]
-//! naming the shard, so a lost worker can never silently drop rows.
+//! The parent ([`run_dispatched`]) spawns all populated shards concurrently,
+//! one per host of a fleet, validates each child's output (exit status,
+//! well-formed records, and *exactly* the planned index set — no holes, no
+//! duplicates, no trespassing into another shard's range) and merges the
+//! payloads in submission order.  A shard that fails validation is
+//! re-dispatched to each other host in turn; only when every host has
+//! failed it does the run abort with a [`DistError`] naming the shard, so a
+//! lost worker can never silently drop rows.  A local `--shards N` run is
+//! simply a fleet of `N` `local` hosts.
 
 use std::fmt;
 use std::io;
 use std::ops::Range;
-use std::process::{Command, Stdio};
+use std::process::{Child, Output, Stdio};
 
 use crate::hostfile::Host;
 use crate::json::{Json, JsonError};
@@ -55,9 +57,12 @@ impl ShardSpec {
     }
 
     /// The submission-order range this worker owns within a plan over
-    /// `n_items` (the same split the parent computes).
+    /// `n_items`: `i·n/N .. (i+1)·n/N`, the same split the parent computes
+    /// with [`ShardPlan::split`], but without materialising the other
+    /// `N − 1` ranges (`N` may be far larger than `n_items`).
     pub fn range(&self, n_items: usize) -> Range<usize> {
-        ShardPlan::split(n_items, self.total).range(self.index)
+        let bound = |shard: usize| (shard as u128 * n_items as u128 / self.total as u128) as usize;
+        bound(self.index)..bound(self.index + 1)
     }
 }
 
@@ -241,10 +246,7 @@ pub fn parse_ndjson(shard: usize, stdout: &str) -> Result<Vec<ShardRecord>, Dist
 
 /// Drains one spawned worker to completion (stdout to EOF, then the exit
 /// status).
-fn collect_output(
-    shard: usize,
-    child: Result<std::process::Child, io::Error>,
-) -> Result<std::process::Output, DistError> {
+fn collect_output(shard: usize, child: Result<Child, io::Error>) -> Result<Output, DistError> {
     let child = child.map_err(|source| DistError::Spawn { shard, source })?;
     child
         .wait_with_output()
@@ -256,7 +258,7 @@ fn collect_output(
 fn validate_shard(
     shard: usize,
     expected: &Range<usize>,
-    output: std::process::Output,
+    output: Output,
 ) -> Result<Vec<ShardRecord>, DistError> {
     if !output.status.success() {
         return Err(DistError::WorkerFailed {
@@ -290,64 +292,19 @@ fn validate_shard(
     Ok(records)
 }
 
-/// Spawns one worker process per populated shard of `plan`, collects each
-/// worker's NDJSON stdout and merges the record payloads back into
-/// submission order.
-///
-/// `make_command` builds the [`Command`] for a given shard index (typically
-/// the current executable with `--shard i/N --emit-ndjson` appended); the
-/// protocol pipes its stdout and leaves stderr inherited, so worker
-/// progress messages still reach the terminal.  All first attempts run
-/// concurrently; every failed shard is then retried **once**, sequentially,
-/// and a second failure aborts the run with the shard's error.  The retry
-/// re-runs the identical command on the same launcher — when several
-/// machines are available, use [`run_dispatched`], whose retry fails over
-/// to a *different* host.
-///
-/// On success the returned vector has exactly `plan.items()` entries — the
-/// full record object of each submission index, in submission order — so
-/// the merge is bit-identical to a single-process run of the same items.
-///
-/// # Errors
-///
-/// Returns the [`DistError`] of the first shard whose retry also failed.
-pub fn run_sharded(
-    plan: &ShardPlan,
-    mut make_command: impl FnMut(usize) -> Command,
-) -> Result<Vec<Json>, DistError> {
-    let mut slots: Vec<Option<Json>> = (0..plan.items()).map(|_| None).collect();
-    let spawn = |shard: usize, make_command: &mut dyn FnMut(usize) -> Command| {
-        let mut command = make_command(shard);
-        command.stdout(Stdio::piped());
-        command.spawn()
-    };
-
-    let failed = first_wave(plan, |shard| spawn(shard, &mut make_command), &mut slots);
-
-    // Retry wave: one bounded retry per failed shard, sequentially (a lone
-    // child's pipe is drained to EOF by `wait_with_output`, so no second
-    // thread is needed here).
-    for (shard, first_error) in failed {
-        eprintln!("wp_dist: {first_error}; retrying shard {shard} once");
-        let expected = plan.range(shard);
-        let child = spawn(shard, &mut make_command);
-        let output = collect_output(shard, child)?;
-        let records = validate_shard(shard, &expected, output)?;
-        install(&mut slots, records);
-    }
-
-    Ok(merged(slots))
-}
-
 /// Spawns one worker per populated shard of `plan` across `hosts` —
 /// shard `s` on host `s` — with **failover on retry**: a shard that fails
 /// on its assigned host is re-dispatched to each *other* host in turn
 /// (wrapping round-robin from the failed one) before the run is declared
 /// dead, so one sick machine cannot kill a sweep that another could
 /// finish.  Only when every host has been tried does the shard's
-/// [`DistError::HostsExhausted`] abort the run.  With a single host there
-/// is no alternative: the shard is retried once on the same host,
-/// matching [`run_sharded`]'s bounded retry.
+/// [`DistError::HostsExhausted`] abort the run, so a shard costs at most
+/// `hosts.len()` attempts.  With a single host there is no alternative:
+/// the shard is retried once on the same host.
+///
+/// This is the one dispatch protocol: a local `--shards N` run is a fleet
+/// of `N` capacity-1 [`crate::LocalProcess`] hosts, a `--hosts` run the
+/// fleet its hostfile declares.
 ///
 /// `plan` must have exactly one shard per host (build it with
 /// [`ShardPlan::split_weighted`] over the host capacities so each
@@ -359,9 +316,10 @@ pub fn run_sharded(
 /// failed-over shard re-runs identical work and the merge stays
 /// bit-identical to a single-process run.
 ///
-/// Validation and merge semantics are exactly [`run_sharded`]'s: stdout is
-/// piped (stderr inherited), each worker must report exactly its planned
-/// index set, and the payloads land in submission order.
+/// Every worker's stdout is piped (stderr inherited, so worker progress
+/// messages still reach the terminal).  On success the returned vector has
+/// exactly `plan.items()` entries — the full record object of each
+/// submission index, in submission order.
 ///
 /// # Errors
 ///
@@ -384,113 +342,71 @@ pub fn run_dispatched(
         plan.shards(),
         hosts.len()
     );
-    let mut slots: Vec<Option<Json>> = (0..plan.items()).map(|_| None).collect();
     let spawn_on = |shard: usize, host: &Host| {
         let mut command = host.worker_command(default_binary, &make_args(shard));
         command.stdout(Stdio::piped());
         command.spawn()
     };
-    let attempt = |shard: usize, host: &Host| -> Result<Vec<ShardRecord>, DistError> {
-        let output = collect_output(shard, spawn_on(shard, host))?;
-        validate_shard(shard, &plan.range(shard), output)
-    };
 
-    let failed = first_wave(plan, |shard| spawn_on(shard, &hosts[shard]), &mut slots);
+    // First wave, concurrently: every populated shard on its own host, each
+    // child's stdout drained on its own thread — draining them one after
+    // the other would let a not-yet-waited worker fill its OS pipe buffer
+    // and block mid-sweep, serialising the wave.
+    let children: Vec<(usize, Result<Child, io::Error>)> = plan
+        .populated_shards()
+        .map(|shard| (shard, spawn_on(shard, &hosts[shard])))
+        .collect();
+    let outputs: Vec<(usize, Result<Output, DistError>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = children
+            .into_iter()
+            .map(|(shard, child)| (shard, scope.spawn(move || collect_output(shard, child))))
+            .collect();
+        handles
+            .into_iter()
+            .map(|(shard, handle)| (shard, handle.join().expect("drain thread never panics")))
+            .collect()
+    });
 
-    // Failover wave, sequentially: each failed shard is re-dispatched to
-    // the other hosts in wrapping order (never back to the one that just
-    // failed unless it is the only host).
-    for (shard, first_error) in failed {
-        let mut last_error = first_error;
-        let candidates: Vec<usize> = if hosts.len() == 1 {
-            vec![shard]
-        } else {
-            (1..hosts.len())
-                .map(|k| (shard + k) % hosts.len())
-                .collect()
-        };
-        let mut recovered = false;
-        for candidate in &candidates {
-            let host = &hosts[*candidate];
+    // Failover, sequentially in shard order: each failed shard is
+    // re-dispatched to the other hosts in wrapping order (never back to the
+    // one that just failed unless it is the only host).  A lone child's
+    // pipe is drained to EOF by `wait_with_output`, so no second thread is
+    // needed here.
+    let mut slots: Vec<Option<Json>> = (0..plan.items()).map(|_| None).collect();
+    for (shard, output) in outputs {
+        let expected = plan.range(shard);
+        let mut result = output.and_then(|output| validate_shard(shard, &expected, output));
+        let failover = (1..hosts.len().max(2)).map(|k| (shard + k) % hosts.len());
+        for candidate in failover {
+            let Err(error) = &result else { break };
+            let host = &hosts[candidate];
             eprintln!(
-                "wp_dist: {last_error}; re-dispatching shard {shard} to host '{}' ({})",
+                "wp_dist: {error}; re-dispatching shard {shard} to host '{}' ({})",
                 host.name,
                 host.transport.describe()
             );
-            match attempt(shard, host) {
-                Ok(records) => {
-                    install(&mut slots, records);
-                    recovered = true;
-                    break;
+            result = collect_output(shard, spawn_on(shard, host))
+                .and_then(|output| validate_shard(shard, &expected, output));
+        }
+        match result {
+            Ok(records) => {
+                for record in records {
+                    slots[record.index] = Some(record.payload);
                 }
-                Err(error) => last_error = error,
+            }
+            Err(last) => {
+                return Err(DistError::HostsExhausted {
+                    shard,
+                    hosts: hosts.len(),
+                    last: Box::new(last),
+                })
             }
         }
-        if !recovered {
-            return Err(DistError::HostsExhausted {
-                shard,
-                hosts: hosts.len(),
-                last: Box::new(last_error),
-            });
-        }
     }
-
-    Ok(merged(slots))
-}
-
-/// The concurrent first wave shared by [`run_sharded`] and
-/// [`run_dispatched`]: spawns every populated shard via `spawn` (which
-/// must pipe stdout), drains each child's stdout on its own thread —
-/// draining them one after the other would let a not-yet-waited worker
-/// fill its OS pipe buffer and block mid-sweep, serialising the wave —
-/// validates the outputs, lands the good records in `slots` and returns
-/// the failed shards with their errors, in shard order, for the caller's
-/// retry policy.
-fn first_wave(
-    plan: &ShardPlan,
-    mut spawn: impl FnMut(usize) -> Result<std::process::Child, io::Error>,
-    slots: &mut [Option<Json>],
-) -> Vec<(usize, DistError)> {
-    let children: Vec<(usize, Result<std::process::Child, io::Error>)> = plan
-        .populated_shards()
-        .map(|shard| (shard, spawn(shard)))
-        .collect();
-    let outputs: Vec<(usize, Result<std::process::Output, DistError>)> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = children
-                .into_iter()
-                .map(|(shard, child)| (shard, scope.spawn(move || collect_output(shard, child))))
-                .collect();
-            handles
-                .into_iter()
-                .map(|(shard, handle)| (shard, handle.join().expect("drain thread never panics")))
-                .collect()
-        });
-    let mut failed: Vec<(usize, DistError)> = Vec::new();
-    for (shard, output) in outputs {
-        let expected = plan.range(shard);
-        match output.and_then(|output| validate_shard(shard, &expected, output)) {
-            Ok(records) => install(slots, records),
-            Err(error) => failed.push((shard, error)),
-        }
-    }
-    failed
-}
-
-/// Lands validated records in their submission-order slots.
-fn install(slots: &mut [Option<Json>], records: Vec<ShardRecord>) {
-    for record in records {
-        slots[record.index] = Some(record.payload);
-    }
-}
-
-/// Unwraps the fully-populated submission-order slots into the merged
-/// result.
-fn merged(slots: Vec<Option<Json>>) -> Vec<Json> {
-    slots
+    Ok(slots
         .into_iter()
         .map(|slot| slot.expect("every index was validated against its shard range"))
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -516,8 +432,32 @@ mod tests {
 
     #[test]
     fn shard_spec_range_matches_the_plan() {
-        let spec = ShardSpec::parse("1/3").unwrap();
-        assert_eq!(spec.range(10), ShardPlan::split(10, 3).range(1));
+        for (n_items, total) in [(10, 3), (0, 4), (3, 7), (13, 5), (12, 40), (1000, 999)] {
+            let plan = ShardPlan::split(n_items, total);
+            for index in 0..total {
+                let spec = ShardSpec::parse(&format!("{index}/{total}")).unwrap();
+                assert_eq!(
+                    spec.range(n_items),
+                    plan.range(index),
+                    "{spec} of {n_items}"
+                );
+            }
+        }
+    }
+
+    /// A shard count far beyond any plan that fits in memory still yields
+    /// the worker's one range, without building the plan.
+    #[test]
+    fn a_huge_shard_count_computes_its_range_directly() {
+        let first = ShardSpec::parse("0/18446744073709551615").unwrap();
+        assert_eq!(first.total, usize::MAX);
+        assert_eq!(first.range(12), 0..0);
+        let last = ShardSpec {
+            index: usize::MAX - 1,
+            total: usize::MAX,
+        };
+        assert_eq!(last.range(12), 11..12);
+        assert_eq!(last.range(usize::MAX), usize::MAX - 1..usize::MAX);
     }
 
     #[test]

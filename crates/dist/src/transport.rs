@@ -1,8 +1,9 @@
 //! Pluggable worker launchers: how a shard's worker process is started.
 //!
-//! The worker protocol ([`crate::run_sharded`] / [`crate::run_dispatched`])
-//! is transport-agnostic: a worker is anything that runs a command line and
-//! streams NDJSON records back on stdout.  This module decouples "plan
+//! The worker protocol ([`crate::run_dispatched`]) is transport-agnostic:
+//! a worker is anything that runs a command line and streams NDJSON
+//! records back on stdout — a local `--shards N` run is simply a fleet of
+//! `N` [`LocalProcess`] hosts.  This module decouples "plan
 //! shards and merge NDJSON" from "how the worker is launched": a
 //! [`Transport`] turns a logical worker argv (`[program, args…]`) into the
 //! OS-level [`Command`] that executes it *somewhere* — in a local child
@@ -47,8 +48,8 @@ pub trait Transport: fmt::Debug {
     }
 }
 
-/// Runs the worker as a plain child of the current process — the classic
-/// `--shards N` behaviour, refactored onto the [`Transport`] trait.
+/// Runs the worker as a plain child of the current process: a local
+/// `--shards N` run is a fleet of `N` hosts on this transport.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LocalProcess;
 
