@@ -1,57 +1,44 @@
-//! The CI perf-regression gate: fails when any throughput/speedup field of
-//! a fresh `BENCH_table1.json` drops more than the tolerance below the
-//! committed `BENCH_baseline.json`, or when baseline coverage disappeared.
+//! The CI perf-regression gate: fails when any gated record of a fresh
+//! `bench` report falls more than its baseline tolerance below the
+//! committed `BENCH_baseline.json`, when a baseline record disappeared, or
+//! when either report is malformed.
 //!
-//! Usage: `bench_compare [--baseline PATH] [--fresh PATH] [--tolerance F]`
+//! Usage: `bench_compare [--baseline PATH] [--fresh PATH]`
 //!
-//! Defaults: `--baseline BENCH_baseline.json --fresh BENCH_table1.json
-//! --tolerance 0.25` (fail on a drop of more than 25%).  CI runs this
-//! right after the bench smoke produced the fresh report; to refresh the
+//! Defaults: `--baseline BENCH_baseline.json --fresh BENCH_fresh.json`.
+//! Each record's tolerance is read from the baseline.  To refresh the
 //! baseline after an intentional change, copy the fresh report over
 //! `BENCH_baseline.json` and commit it (see the README's *Refreshing the
 //! perf baseline*).
 
-use wp_bench::{compare_reports, flag_value};
+use wp_bench::{compare_reports, flag_value, parse_metric_records, MetricRecord};
 use wp_dist::Json;
 
-fn load(path: &str) -> Result<Json, Box<dyn std::error::Error>> {
+fn load(path: &str) -> Result<Vec<MetricRecord>, Box<dyn std::error::Error>> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read report '{path}': {e}"))?;
-    Ok(Json::parse(&text).map_err(|e| format!("report '{path}' is not valid JSON: {e}"))?)
+    let doc = Json::parse(&text).map_err(|e| format!("report '{path}' is not valid JSON: {e}"))?;
+    Ok(parse_metric_records(&doc).map_err(|e| format!("report '{path}' is malformed: {e}"))?)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flag = |name| flag_value(&args, name).unwrap_or_else(|e| e.exit());
     let baseline_path = flag("--baseline").unwrap_or_else(|| "BENCH_baseline.json".to_string());
-    let fresh_path = flag("--fresh").unwrap_or_else(|| "BENCH_table1.json".to_string());
-    let tolerance: f64 = match flag("--tolerance") {
-        None => 0.25,
-        Some(v) => match v.parse::<f64>() {
-            Ok(t) if (0.0..1.0).contains(&t) => t,
-            _ => {
-                eprintln!("error: --tolerance expects a fraction in [0, 1), got '{v}'");
-                std::process::exit(2);
-            }
-        },
-    };
+    let fresh_path = flag("--fresh").unwrap_or_else(|| "BENCH_fresh.json".to_string());
 
-    let baseline = load(&baseline_path)?;
-    let fresh = load(&fresh_path)?;
-    let result = compare_reports(&baseline, &fresh, tolerance);
+    let result = compare_reports(&load(&baseline_path)?, &load(&fresh_path)?);
     if result.passed() {
         println!(
-            "perf gate passed: {} field(s) of '{fresh_path}' within {:.0}% of '{baseline_path}'",
+            "perf gate passed: {} gated record(s) of '{fresh_path}' within tolerance of \
+             '{baseline_path}'",
             result.compared,
-            100.0 * tolerance,
         );
         return Ok(());
     }
     eprintln!(
-        "perf gate FAILED: {} violation(s) against '{baseline_path}' \
-         (tolerance {:.0}%):",
+        "perf gate FAILED: {} violation(s) against '{baseline_path}':",
         result.failures.len(),
-        100.0 * tolerance,
     );
     for failure in &result.failures {
         eprintln!("  - {failure}");

@@ -14,7 +14,7 @@
 //! Usage: `dse [--spec FILE | --seed S [--blocks LO:HI] [--chords LO:HI]
 //! [--max-relay N] [--latency-percent P]] [--clock P] [--cap N]
 //! [--mode auto|exhaustive|walk] [--walks N] [--steps N] [--units N]
-//! [--limit N] [--firings N] [--quick] [--verify] [--json PATH] [--dot]
+//! [--limit N] [--firings N] [--quick] [--verify] [--dot]
 //! [--workers N] [--batch N] [--lanes on|off|auto] [--oracle on|off|auto]
 //! [--shards N | --hosts hosts.conf | --shard i/N] [--emit-ndjson]`
 //!
@@ -24,16 +24,15 @@
 //! `--hosts` (CI diffs them).  Wall-clock figures (configurations/second)
 //! go to stderr only.
 //!
-//! `--quick` shrinks the cap and firing target for the CI smoke and writes
-//! `BENCH_dse.json` (configurations scored, frontier size, scoring rate);
-//! `--json PATH` writes the report to an explicit path.  `--dot` prints
-//! the spec annotated with the best frontier assignment as Graphviz.
+//! `--quick` shrinks the cap and firing target for the CI smoke.  `--dot`
+//! prints the spec annotated with the best frontier assignment as
+//! Graphviz.  The CI perf gate over this search is the `bench` binary.
 
 use std::time::Instant;
 
 use wp_bench::{
-    bench_report_json, dse_unit_from_json, dse_unit_ndjson, flag_value, format_frontier,
-    spot_verify_frontier, ArgError, BenchTable, ShardArgs, SweepArgs, TableRow,
+    dse_unit_from_json, dse_unit_ndjson, flag_value, format_frontier, spot_verify_frontier,
+    ArgError, ShardArgs, SweepArgs,
 };
 use wp_dse::{
     merge_outcomes, plan_units, run_unit, run_units, DseConfig, DseOutcome, Evaluator, SearchMode,
@@ -52,7 +51,6 @@ struct Args {
     firings: u64,
     verify: bool,
     dot: bool,
-    json: Option<String>,
     units: usize,
     sweep: SweepArgs,
     shard: ShardArgs,
@@ -169,7 +167,6 @@ fn parse_args(args: &[String]) -> Result<Args, ArgError> {
         firings,
         verify: args.iter().any(|a| a == "--verify"),
         dot: args.iter().any(|a| a == "--dot"),
-        json: flag_value(args, "--json")?.or_else(|| quick.then(|| "BENCH_dse.json".to_string())),
         units: parse_num("--units", "a positive unit count")?
             .map_or(wp_dse::DEFAULT_UNITS, |v| v as usize)
             .max(1),
@@ -200,9 +197,9 @@ fn load_spec(args: &Args) -> Result<(String, NetlistSpec), String> {
     }
 }
 
-/// Prints the frontier report (deterministic stdout), spot-verifies when
-/// asked, and writes the machine-readable report — exactly the same way
-/// for the in-process and the sharded-parent paths.
+/// Prints the frontier report (deterministic stdout) and spot-verifies
+/// when asked — exactly the same way for the in-process and the
+/// sharded-parent paths.
 fn publish(
     args: &Args,
     label: &str,
@@ -273,34 +270,6 @@ fn publish(
         }
     }
 
-    if let Some(path) = &args.json {
-        let best = outcome.frontier.last();
-        let row = TableRow {
-            label: label.to_string(),
-            golden_cycles: outcome.scored,
-            wp1_cycles: outcome.frontier.len() as u64,
-            wp2_cycles: rate as u64,
-            th_wp1: best.map_or(0.0, |p| p.effective),
-            th_wp2: best.map_or(0.0, |p| p.cycle_throughput),
-            th_wp1_predicted: 0.0,
-            improvement_percent: 0.0,
-            proven_n_wp1: None,
-            proven_n_wp2: None,
-        };
-        let runner = args.sweep.runner();
-        let report = bench_report_json(
-            "dse",
-            runner.workers(),
-            runner.batch(),
-            wall_seconds,
-            &[BenchTable {
-                title: "Design-space exploration (analytic Pareto search)".to_string(),
-                rows: vec![row],
-            }],
-        );
-        std::fs::write(path, report)?;
-        eprintln!("wrote machine-readable report to {path}");
-    }
     Ok(())
 }
 

@@ -50,8 +50,8 @@ use std::time::Instant;
 
 use wp_bench::{
     bench_report_json, flag_value, format_table, matmul_workload, run_table_oracle, sort_workload,
-    table1_base_configs, table1_two_rs_configs, table_row_from_json, table_row_ndjson, BenchTable,
-    ShardArgs, SweepArgs, TableRow,
+    table1_base_configs, table1_two_rs_configs, table_row_from_json, table_row_ndjson, ArgError,
+    BenchTable, ShardArgs, SweepArgs, TableRow,
 };
 use wp_proc::{extraction_sort, matrix_multiply, Organization, RsConfig, SocError, Workload};
 use wp_sim::{SweepRunner, SweepStats};
@@ -69,10 +69,19 @@ fn parse_args() -> Args {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let flag = |name| flag_value(&args, name).unwrap_or_else(|e| e.exit());
+    let program = flag("--program")
+        .or_else(|| args.first().cloned().filter(|a| !a.starts_with("--")))
+        .unwrap_or_else(|| "both".to_string());
+    if !matches!(program.as_str(), "sort" | "matmul" | "both") {
+        ArgError::InvalidValue {
+            flag: "--program".to_string(),
+            value: program,
+            expected: "one of sort, matmul, both",
+        }
+        .exit();
+    }
     Args {
-        program: flag("--program")
-            .or_else(|| args.first().cloned().filter(|a| !a.starts_with("--")))
-            .unwrap_or_else(|| "both".to_string()),
+        program,
         quick,
         verify: args.iter().any(|a| a == "--verify"),
         sweep: SweepArgs::from_args(&args).unwrap_or_else(|e| e.exit()),

@@ -1,10 +1,11 @@
-//! Machine-readable bench reports.
+//! `table1`'s machine-readable result report and the JSON writer helpers.
 //!
-//! CI tracks the experiment binaries over time; parsing their pretty-printed
-//! tables is brittle, so `table1` (and anything else that produces
-//! [`TableRow`]s) can emit a small JSON document instead — rows plus the
-//! wall-clock time of the producing sweep — which the workflow uploads as an
-//! artifact (`BENCH_table1.json`).
+//! Parsing `table1`'s pretty-printed tables is brittle, so it can emit a
+//! small JSON document instead — the Table-1 rows plus the wall-clock time
+//! of the producing sweep — which the workflow uploads as an artifact
+//! (`BENCH_table1.json`).  [`bench_report_json`] writes only that report;
+//! perf measurements use the typed metric records of [`crate::MetricRecord`]
+//! instead, never [`TableRow`] columns.
 //!
 //! The writer is hand-rolled because the workspace builds without registry
 //! access (no serde); the emitted subset is plain JSON: objects, arrays,

@@ -14,7 +14,10 @@ mod json;
 mod wiring;
 
 pub use args::{flag_value, ArgError, LaneMode, OracleMode, ShardArgs, SweepArgs};
-pub use compare::{compare_reports, BenchComparison};
+pub use compare::{
+    compare_reports, metric_report_json, parse_metric_records, BenchComparison, MetricRecord,
+    RecordError,
+};
 pub use dse::{
     dse_unit_from_json, dse_unit_ndjson, format_frontier, spot_verify_frontier, SPOT_TOLERANCE,
 };

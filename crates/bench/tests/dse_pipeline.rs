@@ -86,3 +86,28 @@ fn neighborhood_frontiers_spot_verify_too() {
     )
     .expect("every searched frontier point verifies");
 }
+
+/// `dse --quick` is a smoke run: it prints the frontier and writes nothing
+/// into its working directory (it once overwrote a committed baseline).
+#[test]
+fn a_quick_dse_run_writes_no_file() {
+    let spec = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/generated_seed7.nl"
+    );
+    let cwd = std::env::temp_dir().join(format!("wp_bench_dse_quick_{}", std::process::id()));
+    std::fs::create_dir_all(&cwd).expect("temp cwd");
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_dse"))
+        .args(["--quick", "--spec", spec])
+        .current_dir(&cwd)
+        .output()
+        .expect("dse runs");
+    let written: Vec<_> = std::fs::read_dir(&cwd).expect("temp cwd").collect();
+    let _ = std::fs::remove_dir_all(&cwd);
+    assert!(
+        output.status.success(),
+        "dse --quick failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    assert!(written.is_empty(), "dse --quick wrote {written:?}");
+}

@@ -113,3 +113,32 @@ fn a_stale_shard_plan_larger_than_the_rows_still_merges() {
         );
     }
 }
+
+/// A mistyped `--program` (flag or positional) is an argument error: exit
+/// code 2, a typed message on stderr, and no report written — never an
+/// empty table that exits 0.
+#[test]
+fn an_unknown_program_is_rejected_without_writing_a_report() {
+    let cwd = std::env::temp_dir().join(format!("wp_bench_program_typo_{}", std::process::id()));
+    std::fs::create_dir_all(&cwd).expect("temp cwd");
+    for args in [
+        &["--program", "sortt", "--quick"][..],
+        &["sortt", "--quick"],
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_table1"))
+            .args(args)
+            .current_dir(&cwd)
+            .output()
+            .expect("table1 runs");
+        assert_eq!(output.status.code(), Some(2), "table1 {args:?}");
+        assert!(output.stdout.is_empty(), "table1 {args:?} printed a table");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("--program expects one of sort, matmul, both, got 'sortt'"),
+            "table1 {args:?}: {stderr}"
+        );
+    }
+    let written: Vec<_> = std::fs::read_dir(&cwd).expect("temp cwd").collect();
+    let _ = std::fs::remove_dir_all(&cwd);
+    assert!(written.is_empty(), "table1 wrote {written:?}");
+}
