@@ -151,14 +151,17 @@ pub fn flag_value(args: &[String], name: &str) -> Result<Option<String>, ArgErro
 /// scenarios that qualify for the control-plane kernel and demotes the
 /// rest to the scalar kernel per scenario.  Plain `table1` rows read the
 /// architectural state back and always demote; the WP1 rows that
-/// `--oracle on` converts to firing goals qualify and run lane-packed (the
-/// CI byte-for-byte diff of `table1 --quick --oracle on --lanes on` vs
-/// `--lanes off` pins that the two paths agree).
+/// `--oracle on` converts to firing goals qualify and run lane-packed.
+/// Untagged, those rows still run on the lane kernel — its period oracle
+/// is the only one — as one-lane batches, so the CI byte-for-byte diff of
+/// `table1 --quick --oracle on --lanes on` vs `--lanes off` pins that
+/// packing never changes a result.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum LaneMode {
     /// Tag every scenario; qualifying ones run lane-packed.
     On,
-    /// Never tag; everything runs on the scalar kernel.
+    /// Never tag; nothing is packed (extrapolating rows still run as
+    /// one-lane batches, everything else on the scalar kernel).
     Off,
     /// The default; currently behaves exactly as [`LaneMode::On`] because
     /// qualification is decided per scenario anyway.
@@ -185,7 +188,9 @@ impl LaneMode {
 /// The `--oracle` modes: whether the experiment binaries re-express their
 /// eligible strict-policy (WP1) runs as firing goals and let the period
 /// oracle extrapolate the steady state
-/// (`wp_sim::LidSimulator::run_until_firings_extrapolated`).
+/// (`wp_sim::LaneLidSimulator::run_until_firings_extrapolated`; a row that
+/// is not packed into a lane batch runs as a batch of one, so `--lanes`
+/// changes only the packing).
 ///
 /// Extrapolation never changes a reported cycle or firing count — the
 /// oracle verifies a full period before extrapolating and falls back to

@@ -7,9 +7,10 @@
 //!   64 scalar simulators and by one lane-packed simulator (outcomes
 //!   asserted bit-identical).  Gated: the wall-clock speedup.
 //! * **Period oracle** — each full Table-1 WP1 run to its golden firing
-//!   count, plainly and extrapolated (goal cycle asserted equal, steady
-//!   state asserted extrapolated).  Gated: the deterministic cycle saving
-//!   and the wall-clock speedup.
+//!   count, plainly and extrapolated by a one-lane batch of the lane
+//!   kernel's oracle (report asserted bit-identical, steady state asserted
+//!   extrapolated).  Gated: the deterministic cycle saving and the
+//!   wall-clock speedup.
 //! * **Design-space search** — the exhaustive 4^10 search of generated
 //!   netlist seed 9 (5 blocks, 5 chords, cap 3), every frontier point
 //!   spot-verified by simulation within 2%.  Gated: the best frontier
@@ -35,7 +36,7 @@ use wp_proc::{
     build_soc, extraction_sort, matrix_multiply, run_golden_soc, Link, Msg, Organization, RsConfig,
     Workload, CU,
 };
-use wp_sim::LidSimulator;
+use wp_sim::{LaneLidSimulator, LaneScenario, LidSimulator};
 
 /// Tolerance of the lane and oracle ratios.
 const RATIO_GATE: Option<f64> = Some(0.5);
@@ -111,16 +112,32 @@ fn period_oracle(workload: &str, soc: &Workload, rs: &RsConfig, iters: u32) -> V
             .run_until_firings(CU, target, MAX_CYCLES)
             .expect("SoC run completes")
     };
+    // A single run is a one-lane batch of the lane kernel's oracle.
     let extrapolated = || {
-        wp1_simulator(soc, rs)
+        let builder = build_soc(soc, Organization::Pipelined, rs);
+        let lane = LaneScenario {
+            relay_stations: builder
+                .channels()
+                .iter()
+                .map(|c| c.relay_stations)
+                .collect(),
+            stall: None,
+        };
+        LaneLidSimulator::new(builder, &[lane], ShellConfig::strict())
+            .expect("SoC assembles")
             .run_until_firings_extrapolated(CU, target, MAX_CYCLES)
+            .remove(0)
             .expect("SoC run completes")
     };
     let oracle = extrapolated();
+    let mut reference = wp1_simulator(soc, rs);
+    reference
+        .run_until_firings(CU, target, MAX_CYCLES)
+        .expect("SoC run completes");
     assert_eq!(
-        oracle.report.cycles,
-        plain(),
-        "{workload}: the oracle must report the plainly-simulated goal cycle"
+        oracle.report,
+        reference.report(),
+        "{workload}: the oracle must report the plainly-simulated run"
     );
     assert!(
         oracle.extrapolated,

@@ -13,7 +13,9 @@
 //!    relay stations to the first channel) measures the steady-state
 //!    throughput of each lane, which must match the exact
 //!    max-cycle-ratio prediction (`wp_netlist::ThroughputModel::Exact`)
-//!    within 2 % relative.
+//!    within 2 % relative.  Each line reports how many of the 8 lanes the
+//!    period oracle extrapolated, and the summary totals them: a lane that
+//!    was not extrapolated simulated all the way to its goal.
 //! 3. **Program result** — self-contained SoC specs (a `cu` block with
 //!    workload attributes, see `examples/soc_sort.nl`) instead run their
 //!    program to the halt and check the final data memory against the
@@ -176,6 +178,10 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
     })
 }
 
+/// A passed check: its report line, and how many of the throughput
+/// batch's lanes were extrapolated (`None` when no lane batch ran).
+type Checked = (String, Option<usize>);
+
 /// Checks a synthetic (`fan`) netlist: streamed lid-vs-golden equivalence,
 /// then the 8-lane steady-state measurement against the exact MCR solver.
 fn check_synthetic(
@@ -183,7 +189,7 @@ fn check_synthetic(
     spec: &NetlistSpec,
     firings: u64,
     runner: &SweepRunner,
-) -> Result<String, Failure> {
+) -> Result<Checked, Failure> {
     // Validate the lowering once up front so factory closures may expect().
     lower::<u64>(spec, &synthetic_registry()).map_err(|e| Failure::Other(e.to_string()))?;
     let factory = {
@@ -231,6 +237,7 @@ fn check_synthetic(
     let mut sim = LaneLidSimulator::new(builder, &lanes, ShellConfig::strict())
         .map_err(|e| Failure::Other(format!("lane batch failed to assemble: {e}")))?;
     let mut worst = 0.0f64;
+    let mut extrapolated = 0usize;
     for (k, outcome) in sim
         .run_until_firings_extrapolated(0, firings, 100 * firings)
         .into_iter()
@@ -248,14 +255,17 @@ fn check_synthetic(
             )));
         }
         worst = worst.max(error);
+        extrapolated += usize::from(run.extrapolated);
     }
-    Ok(format!(
-        "{} blocks, {} channels, {} RS; proven N {proven_n}, worst lane error {:.3}%",
+    let detail = format!(
+        "{} blocks, {} channels, {} RS; proven N {proven_n}, worst lane error {:.3}%, \
+         {extrapolated}/{LANES} lanes extrapolated",
         spec.blocks.len(),
         spec.channels.len(),
         spec.total_relay_stations(),
         100.0 * worst
-    ))
+    );
+    Ok((detail, Some(extrapolated)))
 }
 
 /// Checks a self-contained SoC spec: program result and lid-vs-golden
@@ -265,7 +275,7 @@ fn check_soc(
     spec: &NetlistSpec,
     ctx: &SocSpecContext,
     runner: &SweepRunner,
-) -> Result<String, Failure> {
+) -> Result<Checked, Failure> {
     let build_err = |e: wp_spec::SpecError| Failure::Other(e.to_string());
     let mut golden = GoldenSimulator::new(lower(spec, &ctx.registry()).map_err(build_err)?)
         .map_err(|e| Failure::Other(format!("golden assembly failed: {e}")))?;
@@ -311,13 +321,14 @@ fn check_soc(
             "final memory does not match the expected result".to_string(),
         ));
     }
-    Ok(format!(
+    let detail = format!(
         "workload {}, golden {golden_cycles} cy, WP1 {} cy, Th {:.3}, proven N {}",
         ctx.workload.name,
         outcome.cycles_to_goal,
         golden_cycles as f64 / outcome.cycles_to_goal as f64,
         report.proven_n()
-    ))
+    );
+    Ok((detail, None))
 }
 
 fn check_netlist(
@@ -325,7 +336,7 @@ fn check_netlist(
     mut spec: NetlistSpec,
     opts: &Options,
     runner: &SweepRunner,
-) -> Result<String, Failure> {
+) -> Result<Checked, Failure> {
     if opts.print {
         print!("{spec}");
     }
@@ -347,7 +358,10 @@ fn check_netlist(
             .iter()
             .any(|b| SOC_KINDS.contains(&b.kind.as_str())) =>
         {
-            Ok("skipped: topology-only SoC spec (no workload attributes)".to_string())
+            Ok((
+                "skipped: topology-only SoC spec (no workload attributes)".to_string(),
+                None,
+            ))
         }
         None => check_synthetic(label, &spec, opts.firings, runner),
     }
@@ -377,11 +391,18 @@ fn main() {
     }
 
     let (mut equivalence, mut throughput, mut other) = (0usize, 0usize, 0usize);
+    let (mut lanes_extrapolated, mut lanes_run) = (0usize, 0usize);
     let total = netlists.len();
     for (label, spec) in netlists {
         let result = spec.and_then(|spec| check_netlist(&label, spec, &opts, &runner));
         match result {
-            Ok(detail) => println!("{label:<24} ok    {detail}"),
+            Ok((detail, extrapolated)) => {
+                if let Some(k) = extrapolated {
+                    lanes_extrapolated += k;
+                    lanes_run += LANES;
+                }
+                println!("{label:<24} ok    {detail}");
+            }
             Err(failure) => {
                 match failure {
                     Failure::Equivalence(_) => equivalence += 1,
@@ -394,7 +415,7 @@ fn main() {
     }
     println!(
         "\n{total} netlists: {equivalence} equivalence failures, {throughput} throughput \
-         mismatches, {other} other failures"
+         mismatches, {other} other failures; {lanes_extrapolated}/{lanes_run} lanes extrapolated"
     );
     if opts.verify && equivalence + throughput + other > 0 {
         std::process::exit(1);

@@ -173,7 +173,9 @@ fn exact_mcr_matches_the_lane_kernel_steady_state_on_random_netlists() {
 /// Period-detection extrapolation must be bit-identical to plain
 /// simulation for every lane count: each lane of a `k`-lane batch must
 /// report exactly what a scalar simulator reports for the same ring and
-/// relay budget, for `k` spanning 1 to `MAX_LANES`.
+/// relay budget, for `k` spanning 1 to `MAX_LANES`.  A one-lane batch is
+/// how a single run extrapolates, so at `k = 1` the lane must extrapolate
+/// and simulate at most a tenth of the reported cycles.
 #[test]
 fn lane_extrapolation_is_bit_identical_to_scalar_runs_for_all_lane_counts() {
     const TARGET: u64 = 20_000;
@@ -212,6 +214,14 @@ fn lane_extrapolation_is_bit_identical_to_scalar_runs_for_all_lane_counts() {
             if run.extrapolated {
                 extrapolated += 1;
                 assert!(run.simulated_cycles < run.report.cycles);
+            }
+            if k == 1 {
+                assert!(
+                    run.extrapolated && run.simulated_cycles * 10 <= run.report.cycles,
+                    "a single run must extrapolate: simulated {} of {} cycles",
+                    run.simulated_cycles,
+                    run.report.cycles
+                );
             }
         }
         assert!(extrapolated > 0, "k={k}: no lane extrapolated");

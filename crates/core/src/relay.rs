@@ -285,23 +285,6 @@ impl<V: Clone> RelayChain<V> {
         Ok(())
     }
 
-    /// Appends the chain's control-plane state to `out`: one word per
-    /// station packing the validity of the main and auxiliary registers and
-    /// the registered stop bit.  Token payloads are excluded — a relay
-    /// station's next-state function reads only these three bits plus the
-    /// validity of its data input, so the chain's contribution to the
-    /// system's autonomous control plane is exactly these words (see
-    /// [`crate::Shell::control_state`]).
-    pub fn control_state(&self, out: &mut Vec<u64>) {
-        for s in &self.stations {
-            out.push(
-                u64::from(s.main.is_valid())
-                    | (u64::from(s.aux.is_valid()) << 1)
-                    | (u64::from(s.stop_reg) << 2),
-            );
-        }
-    }
-
     /// Resets every station to the empty state.
     pub fn reset(&mut self) {
         for s in &mut self.stations {
@@ -441,24 +424,6 @@ mod tests {
         }
         // After the 3-cycle fill latency the chain sustains one token/cycle.
         assert_eq!(received, (0..37).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn chain_control_state_tracks_registers_not_payloads() {
-        let mut a = RelayChain::new(2);
-        let mut b = RelayChain::new(2);
-        a.update(&Token::Valid(1u32), false).unwrap();
-        b.update(&Token::Valid(2u32), false).unwrap();
-        let (mut sa, mut sb) = (Vec::new(), Vec::new());
-        a.control_state(&mut sa);
-        b.control_state(&mut sb);
-        assert_eq!(sa, sb, "payloads must not leak into the control state");
-        assert_eq!(sa.len(), 2, "one word per station");
-        // The token advancing down the chain changes the state words.
-        a.update(&Token::Void, false).unwrap();
-        let mut moved = Vec::new();
-        a.control_state(&mut moved);
-        assert_ne!(sa, moved);
     }
 
     #[test]

@@ -461,33 +461,6 @@ impl<V: Clone> Shell<V> {
         Ok(required)
     }
 
-    /// Appends the shell's control-plane state to `out`, one word per
-    /// register: each input queue's occupancy fused with its registered stop
-    /// bit, each output register's validity bit, and the halted flag.
-    ///
-    /// Token payloads, the enclosed process's internal state and the
-    /// monotonic counters (`fired`, `consumed`, statistics) are deliberately
-    /// excluded.  Under [`SyncPolicy::Strict`] the firing decision reads
-    /// only queue occupancy, output validity and the halted flag, so — as
-    /// long as no halted flag flips — the control plane evolves
-    /// *autonomously* on this finite state.  A simulator that observes the
-    /// same control state twice has therefore proven the run periodic,
-    /// which is what the steady-state period oracle in the simulator crate
-    /// exploits to extrapolate the rest of a run analytically.  Under
-    /// [`SyncPolicy::Oracle`] the firing decision also reads
-    /// [`Process::required_inputs`] (data-dependent), so a repeated control
-    /// state proves nothing — oracle-policy runs are not eligible for
-    /// extrapolation.
-    pub fn control_state(&self, out: &mut Vec<u64>) {
-        for (q, &stop) in self.in_queues.iter().zip(&self.stop_reg) {
-            out.push(((q.len() as u64) << 1) | u64::from(stop));
-        }
-        for t in &self.out_reg {
-            out.push(u64::from(t.is_valid()));
-        }
-        out.push(u64::from(self.is_halted()));
-    }
-
     /// Resets the shell and the enclosed block to their initial state.
     pub fn reset(&mut self) {
         self.process.reset();
@@ -721,24 +694,6 @@ mod tests {
         assert_eq!(shell.firings(), 0);
         assert_eq!(shell.output(0), Token::Valid(0));
         assert_eq!(shell.stats().firings, 0);
-    }
-
-    #[test]
-    fn control_state_tracks_occupancy_not_payloads() {
-        let mut a = Shell::new(Box::new(SelectiveAdder::new()), ShellConfig::strict());
-        let mut b = Shell::new(Box::new(SelectiveAdder::new()), ShellConfig::strict());
-        a.update(&[valid(1), Token::Void], &[false]).unwrap();
-        b.update(&[valid(99), Token::Void], &[false]).unwrap();
-        let (mut sa, mut sb) = (Vec::new(), Vec::new());
-        a.control_state(&mut sa);
-        b.control_state(&mut sb);
-        assert_eq!(sa, sb, "payloads must not leak into the control state");
-        // A firing drains the queues and refills the output register: the
-        // control state must change.
-        a.update(&[Token::Void, valid(10)], &[false]).unwrap();
-        let mut after = Vec::new();
-        a.control_state(&mut after);
-        assert_ne!(sa, after);
     }
 
     #[test]

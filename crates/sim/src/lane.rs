@@ -44,9 +44,8 @@
 //! drain).  The property test `tests/lane_equivalence.rs` pins this for
 //! random systems, schedules and lane counts, including ragged batches.
 
-use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::Hasher;
 
 use wp_core::{
     relay_station_control, shell_fire_control, shell_release_control, ShellConfig, SyncPolicy,
@@ -310,8 +309,7 @@ struct LaneFinal {
     firings: Vec<u64>,
 }
 
-/// What the lane kernel's one-period re-simulation established (the lane
-/// counterpart of the scalar verifier in [`crate::LidSimulator`]).
+/// What the lane kernel's one-period re-simulation established.
 enum LaneVerdict {
     /// The joint control state repeated exactly: `fire_masks[t * n + p]`
     /// holds the lanes that fired process `p` in in-period cycle `t`.
@@ -450,12 +448,16 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
                 "shell queues need a capacity of at least 2".into(),
             ));
         }
-        builder.validate()?;
-        let (processes, channels) = builder.into_parts();
-        let ports: Vec<(usize, usize)> = processes
+        let ports: Vec<(usize, usize)> = builder
+            .processes()
             .iter()
             .map(|p| (p.num_inputs(), p.num_outputs()))
             .collect();
+        let channels = builder.channels().to_vec();
+        // The golden twin takes the process boxes to drive the shared halt
+        // script (relay stations are irrelevant to it); building it
+        // validates the description.
+        let mut golden = GoldenSimulator::new(builder)?;
 
         for (l, lane) in lanes.iter().enumerate() {
             if lane.relay_stations.len() != channels.len() {
@@ -467,24 +469,6 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
             }
         }
         let stall = build_stall_plan(lanes)?;
-
-        // Rebuild a system description around the same process boxes to
-        // feed the golden twin (relay stations are irrelevant to it).
-        let mut golden_builder = SystemBuilder::new();
-        for p in processes {
-            golden_builder.add_process(p);
-        }
-        for ch in &channels {
-            golden_builder.connect(
-                ch.name.clone(),
-                ch.src,
-                ch.src_port,
-                ch.dst,
-                ch.dst_port,
-                ch.relay_stations,
-            );
-        }
-        let mut golden = GoldenSimulator::new(golden_builder)?;
         golden.set_trace_enabled(false);
 
         let lane_count = lanes.len();
@@ -742,49 +726,61 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
         }
     }
 
-    /// The packed control state of the whole batch as one flat word vector:
+    /// The packed control state of the whole batch as one word sequence:
     /// every relay-station plane, output-validity and stop-register plane,
-    /// queue-occupancy counter plane and halted plane.  Because lanes are
-    /// bit-slices of these words and never interact, a repeat of this joint
-    /// vector proves *every* lane's control trajectory — and therefore its
-    /// firing pattern — repeats with the joint period (see
-    /// [`crate::ORACLE_DETECTION_WINDOW`] for the soundness argument shared
-    /// with the scalar oracle).  The monotonic `fired` counters and the
-    /// halt-script down-counters are deliberately excluded, exactly like
-    /// the scalar kernel's firing counters: their effect on the control
-    /// plane is fully captured by the halted planes.
-    fn control_vec(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend_from_slice(self.rs_main.planes());
-        out.extend_from_slice(self.rs_aux.planes());
-        out.extend_from_slice(self.rs_stop.planes());
-        out.extend_from_slice(self.out_valid.planes());
-        out.extend_from_slice(self.stop_reg.planes());
-        for queues in &self.occ {
-            for counter in queues {
-                out.extend_from_slice(&counter.planes);
-            }
-        }
-        out.extend_from_slice(&self.halted);
+    /// queue-occupancy counter plane and halted plane.
+    ///
+    /// This is exactly the state the control plane evolves on.  Token
+    /// payloads and the enclosed processes' internal state are excluded:
+    /// under [`SyncPolicy::Strict`] a shell's firing decision reads only
+    /// its queue occupancies, output validity and halted flag, and a relay
+    /// station's next state reads only its main, auxiliary and stop
+    /// registers plus the validity of its data input.  So — as long as no
+    /// halted flag flips — the control plane evolves *autonomously* on
+    /// this finite state, and observing the same state twice proves the
+    /// run periodic.  (Under [`SyncPolicy::Oracle`] the firing decision
+    /// also reads the data-dependent [`wp_core::Process::required_inputs`],
+    /// so a repeated control state would prove nothing; the kernel rejects
+    /// that policy at construction.)  Because lanes are bit-slices of these
+    /// words and never interact, a repeat of the joint state proves *every*
+    /// lane's control trajectory — and therefore its firing pattern —
+    /// repeats with the joint period, provided no halted flag flips after
+    /// extrapolation begins (a halt is driven by data, which the control
+    /// plane cannot predict).  The monotonic `fired` counters and the
+    /// halt-script down-counters are deliberately excluded: their effect on
+    /// the control plane is fully captured by the halted planes.
+    fn control_words(&self) -> impl Iterator<Item = u64> + '_ {
+        self.rs_main
+            .planes()
+            .iter()
+            .chain(self.rs_aux.planes())
+            .chain(self.rs_stop.planes())
+            .chain(self.out_valid.planes())
+            .chain(self.stop_reg.planes())
+            .chain(self.occ.iter().flatten().flat_map(|c| &c.planes))
+            .chain(&self.halted)
+            .copied()
     }
 
-    /// Hashes the packed control state (scratch avoids re-allocating the
-    /// state vector every cycle).
-    fn control_hash(&self, scratch: &mut Vec<u64>) -> u64 {
-        self.control_vec(scratch);
-        let mut hasher = DefaultHasher::new();
-        for &word in scratch.iter() {
-            hasher.write_u64(word);
-        }
-        hasher.finish()
+    /// Hashes the packed control state.  Every candidate period is
+    /// verified on the complete state, so the hash only has to be fast:
+    /// one multiply-rotate per word, each step a bijection of the running
+    /// hash and of the word.
+    fn control_hash(&self) -> u64 {
+        self.control_words().fold(0, |hash, word| {
+            (hash ^ word)
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .rotate_left(27)
+        })
     }
 
-    /// The lane counterpart of
-    /// [`crate::LidSimulator::run_until_firings_extrapolated`]: runs every
-    /// lane of a freshly constructed kernel until `node` has fired `target`
-    /// times, detecting the steady-state period of the *joint* control
-    /// state and extrapolating each lane's goal cycle and firing counters
-    /// in O(1) once the period is verified.
+    /// The steady-state period oracle: runs every lane of a freshly
+    /// constructed kernel until `node` has fired `target` times, like
+    /// [`crate::LidSimulator::run_until_firings`], but detects the
+    /// steady-state period of the *joint* control state and extrapolates
+    /// each lane's goal cycle and firing counters in O(1) once the period
+    /// is verified.  A single run that is not packed with others is a
+    /// one-lane batch.
     ///
     /// Lanes are independent bit-slices of the control planes, so one joint
     /// period (the least common multiple of the per-lane periods, found by
@@ -797,8 +793,12 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
     ///
     /// Returns one [`OracleRun`] (or the lane's [`SimError`], exactly as
     /// plain simulation would have produced it) per lane, in lane order.
-    /// As with the scalar oracle, an extrapolated kernel's architectural
-    /// state is frozen at the last simulated cycle — do not drain it.
+    /// The budget error is exact: an extrapolated goal cycle beyond
+    /// `max_cycles` is reported as [`SimError::MaxCyclesExceeded`], and a
+    /// steady state whose firing gaps reach the deadlock window is finished
+    /// by plain simulation so the deadlock is reported at the right cycle.
+    /// An extrapolated kernel's architectural state is frozen at the last
+    /// simulated cycle — do not drain it.
     pub fn run_until_firings_extrapolated(
         &mut self,
         node: ProcessId,
@@ -813,7 +813,6 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
         let mut idle = LaneCounters::new(bits_for(self.deadlock_window) + 1);
         let mut detect = self.stall.is_none();
         let mut seen: HashMap<u64, u64> = HashMap::new();
-        let mut scratch: Vec<u64> = Vec::new();
 
         loop {
             // Boundary checks in the plain kernel's order: goal first, then
@@ -839,7 +838,7 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
             }
 
             if detect && self.clock <= ORACLE_DETECTION_WINDOW {
-                let hash = self.control_hash(&mut scratch);
+                let hash = self.control_hash();
                 match seen.entry(hash) {
                     Entry::Occupied(entry) => {
                         let period = self.clock - *entry.get();
@@ -922,8 +921,7 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
         idle: &mut LaneCounters,
     ) -> LaneVerdict {
         let n = self.ports.len();
-        let mut expect: Vec<u64> = Vec::new();
-        self.control_vec(&mut expect);
+        let expect: Vec<u64> = self.control_words().collect();
         let mut fire_masks: Vec<u64> = Vec::with_capacity(period as usize * n);
         for _ in 0..period {
             let fired_any = self.step_cycle(self.lane_mask);
@@ -952,9 +950,7 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
                 return LaneVerdict::NotPeriodic;
             }
         }
-        let mut actual: Vec<u64> = Vec::new();
-        self.control_vec(&mut actual);
-        if actual == expect {
+        if self.control_words().eq(expect) {
             LaneVerdict::Verified { fire_masks }
         } else {
             LaneVerdict::NotPeriodic
@@ -962,8 +958,8 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
     }
 
     /// Extrapolates every still-undecided lane from the verified per-cycle
-    /// fire masks, using the same arithmetic (and the same exact
-    /// error-parity guarantees) as the scalar oracle: the goal cycle is
+    /// fire masks, with exact error parity against plain simulation: the
+    /// goal cycle is
     /// `clock + k·period + t + 1`, the budget errs iff that exceeds
     /// `max_cycles`, and every firing counter is the simulated count plus
     /// `k` whole periods plus the partial period up to `t`.  Lanes whose
@@ -1545,37 +1541,51 @@ mod tests {
     }
 
     /// Every lane of an extrapolated batch must match its scalar plain run
-    /// bit for bit, while simulating only a fraction of the reported cycles.
+    /// bit for bit, while simulating only a fraction of the reported
+    /// cycles: an 8-lane batch with mixed budgets, and one-lane batches
+    /// over rings of `m` stages with `n` relay stations.
     #[test]
     fn extrapolated_lanes_match_scalar_plain_runs_exactly() {
-        let target = 50_000u64;
         let max_cycles = 1_000_000u64;
-        let stages = 3;
-        let rs_budgets = [0usize, 1, 2, 4, 7, 0, 3, 5];
-        let lanes: Vec<LaneScenario> = rs_budgets
-            .iter()
-            .map(|&rs| LaneScenario {
-                relay_stations: vec![rs, 0, 0],
-                stall: None,
-            })
-            .collect();
-        let mut kernel =
-            LaneLidSimulator::new(ring(stages, 0), &lanes, ShellConfig::strict()).unwrap();
-        let outcomes = kernel.run_until_firings_extrapolated(0, target, max_cycles);
-        assert_eq!(outcomes.len(), rs_budgets.len());
-        for (l, (outcome, &rs)) in outcomes.iter().zip(&rs_budgets).enumerate() {
-            let run = outcome.as_ref().expect("ring lanes complete");
-            let mut scalar = LidSimulator::new(ring(stages, rs), ShellConfig::strict()).unwrap();
-            scalar.set_trace_enabled(false);
-            scalar.run_until_firings(0, target, max_cycles).unwrap();
-            assert_eq!(run.report, scalar.report(), "lane {l}");
-            assert!(run.extrapolated, "lane {l} should have extrapolated");
-            assert!(
-                run.simulated_cycles * 10 <= run.report.cycles,
-                "lane {l}: simulated {} of {} cycles",
-                run.simulated_cycles,
-                run.report.cycles
-            );
+        let mut batches = vec![(3usize, vec![0usize, 1, 2, 4, 7, 0, 3, 5], 50_000u64)];
+        batches.extend([(1, 0), (1, 4), (2, 1), (3, 2), (5, 3)].map(|(m, n)| (m, vec![n], 5_000)));
+        for (stages, rs_budgets, target) in batches {
+            let lanes: Vec<LaneScenario> = rs_budgets
+                .iter()
+                .map(|&rs| {
+                    let mut relay_stations = vec![0; stages];
+                    relay_stations[0] = rs;
+                    LaneScenario {
+                        relay_stations,
+                        stall: None,
+                    }
+                })
+                .collect();
+            let mut kernel =
+                LaneLidSimulator::new(ring(stages, 0), &lanes, ShellConfig::strict()).unwrap();
+            let outcomes = kernel.run_until_firings_extrapolated(0, target, max_cycles);
+            assert_eq!(outcomes.len(), rs_budgets.len());
+            for (l, (outcome, &rs)) in outcomes.iter().zip(&rs_budgets).enumerate() {
+                let at = format!("m={stages} n={rs} lane {l}");
+                let run = outcome.as_ref().expect("ring lanes complete");
+                let mut scalar =
+                    LidSimulator::new(ring(stages, rs), ShellConfig::strict()).unwrap();
+                scalar.set_trace_enabled(false);
+                scalar.run_until_firings(0, target, max_cycles).unwrap();
+                assert_eq!(run.report, scalar.report(), "{at}");
+                assert!(run.extrapolated, "{at} should have extrapolated");
+                assert!(
+                    run.simulated_cycles * 10 <= run.report.cycles,
+                    "{at}: simulated {} of {} cycles",
+                    run.simulated_cycles,
+                    run.report.cycles
+                );
+                assert_eq!(
+                    run.extrapolated_cycles(),
+                    run.report.cycles - run.simulated_cycles,
+                    "{at}"
+                );
+            }
         }
     }
 
@@ -1606,59 +1616,65 @@ mod tests {
     }
 
     /// The extrapolated cycle-budget error is exact per lane: a budget one
-    /// cycle short errs, the exact goal cycle succeeds — even though the
-    /// lanes share one clock and decide at different cycles.
+    /// cycle short errs, the exact goal cycle succeeds by extrapolation —
+    /// for a single lane, and for lanes that share one clock and decide at
+    /// different cycles.
     #[test]
     fn extrapolated_budget_errors_are_exact_per_lane() {
         let target = 2_000u64;
-        let budgets = [0usize, 2];
-        let goal_cycles: Vec<u64> = budgets
-            .iter()
-            .map(|&rs| {
-                let mut scalar = LidSimulator::new(ring(3, rs), ShellConfig::strict()).unwrap();
-                scalar.set_trace_enabled(false);
-                scalar.run_until_firings(0, target, 1_000_000).unwrap()
-            })
-            .collect();
-        let lanes: Vec<LaneScenario> = budgets
-            .iter()
-            .map(|&rs| LaneScenario {
-                relay_stations: vec![rs, 0, 0],
-                stall: None,
-            })
-            .collect();
-        // Budget exactly the slower lane's goal cycle: the slow lane
-        // succeeds on the nose, the fast one long before.
-        let max = *goal_cycles.iter().max().unwrap();
-        let mut kernel = LaneLidSimulator::new(ring(3, 0), &lanes, ShellConfig::strict()).unwrap();
-        for (l, outcome) in kernel
-            .run_until_firings_extrapolated(0, target, max)
-            .iter()
-            .enumerate()
-        {
-            let run = outcome.as_ref().expect("budget is sufficient");
-            assert_eq!(run.report.cycles, goal_cycles[l], "lane {l}");
-        }
-        // One cycle short: the slower lane must err, the faster still pass.
-        let mut kernel = LaneLidSimulator::new(ring(3, 0), &lanes, ShellConfig::strict()).unwrap();
-        let outcomes = kernel.run_until_firings_extrapolated(0, target, max - 1);
-        let slow = goal_cycles
-            .iter()
-            .position(|&g| g == max)
-            .expect("one lane is slowest");
-        for (l, outcome) in outcomes.iter().enumerate() {
-            if l == slow {
-                let err = outcome.as_ref().expect_err("one cycle short");
-                assert!(
-                    matches!(err, SimError::MaxCyclesExceeded { .. }),
-                    "lane {l}: {err}"
-                );
-            } else {
-                assert_eq!(
-                    outcome.as_ref().expect("fast lane fits").report.cycles,
-                    goal_cycles[l],
-                    "lane {l}"
-                );
+        for budgets in [&[0usize, 2][..], &[2]] {
+            let goal_cycles: Vec<u64> = budgets
+                .iter()
+                .map(|&rs| {
+                    let mut scalar = LidSimulator::new(ring(3, rs), ShellConfig::strict()).unwrap();
+                    scalar.set_trace_enabled(false);
+                    scalar.run_until_firings(0, target, 1_000_000).unwrap()
+                })
+                .collect();
+            let lanes: Vec<LaneScenario> = budgets
+                .iter()
+                .map(|&rs| LaneScenario {
+                    relay_stations: vec![rs, 0, 0],
+                    stall: None,
+                })
+                .collect();
+            // Budget exactly the slowest lane's goal cycle: the slow lane
+            // succeeds on the nose, any faster one long before.
+            let max = *goal_cycles.iter().max().unwrap();
+            let mut kernel =
+                LaneLidSimulator::new(ring(3, 0), &lanes, ShellConfig::strict()).unwrap();
+            for (l, outcome) in kernel
+                .run_until_firings_extrapolated(0, target, max)
+                .iter()
+                .enumerate()
+            {
+                let run = outcome.as_ref().expect("budget is sufficient");
+                assert!(run.extrapolated, "{budgets:?} lane {l}");
+                assert_eq!(run.report.cycles, goal_cycles[l], "{budgets:?} lane {l}");
+            }
+            // One cycle short: the slowest lane must err, any faster one
+            // still pass.
+            let mut kernel =
+                LaneLidSimulator::new(ring(3, 0), &lanes, ShellConfig::strict()).unwrap();
+            let outcomes = kernel.run_until_firings_extrapolated(0, target, max - 1);
+            let slow = goal_cycles
+                .iter()
+                .position(|&g| g == max)
+                .expect("one lane is slowest");
+            for (l, outcome) in outcomes.iter().enumerate() {
+                if l == slow {
+                    let err = outcome.as_ref().expect_err("one cycle short");
+                    assert!(
+                        matches!(err, SimError::MaxCyclesExceeded { .. }),
+                        "{budgets:?} lane {l}: {err}"
+                    );
+                } else {
+                    assert_eq!(
+                        outcome.as_ref().expect("fast lane fits").report.cycles,
+                        goal_cycles[l],
+                        "{budgets:?} lane {l}"
+                    );
+                }
             }
         }
     }

@@ -19,8 +19,12 @@
 //! arena-backed trace store ([`wp_core::TraceArena`]) that stays
 //! allocation-free in steady state once capacity is reserved.
 //!
-//! Two more pieces support experiments at scale:
+//! Three more pieces support experiments at scale:
 //!
+//! * [`LaneLidSimulator`] steps up to 64 instances of one netlist at once
+//!   on bit-packed control planes, and holds the one steady-state period
+//!   oracle ([`LaneLidSimulator::run_until_firings_extrapolated`]): a
+//!   single extrapolating run is a one-lane batch;
 //! * [`SweepRunner`] runs many independent `(ShellConfig × relay-station
 //!   assignment × program)` scenarios across `std::thread` workers with a
 //!   work-stealing, batching scheduler and collects one [`LidReport`] per

@@ -27,19 +27,10 @@
 //! kernel-equivalence property tests assert cycle-identical behaviour and
 //! the criterion benches measure the speedup against it.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::Hasher;
-
-use wp_core::{
-    ChannelTrace, Process, RelayChain, Shell, ShellConfig, ShellStats, SyncPolicy, TraceArena,
-};
+use wp_core::{ChannelTrace, Process, RelayChain, Shell, ShellConfig, ShellStats, TraceArena};
 
 use crate::arena::WireArena;
 use crate::lane::StallSchedule;
-use crate::oracle::{
-    goal_offset, max_cyclic_gap, split_remaining, OracleRun, ORACLE_DETECTION_WINDOW,
-};
 use crate::spec::{ChannelSpec, ProcessId, SimError, SystemBuilder};
 
 /// How many consecutive cycles without a single firing are tolerated before
@@ -391,273 +382,6 @@ impl<V: Clone + PartialEq> LidSimulator<V> {
     }
 }
 
-/// Verdict of one period-verification pass (see
-/// [`LidSimulator::run_until_firings_extrapolated`]).
-enum PeriodVerdict {
-    /// The goal was reached while verifying; the run is already complete.
-    Goal,
-    /// The candidate period held: the control state after one more full
-    /// period is identical.  Carries the per-cycle cumulative firing
-    /// pattern (`pattern[t * n + p]` = firings of process `p` in the first
-    /// `t + 1` cycles of the period) and the per-cycle any-firing flags.
-    Verified {
-        /// Flattened cumulative per-process firing pattern.
-        pattern: Vec<u64>,
-        /// Whether any process fired in each cycle of the period.
-        fired: Vec<bool>,
-    },
-    /// The control state did not come back: a hash collision or a
-    /// transient that has not settled yet.
-    NotPeriodic,
-}
-
-/// The steady-state period oracle (see the `oracle` module docs for the
-/// soundness argument).
-impl<V: Clone + PartialEq> LidSimulator<V> {
-    /// Fills `out` with the complete control-plane state of the system:
-    /// every shell's queue occupancies, stop bits, output validity bits and
-    /// halted flag, then every relay station's register bits, in fixed
-    /// order.  Two runs with equal control vectors have identical control
-    /// futures under the strict policy.
-    fn control_vec(&self, out: &mut Vec<u64>) {
-        out.clear();
-        for shell in &self.shells {
-            shell.control_state(out);
-        }
-        for chain in &self.chains {
-            chain.control_state(out);
-        }
-    }
-
-    /// Hash of [`LidSimulator::control_vec`] (`scratch` is reused to keep
-    /// the per-cycle detection cost allocation-free).
-    fn control_hash(&self, scratch: &mut Vec<u64>) -> u64 {
-        self.control_vec(scratch);
-        let mut h = DefaultHasher::new();
-        for &w in scratch.iter() {
-            h.write_u64(w);
-        }
-        h.finish()
-    }
-
-    /// Runs until process `node` has fired `target` times, like
-    /// [`LidSimulator::run_until_firings`], but detects the steady-state
-    /// period of the control plane and *extrapolates* the goal cycle and
-    /// every per-process firing counter in O(1) instead of simulating the
-    /// whole steady state.
-    ///
-    /// The returned [`OracleRun`] always describes the run at the goal
-    /// cycle.  Extrapolation happens only when it is provably sound: every
-    /// shell uses [`SyncPolicy::Strict`], no stall schedule is installed,
-    /// trace recording is off, and a candidate period (found by hashing the
-    /// control state each cycle) survives verification — one more full
-    /// period is simulated and the complete control vectors are compared,
-    /// so hash collisions cannot produce a wrong answer.  In every other
-    /// case the call falls back to plain simulation and returns the same
-    /// numbers [`LidSimulator::run_until_firings`] would have produced.
-    ///
-    /// After an extrapolated run the simulator's architectural state is
-    /// frozen at the last simulated cycle: do not drain it or read process
-    /// state from it — everything the run established is in the returned
-    /// value.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the conditions of [`LidSimulator::run_until_firings`], with
-    /// exact error parity: this method returns
-    /// [`SimError::MaxCyclesExceeded`] or [`SimError::Deadlock`] precisely
-    /// when the plain run would (an extrapolated goal cycle beyond
-    /// `max_cycles` is reported as the error, and a steady state whose
-    /// internal firing gaps reach the deadlock window falls back to plain
-    /// simulation so the deadlock is reported at the right cycle).
-    pub fn run_until_firings_extrapolated(
-        &mut self,
-        node: ProcessId,
-        target: u64,
-        max_cycles: u64,
-    ) -> Result<OracleRun, SimError> {
-        let start = self.cycles;
-        let eligible = !self.trace_enabled
-            && self.stall.is_none()
-            && self
-                .shells
-                .iter()
-                .all(|s| s.config().policy == SyncPolicy::Strict);
-        if !eligible {
-            return self.finish_plain(node, target, max_cycles, start);
-        }
-
-        let mut seen: HashMap<u64, u64> = HashMap::new();
-        let mut scratch: Vec<u64> = Vec::new();
-        let deadline = start.saturating_add(ORACLE_DETECTION_WINDOW);
-        loop {
-            if self.shells[node].firings() >= target {
-                return Ok(self.plain_outcome(start));
-            }
-            if self.cycles >= max_cycles {
-                return Err(SimError::MaxCyclesExceeded { max_cycles });
-            }
-            if self.cycles_since_firing >= self.deadlock_window {
-                return Err(SimError::Deadlock { cycle: self.cycles });
-            }
-            if self.cycles >= deadline {
-                return self.finish_plain(node, target, max_cycles, start);
-            }
-            let hash = self.control_hash(&mut scratch);
-            if let Some(&first) = seen.get(&hash) {
-                let period = self.cycles - first;
-                match self.verify_period(node, target, max_cycles, period)? {
-                    PeriodVerdict::Goal => return Ok(self.plain_outcome(start)),
-                    PeriodVerdict::Verified { pattern, fired } => {
-                        return self.extrapolate(
-                            node, target, max_cycles, start, period, &pattern, &fired,
-                        );
-                    }
-                    PeriodVerdict::NotPeriodic => {
-                        seen.clear();
-                        continue;
-                    }
-                }
-            }
-            seen.insert(hash, self.cycles);
-            self.step()?;
-        }
-    }
-
-    /// Simulates one full candidate period with the usual goal / limit /
-    /// deadlock checks, recording the cumulative firing pattern, and
-    /// compares the complete control vectors before and after.
-    fn verify_period(
-        &mut self,
-        node: ProcessId,
-        target: u64,
-        max_cycles: u64,
-        period: u64,
-    ) -> Result<PeriodVerdict, SimError> {
-        let n = self.shells.len();
-        let mut snapshot = Vec::new();
-        self.control_vec(&mut snapshot);
-        let base: Vec<u64> = self.shells.iter().map(Shell::firings).collect();
-        let mut pattern = vec![0u64; period as usize * n];
-        let mut fired = vec![false; period as usize];
-        let mut prev_total = self.total_firings;
-
-        for t in 0..period as usize {
-            if self.shells[node].firings() >= target {
-                return Ok(PeriodVerdict::Goal);
-            }
-            if self.cycles >= max_cycles {
-                return Err(SimError::MaxCyclesExceeded { max_cycles });
-            }
-            if self.cycles_since_firing >= self.deadlock_window {
-                return Err(SimError::Deadlock { cycle: self.cycles });
-            }
-            self.step()?;
-            for (p, shell) in self.shells.iter().enumerate() {
-                pattern[t * n + p] = shell.firings() - base[p];
-            }
-            fired[t] = self.total_firings > prev_total;
-            prev_total = self.total_firings;
-        }
-        if self.shells[node].firings() >= target {
-            return Ok(PeriodVerdict::Goal);
-        }
-
-        let mut now = Vec::new();
-        self.control_vec(&mut now);
-        if now != snapshot {
-            return Ok(PeriodVerdict::NotPeriodic);
-        }
-        Ok(PeriodVerdict::Verified { pattern, fired })
-    }
-
-    /// Computes the goal cycle and the per-process firing counters from a
-    /// verified period, without simulating further.
-    #[allow(clippy::too_many_arguments)]
-    fn extrapolate(
-        &mut self,
-        node: ProcessId,
-        target: u64,
-        max_cycles: u64,
-        start: u64,
-        period: u64,
-        pattern: &[u64],
-        fired: &[bool],
-    ) -> Result<OracleRun, SimError> {
-        let n = self.shells.len();
-        let last = (period as usize - 1) * n;
-        let delta_node = pattern[last + node];
-        // A steady state in which the goal process never fires can only end
-        // in an error; one whose firing-free gaps reach the deadlock window
-        // would make the plain run report a deadlock mid-extrapolation.
-        // Both cases are handed back to plain simulation, which produces
-        // the identical error at the identical cycle.
-        if delta_node == 0 || max_cyclic_gap(fired) >= self.deadlock_window {
-            return self.finish_plain(node, target, max_cycles, start);
-        }
-
-        let rem = target - self.shells[node].firings();
-        let (k, residue) = split_remaining(rem, delta_node);
-        let node_pattern: Vec<u64> = (0..period as usize)
-            .map(|t| pattern[t * n + node])
-            .collect();
-        let t = goal_offset(&node_pattern, residue) as u64;
-        let goal_cycle = self.cycles + k * period + t + 1;
-        if goal_cycle > max_cycles {
-            return Err(SimError::MaxCyclesExceeded { max_cycles });
-        }
-
-        let firings: Vec<u64> = self
-            .shells
-            .iter()
-            .enumerate()
-            .map(|(p, shell)| shell.firings() + k * pattern[last + p] + pattern[t as usize * n + p])
-            .collect();
-        let total_firings = firings.iter().sum();
-        let discarded: Vec<u64> = self
-            .shells
-            .iter()
-            .map(|s| s.stats().total_discarded())
-            .collect();
-        let throughput = firings
-            .iter()
-            .map(|&f| f as f64 / goal_cycle as f64)
-            .collect();
-        Ok(OracleRun {
-            report: LidReport {
-                cycles: goal_cycle,
-                firings,
-                total_firings,
-                discarded,
-                throughput,
-            },
-            simulated_cycles: self.cycles - start,
-            extrapolated: true,
-        })
-    }
-
-    /// Completes the run by plain simulation (the always-sound fallback).
-    fn finish_plain(
-        &mut self,
-        node: ProcessId,
-        target: u64,
-        max_cycles: u64,
-        start: u64,
-    ) -> Result<OracleRun, SimError> {
-        self.run_until_firings(node, target, max_cycles)?;
-        Ok(self.plain_outcome(start))
-    }
-
-    /// Wraps the current (fully simulated) state as an [`OracleRun`].
-    fn plain_outcome(&self, start: u64) -> OracleRun {
-        OracleRun {
-            report: self.report(),
-            simulated_cycles: self.cycles - start,
-            extrapolated: false,
-        }
-    }
-}
-
 crate::simulator::impl_trace_arena_accessors!(LidSimulator);
 
 impl<V: Clone + PartialEq> crate::Simulator<V> for LidSimulator<V> {
@@ -842,82 +566,6 @@ mod tests {
             err,
             SimError::MaxCyclesExceeded { max_cycles: 25 }
         ));
-    }
-
-    #[test]
-    fn extrapolated_run_matches_plain_simulation_exactly() {
-        for (m, n) in [(1usize, 0usize), (1, 4), (2, 1), (3, 2), (5, 3)] {
-            let target = 5_000;
-            let mut plain =
-                LidSimulator::new(ring_builder(m, n, None), ShellConfig::strict()).unwrap();
-            plain.set_trace_enabled(false);
-            plain.run_until_firings(0, target, 1_000_000).unwrap();
-            let reference = plain.report();
-
-            let mut sim =
-                LidSimulator::new(ring_builder(m, n, None), ShellConfig::strict()).unwrap();
-            sim.set_trace_enabled(false);
-            let run = sim
-                .run_until_firings_extrapolated(0, target, 1_000_000)
-                .unwrap();
-            assert!(run.extrapolated, "m={m} n={n}: period not found");
-            assert_eq!(run.report, reference, "m={m} n={n}");
-            assert!(
-                run.simulated_cycles * 10 <= run.report.cycles,
-                "m={m} n={n}: simulated {} of {} cycles",
-                run.simulated_cycles,
-                run.report.cycles
-            );
-            assert_eq!(
-                run.extrapolated_cycles(),
-                run.report.cycles - run.simulated_cycles
-            );
-        }
-    }
-
-    #[test]
-    fn oracle_policy_and_trace_recording_fall_back_to_plain() {
-        // WP2: `required_inputs` is data-dependent, so a repeated control
-        // state proves nothing — the call must simulate everything.
-        let mut sim =
-            LidSimulator::new(ring_builder(2, 1, Some(4)), ShellConfig::oracle()).unwrap();
-        sim.set_trace_enabled(false);
-        let run = sim.run_until_firings_extrapolated(0, 400, 100_000).unwrap();
-        assert!(!run.extrapolated);
-        assert_eq!(run.report.firings[0], 400);
-        assert_eq!(run.simulated_cycles, run.report.cycles);
-
-        // Trace recording needs every cycle simulated, so it also falls
-        // back — and the recording really covers the whole run.
-        let mut sim = LidSimulator::new(ring_builder(2, 1, None), ShellConfig::strict()).unwrap();
-        let run = sim.run_until_firings_extrapolated(0, 400, 100_000).unwrap();
-        assert!(!run.extrapolated);
-        assert_eq!(sim.traces()[0].len() as u64, run.report.cycles);
-    }
-
-    #[test]
-    fn extrapolated_max_cycles_parity_is_exact() {
-        // Find the true goal cycle by plain simulation, then check that the
-        // oracle errs precisely when the plain run would have.
-        let target = 2_000;
-        let mut plain = LidSimulator::new(ring_builder(3, 2, None), ShellConfig::strict()).unwrap();
-        plain.set_trace_enabled(false);
-        let goal_cycle = plain.run_until_firings(0, target, 1_000_000).unwrap();
-
-        let mut sim = LidSimulator::new(ring_builder(3, 2, None), ShellConfig::strict()).unwrap();
-        sim.set_trace_enabled(false);
-        let err = sim
-            .run_until_firings_extrapolated(0, target, goal_cycle - 1)
-            .unwrap_err();
-        assert!(matches!(err, SimError::MaxCyclesExceeded { .. }));
-
-        let mut sim = LidSimulator::new(ring_builder(3, 2, None), ShellConfig::strict()).unwrap();
-        sim.set_trace_enabled(false);
-        let run = sim
-            .run_until_firings_extrapolated(0, target, goal_cycle)
-            .unwrap();
-        assert!(run.extrapolated);
-        assert_eq!(run.report.cycles, goal_cycle);
     }
 }
 

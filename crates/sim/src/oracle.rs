@@ -5,22 +5,24 @@
 //! system — queue occupancies, register validity bits, stop bits, halted
 //! flags — evolves autonomously: the firing decision of every shell and the
 //! next-state function of every relay station read only those bits, never
-//! the token payloads (see [`wp_core::Shell::control_state`]).  The control
-//! plane is a finite state machine, so every non-halting run is eventually
-//! periodic, and observing the same control state at two cycles `c` and
-//! `c + P` proves the whole future of the run: firing patterns repeat with
-//! period `P` forever.
+//! the token payloads (see the lane kernel's `control_words` for the exact
+//! state).  The control plane is a finite state machine, so every
+//! non-halting run is eventually periodic, and observing the same control
+//! state at two cycles `c` and `c + P` proves the whole future of the run:
+//! firing patterns repeat with period `P` forever.
 //!
-//! [`crate::LidSimulator::run_until_firings_extrapolated`] exploits this:
-//! it simulates until a control state repeats (hashing one `u64` per
-//! register per cycle), verifies the candidate period by simulating one
-//! more full period and comparing the complete control vectors (defeating
-//! hash collisions), and then *extrapolates* the goal cycle and every
-//! per-process firing counter in O(1) instead of simulating millions of
-//! steady-state cycles.  Whenever the run is not eligible (oracle policy,
-//! stall schedules, trace recording) or no period is found within the
-//! detection window, it falls back to plain simulation — the oracle only
-//! ever reads state, so the fallback is bit-identical to never having asked.
+//! [`crate::LaneLidSimulator::run_until_firings_extrapolated`] exploits
+//! this: it simulates until the packed control state repeats (hashing the
+//! control planes each cycle), verifies the candidate period by simulating
+//! one more full period and comparing the complete control vectors
+//! (defeating hash collisions), and then *extrapolates* each lane's goal
+//! cycle and per-process firing counters in O(1) instead of simulating
+//! millions of steady-state cycles.  That drive loop is the only one: a
+//! single run is a one-lane batch.  A batch with a stall schedule, or one
+//! with no period inside the detection window, simulates to its goals
+//! plainly — the oracle only ever reads state, so the fallback is
+//! bit-identical to never having asked.  Oracle-policy (WP2) runs, which
+//! the lane kernel rejects, are simulated plainly by the sweep.
 //!
 //! One caveat bounds the soundness argument: a *halted* flag is part of the
 //! hashed control state, but its transition is driven by the process's data
@@ -33,7 +35,7 @@
 //! it empirically by fully simulating one row and comparing.
 //!
 //! This module holds the result type and the pure extrapolation arithmetic;
-//! the drive loops live next to the simulator kernels they instrument.
+//! the drive loop lives in the lane kernel (`lane.rs`).
 
 use crate::lid::LidReport;
 
@@ -44,7 +46,7 @@ use crate::lid::LidReport;
 pub const ORACLE_DETECTION_WINDOW: u64 = 65_536;
 
 /// Outcome of a goal-directed run that was allowed to extrapolate (see
-/// [`crate::LidSimulator::run_until_firings_extrapolated`]).
+/// [`crate::LaneLidSimulator::run_until_firings_extrapolated`]).
 ///
 /// The embedded [`LidReport`] describes the run *at the goal cycle* whether
 /// the goal was reached by simulation or by extrapolation; the two extra

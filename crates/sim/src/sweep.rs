@@ -58,6 +58,10 @@
 //! independent of worker count, batch size **and lane packing**; the lane
 //! counters in [`SweepStats`] report how much of a sweep ran bit-parallel.
 //!
+//! The lane kernel also holds the one steady-state period oracle, so an
+//! extrapolating scenario ([`Scenario::with_oracle`]) that is not packed
+//! with others runs as a lane batch of one.
+//!
 //! ```
 //! use wp_core::{RecordingSink, ShellConfig};
 //! use wp_sim::{RunGoal, Scenario, SweepRunner, SystemBuilder};
@@ -307,18 +311,22 @@ impl<V, T> Scenario<V, T> {
     }
 
     /// Lets this scenario finish by **steady-state extrapolation**: once
-    /// the simulator's control plane revisits a state, the goal cycle and
-    /// every firing counter are computed in O(1) instead of simulating
-    /// millions of steady-state cycles (see
-    /// [`crate::LidSimulator::run_until_firings_extrapolated`]).  The
-    /// outcome is bit-identical to plain simulation; the saving lands in
-    /// the sweep's [`SweepStats::oracle_extrapolated_cycles`].
+    /// the control plane revisits a state, the goal cycle and every firing
+    /// counter are computed in O(1) instead of simulating millions of
+    /// steady-state cycles (see
+    /// [`LaneLidSimulator::run_until_firings_extrapolated`], the one period
+    /// oracle; a scenario that is not packed into a lane batch runs as a
+    /// batch of one).  The outcome is bit-identical to plain simulation;
+    /// the saving lands in the sweep's
+    /// [`SweepStats::oracle_extrapolated_cycles`].
     ///
     /// Extrapolation applies only to [`RunGoal::UntilFirings`] scenarios
     /// that need nothing from the post-goal simulator state — no drain, no
-    /// traces, no golden equivalence twin, no post-extraction; anything
-    /// else, and non-strict or stalled runs, simulates plainly (counted in
-    /// [`SweepStats::oracle_fallbacks`]).
+    /// traces, no golden equivalence twin, no post-extraction; the opt-in
+    /// is ignored for anything else.  Non-strict runs, and runs the lane
+    /// kernel rejects, simulate plainly; stalled runs simulate to their
+    /// goals on the lane kernel.  Both are counted in
+    /// [`SweepStats::oracle_fallbacks`].
     #[must_use]
     pub fn with_oracle(mut self) -> Self {
         self.oracle = true;
@@ -328,9 +336,9 @@ impl<V, T> Scenario<V, T> {
     /// Whether this scenario may take the extrapolating oracle path: it
     /// opted in, stops on a firing count and needs nothing from the
     /// simulator after the goal (an extrapolated simulator's architectural
-    /// state is frozen at the last simulated cycle).  Policy and stall
-    /// eligibility are checked by the kernels themselves, which fall back
-    /// to plain simulation — never to a wrong result.
+    /// state is frozen at the last simulated cycle).  The sweep routes
+    /// non-strict runs to plain simulation and the lane kernel declines to
+    /// extrapolate stalled ones — a fallback, never a wrong result.
     fn oracle_eligible(&self) -> bool {
         self.oracle
             && matches!(self.goal, RunGoal::UntilFirings { .. })
@@ -429,7 +437,9 @@ pub struct SweepStats {
     pub leases: u64,
     /// Batch transfers from a victim's deque to an idle worker's deque.
     pub steals: u64,
-    /// Lane batches executed by the bit-parallel [`LaneLidSimulator`].
+    /// Lane batches executed by the bit-parallel [`LaneLidSimulator`]
+    /// (an oracle-enabled scenario outside a packed batch counts as a
+    /// batch of one).
     pub lane_batches: u64,
     /// Total lanes across those batches — scenarios that actually ran on
     /// the bit-parallel kernel.
@@ -447,8 +457,10 @@ pub struct SweepStats {
     pub oracle_extrapolated_cycles: u64,
     /// Oracle-enabled scenarios whose steady-state tail was extrapolated.
     pub oracle_extrapolations: u64,
-    /// Oracle-enabled scenarios that simulated to their goal plainly (no
-    /// period found, stall schedule installed, or a non-strict policy).
+    /// Oracle-enabled scenarios that simulated to their goal plainly: no
+    /// period found or a stall schedule installed (on the lane kernel), or
+    /// a non-strict policy or a batch the lane kernel rejects (by the
+    /// plain [`LidSimulator`], with every cycle counted as simulated).
     pub oracle_fallbacks: u64,
 }
 
@@ -462,7 +474,7 @@ struct OracleTally {
 }
 
 impl OracleTally {
-    /// Accounts one finished oracle run.
+    /// Accounts one finished run of the lane kernel's oracle.
     fn record(&self, run: &crate::oracle::OracleRun) {
         self.simulated
             .fetch_add(run.simulated_cycles, Ordering::Relaxed);
@@ -473,6 +485,13 @@ impl OracleTally {
         } else {
             self.fallbacks.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Accounts one oracle-enabled run that simulated all `cycles` plainly
+    /// because the lane kernel could not take it.
+    fn record_plain(&self, cycles: u64) {
+        self.simulated.fetch_add(cycles, Ordering::Relaxed);
+        self.fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -622,10 +641,42 @@ impl SweepRunner {
 
         {
             let (scenarios, slots, queues, items) = (&scenarios, &slots, &queues, &items);
-            let (leases, steals) = (&leases, &steals);
-            let (lane_batches, lanes_filled, lane_fallbacks) =
-                (&lane_batches, &lanes_filled, &lane_fallbacks);
-            let oracle = &oracle;
+            let (leases, steals, lane_fallbacks) = (&leases, &steals, &lane_fallbacks);
+            let (lane_batches, lanes_filled, oracle) = (&lane_batches, &lanes_filled, &oracle);
+            let store = move |i: usize, result| {
+                *slots[i].lock().expect("sweep slot poisoned") = Some(result);
+            };
+            // Runs a lane batch on the bit-parallel kernel; `false` when the
+            // batch must be demoted (see `execute_lane_batch`).
+            let run_lanes =
+                move |batch: &[usize]| match execute_lane_batch(scenarios, batch, oracle) {
+                    Some(results) => {
+                        lane_batches.fetch_add(1, Ordering::Relaxed);
+                        lanes_filled.fetch_add(batch.len() as u64, Ordering::Relaxed);
+                        for (&i, r) in batch.iter().zip(results) {
+                            store(i, r);
+                        }
+                        true
+                    }
+                    None => false,
+                };
+            // One scenario outside a packed batch.  An extrapolating strict
+            // run is a one-lane batch: the lane kernel holds the only
+            // period oracle.  Oracle runs it cannot take (a non-strict
+            // policy, a rejected batch) simulate plainly and are tallied
+            // as oracle fallbacks.
+            let run_single = move |i: usize| {
+                let s = &scenarios[i];
+                let oracle_run = s.oracle_eligible();
+                if oracle_run && s.config.policy == SyncPolicy::Strict && run_lanes(&[i]) {
+                    return;
+                }
+                let result = execute(s);
+                if let (true, Ok(outcome)) = (oracle_run, &result) {
+                    oracle.record_plain(outcome.report.cycles);
+                }
+                store(i, result);
+            };
             std::thread::scope(|scope| {
                 for me in 0..workers {
                     scope.spawn(move || {
@@ -640,50 +691,14 @@ impl SweepRunner {
                             if let Some(index) = index {
                                 leases.fetch_add(1, Ordering::Relaxed);
                                 match &items[index] {
-                                    WorkItem::Single(i) => {
-                                        let s = &scenarios[*i];
-                                        let result = if s.oracle_eligible() {
-                                            execute_oracle(s, oracle)
-                                        } else {
-                                            execute(s)
-                                        };
-                                        *slots[*i].lock().expect("sweep slot poisoned") =
-                                            Some(result);
-                                    }
+                                    WorkItem::Single(i) => run_single(*i),
                                     WorkItem::Batch(lanes) => {
-                                        match execute_lane_batch(scenarios, lanes, oracle) {
-                                            Some(results) => {
-                                                lane_batches.fetch_add(1, Ordering::Relaxed);
-                                                lanes_filled.fetch_add(
-                                                    lanes.len() as u64,
-                                                    Ordering::Relaxed,
-                                                );
-                                                for (&i, r) in lanes.iter().zip(results) {
-                                                    *slots[i]
-                                                        .lock()
-                                                        .expect("sweep slot poisoned") = Some(r);
-                                                }
-                                            }
-                                            None => {
-                                                // Structural defense tripped:
-                                                // run each lane scalar.
-                                                lane_fallbacks.fetch_add(
-                                                    lanes.len() as u64,
-                                                    Ordering::Relaxed,
-                                                );
-                                                for &i in lanes {
-                                                    let s = &scenarios[i];
-                                                    let result = if s.oracle_eligible() {
-                                                        execute_oracle(s, oracle)
-                                                    } else {
-                                                        execute(s)
-                                                    };
-                                                    *slots[i]
-                                                        .lock()
-                                                        .expect("sweep slot poisoned") =
-                                                        Some(result);
-                                                }
-                                            }
+                                        if !run_lanes(lanes) {
+                                            // Structural defense tripped: run
+                                            // each lane on its own.
+                                            lane_fallbacks
+                                                .fetch_add(lanes.len() as u64, Ordering::Relaxed);
+                                            lanes.iter().for_each(|&i| run_single(i));
                                         }
                                     }
                                 }
@@ -762,7 +777,8 @@ impl SweepRunner {
 /// batch executed bit-parallel.
 #[derive(Debug)]
 enum WorkItem {
-    /// One scenario on the scalar kernel.
+    /// One scenario on its own: on the scalar kernel, or as a one-lane
+    /// batch when it extrapolates.
     Single(usize),
     /// Up to [`MAX_LANES`] scenario indices packed into one
     /// [`LaneLidSimulator`], in submission order.
@@ -832,9 +848,10 @@ fn same_structure<V>(a: &SystemBuilder<V>, b: &SystemBuilder<V>) -> bool {
 
 /// Executes one lane batch on the bit-parallel kernel and returns the
 /// per-scenario results in batch order, or `None` when the batch must be
-/// demoted to the scalar kernel (structurally diverging builds, or a batch
-/// the lane kernel rejects) — the caller then re-runs each scenario through
-/// [`execute`], so a tripped defense costs time, never correctness.
+/// demoted (structurally diverging builds, or a batch the lane kernel
+/// rejects) — the caller then re-runs each scenario on its own (an oracle
+/// scenario as a batch of one, anything else through [`execute`]), so a
+/// tripped defense costs time, never correctness.
 fn execute_lane_batch<V, T>(
     scenarios: &[Scenario<V, T>],
     batch: &[usize],
@@ -1057,46 +1074,6 @@ fn feed_new_tokens<V: Clone>(
         }
         *cursor = view.valid_count();
     }
-}
-
-/// Builds and runs one oracle-eligible scenario through the extrapolating
-/// kernel (see [`Scenario::with_oracle`]); the simulator itself falls back
-/// to plain simulation when the run turns out ineligible (non-strict
-/// policy, stall schedule) or no period is found, so the outcome is always
-/// bit-identical to [`execute`] without the drain/trace/post extras.
-fn execute_oracle<V, T>(
-    scenario: &Scenario<V, T>,
-    tally: &OracleTally,
-) -> Result<SweepOutcome<T>, SweepError>
-where
-    V: Clone + PartialEq,
-{
-    let fail = |error: SimError| SweepError {
-        label: scenario.label.clone(),
-        error,
-    };
-    let RunGoal::UntilFirings {
-        process,
-        target,
-        max_cycles,
-    } = scenario.goal
-    else {
-        unreachable!("oracle_eligible() requires an UntilFirings goal");
-    };
-    let mut sim = LidSimulator::new((scenario.build)(), scenario.config).map_err(fail)?;
-    sim.set_trace_enabled(false);
-    sim.set_stall_schedule(scenario.stall);
-    let run = sim
-        .run_until_firings_extrapolated(process, target, max_cycles)
-        .map_err(fail)?;
-    tally.record(&run);
-    Ok(SweepOutcome {
-        label: scenario.label.clone(),
-        cycles_to_goal: run.report.cycles,
-        report: run.report,
-        post: None,
-        equivalence: None,
-    })
 }
 
 /// Builds, runs and summarises one scenario (always inside a worker thread).
@@ -1650,9 +1627,10 @@ mod tests {
         );
     }
 
-    /// Oracle-enabled ring scenarios (scalar path): outcomes must be
-    /// bit-identical to the plain sweep, and the stats must show that the
-    /// steady-state tails were extrapolated rather than simulated.
+    /// Oracle-enabled ring scenarios without a lane key (each runs as a
+    /// one-lane batch): outcomes must be bit-identical to the plain sweep,
+    /// and the stats must show that the steady-state tails were
+    /// extrapolated rather than simulated.
     #[test]
     fn oracle_sweep_matches_the_plain_sweep_and_reports_the_saving() {
         let scenarios = |oracle: bool| -> Vec<Scenario<u64>> {
@@ -1744,7 +1722,7 @@ mod tests {
     }
 
     /// Scenarios that need the post-goal simulator — a drain, a post
-    /// extraction — or stop on a halt never take the oracle path even when
+    /// extraction, recorded traces — never take the oracle path even when
     /// they opted in; their outcomes are untouched.
     #[test]
     fn oracle_opt_in_is_ignored_for_ineligible_scenarios() {
@@ -1760,16 +1738,22 @@ mod tests {
             Scenario::<u64>::new("posted", ShellConfig::strict(), goal, || ring(2, 1))
                 .with_oracle()
                 .with_post(|_sim| ()),
+            Scenario::<u64>::new("traced", ShellConfig::strict(), goal, || ring(2, 1))
+                .with_traces()
+                .with_oracle(),
         ];
         let (outcomes, stats) = SweepRunner::new(1).run_with_stats(scenarios);
         assert!(outcomes.iter().all(Result::is_ok));
+        assert_eq!(stats.lane_batches, 0, "every run needed the scalar kernel");
         assert_eq!(stats.oracle_extrapolations, 0);
         assert_eq!(stats.oracle_fallbacks, 0);
         assert_eq!(stats.oracle_simulated_cycles, 0);
     }
 
-    /// An oracle scenario under the non-strict policy falls back inside the
-    /// kernel: same outcome as plain, counted as a fallback.
+    /// An oracle scenario under the non-strict policy never reaches the
+    /// lane kernel: the sweep simulates it plainly, with the same outcome
+    /// as without the opt-in, and counts it as a fallback whose every cycle
+    /// was simulated.
     #[test]
     fn oracle_scenarios_under_wp2_fall_back_and_are_counted() {
         let goal = RunGoal::UntilFirings {
@@ -1790,6 +1774,71 @@ mod tests {
         assert_eq!(stats.oracle_fallbacks, 1);
         assert_eq!(stats.oracle_extrapolations, 0);
         assert_eq!(stats.oracle_extrapolated_cycles, 0);
+        assert_eq!(stats.oracle_simulated_cycles, reference.report.cycles);
+        assert_eq!(stats.lane_batches, 0);
+    }
+
+    /// A port-free process that fires every cycle: it never queues a token,
+    /// so the plain kernel accepts any queue capacity.
+    struct Tick;
+
+    impl wp_core::Process<u64> for Tick {
+        fn name(&self) -> &str {
+            "tick"
+        }
+        fn num_inputs(&self) -> usize {
+            0
+        }
+        fn num_outputs(&self) -> usize {
+            0
+        }
+        fn output(&self, port: usize) -> u64 {
+            panic!("tick has no output port {port}")
+        }
+        fn fire(&mut self, _inputs: &[Option<u64>]) {}
+        fn reset(&mut self) {}
+    }
+
+    /// The oracle route outside a packed batch.  A strict oracle scenario
+    /// with no lane key runs as a one-lane batch and extrapolates; a strict
+    /// one the lane kernel rejects (queue capacity 1) simulates plainly and
+    /// is counted as a fallback.  Both equal the plain sweep's outcome.
+    #[test]
+    fn unpacked_oracle_scenarios_run_as_one_lane_batches() {
+        let goal = RunGoal::UntilFirings {
+            process: 0,
+            target: 5_000,
+            max_cycles: 1_000_000,
+        };
+        let run = |scenario: Scenario<u64>| {
+            let reference = execute(&scenario).expect("plain run completes");
+            let (mut outcomes, stats) =
+                SweepRunner::new(1).run_with_stats(vec![scenario.with_oracle()]);
+            assert_eq!(outcomes.remove(0).expect("oracle run completes"), reference);
+            (reference, stats)
+        };
+
+        let (_, stats) = run(Scenario::new("ring", ShellConfig::strict(), goal, || {
+            ring(3, 2)
+        }));
+        assert_eq!(
+            stats.lane_batches, 1,
+            "the unpacked scenario is a batch of one"
+        );
+        assert_eq!(stats.lanes_filled, 1);
+        assert_eq!(stats.oracle_extrapolations, 1);
+        assert_eq!(stats.oracle_fallbacks, 0);
+
+        let tick = ShellConfig::strict().with_fifo_capacity(1);
+        let (reference, stats) = run(Scenario::new("tick", tick, goal, || {
+            let mut b = SystemBuilder::new();
+            b.add_process(Box::new(Tick));
+            b
+        }));
+        assert_eq!(stats.lane_batches, 0, "the lane kernel rejects capacity 1");
+        assert_eq!(stats.oracle_fallbacks, 1);
+        assert_eq!(stats.oracle_extrapolations, 0);
+        assert_eq!(stats.oracle_simulated_cycles, reference.report.cycles);
     }
 
     /// `with_traces` + `with_equivalence_check`: the caller's traces must
