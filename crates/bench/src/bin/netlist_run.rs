@@ -15,7 +15,8 @@
 //!    max-cycle-ratio prediction (`wp_netlist::ThroughputModel::Exact`)
 //!    within 2 % relative.  Each line reports how many of the 8 lanes the
 //!    period oracle extrapolated, and the summary totals them: a lane that
-//!    was not extrapolated simulated all the way to its goal.
+//!    was not extrapolated simulated all the way to its goal.  Stderr
+//!    tallies those lanes by reason (`wp_sim::OracleFallback`).
 //! 3. **Program result** — self-contained SoC specs (a `cu` block with
 //!    workload attributes, see `examples/soc_sort.nl`) instead run their
 //!    program to the halt and check the final data memory against the
@@ -30,6 +31,7 @@
 //! Graphviz); `--verify` exits 1 on any failure.  The scheduler flags
 //! (`--workers N`, `--batch N`) are shared with the other binaries.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use wp_bench::{flag_value, ArgError, SweepArgs, MAX_CYCLES};
@@ -37,7 +39,9 @@ use wp_core::ShellConfig;
 use wp_gen::{generate, GenConfig};
 use wp_netlist::ThroughputModel;
 use wp_proc::{soc_spec_context, soc_state, Msg, SocSpecContext, CU, SOC_KINDS};
-use wp_sim::{GoldenSimulator, LaneLidSimulator, LaneScenario, RunGoal, Scenario, SweepRunner};
+use wp_sim::{
+    GoldenSimulator, LaneLidSimulator, LaneScenario, OracleFallback, RunGoal, Scenario, SweepRunner,
+};
 use wp_spec::{lower, spec_to_dot, synthetic_registry, NetlistSpec};
 
 /// Lanes of the throughput batch: lane `k` adds `k` relay stations to the
@@ -178,9 +182,10 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
     })
 }
 
-/// A passed check: its report line, and how many of the throughput
-/// batch's lanes were extrapolated (`None` when no lane batch ran).
-type Checked = (String, Option<usize>);
+/// A passed check: its report line, and why each lane of the throughput
+/// batch was not extrapolated (`None` for an extrapolated lane; no entries
+/// when no lane batch ran).
+type Checked = (String, Vec<Option<OracleFallback>>);
 
 /// Checks a synthetic (`fan`) netlist: streamed lid-vs-golden equivalence,
 /// then the 8-lane steady-state measurement against the exact MCR solver.
@@ -237,7 +242,7 @@ fn check_synthetic(
     let mut sim = LaneLidSimulator::new(builder, &lanes, ShellConfig::strict())
         .map_err(|e| Failure::Other(format!("lane batch failed to assemble: {e}")))?;
     let mut worst = 0.0f64;
-    let mut extrapolated = 0usize;
+    let mut routes = Vec::with_capacity(LANES);
     for (k, outcome) in sim
         .run_until_firings_extrapolated(0, firings, 100 * firings)
         .into_iter()
@@ -255,8 +260,9 @@ fn check_synthetic(
             )));
         }
         worst = worst.max(error);
-        extrapolated += usize::from(run.extrapolated);
+        routes.push(run.fallback);
     }
+    let extrapolated = routes.iter().filter(|why| why.is_none()).count();
     let detail = format!(
         "{} blocks, {} channels, {} RS; proven N {proven_n}, worst lane error {:.3}%, \
          {extrapolated}/{LANES} lanes extrapolated",
@@ -265,7 +271,7 @@ fn check_synthetic(
         spec.total_relay_stations(),
         100.0 * worst
     );
-    Ok((detail, Some(extrapolated)))
+    Ok((detail, routes))
 }
 
 /// Checks a self-contained SoC spec: program result and lid-vs-golden
@@ -328,7 +334,7 @@ fn check_soc(
         golden_cycles as f64 / outcome.cycles_to_goal as f64,
         report.proven_n()
     );
-    Ok((detail, None))
+    Ok((detail, Vec::new()))
 }
 
 fn check_netlist(
@@ -360,7 +366,7 @@ fn check_netlist(
         {
             Ok((
                 "skipped: topology-only SoC spec (no workload attributes)".to_string(),
-                None,
+                Vec::new(),
             ))
         }
         None => check_synthetic(label, &spec, opts.firings, runner),
@@ -392,14 +398,18 @@ fn main() {
 
     let (mut equivalence, mut throughput, mut other) = (0usize, 0usize, 0usize);
     let (mut lanes_extrapolated, mut lanes_run) = (0usize, 0usize);
+    let mut fallbacks: BTreeMap<&str, usize> = BTreeMap::new();
     let total = netlists.len();
     for (label, spec) in netlists {
         let result = spec.and_then(|spec| check_netlist(&label, spec, &opts, &runner));
         match result {
-            Ok((detail, extrapolated)) => {
-                if let Some(k) = extrapolated {
-                    lanes_extrapolated += k;
-                    lanes_run += LANES;
+            Ok((detail, routes)) => {
+                lanes_run += routes.len();
+                for why in routes {
+                    match why {
+                        None => lanes_extrapolated += 1,
+                        Some(why) => *fallbacks.entry(why.label()).or_default() += 1,
+                    }
                 }
                 println!("{label:<24} ok    {detail}");
             }
@@ -416,6 +426,18 @@ fn main() {
     println!(
         "\n{total} netlists: {equivalence} equivalence failures, {throughput} throughput \
          mismatches, {other} other failures; {lanes_extrapolated}/{lanes_run} lanes extrapolated"
+    );
+    let plain: Vec<String> = fallbacks
+        .iter()
+        .map(|(why, n)| format!("{n} {why}"))
+        .collect();
+    eprintln!(
+        "oracle: {lanes_extrapolated}/{lanes_run} lanes extrapolated; plain: {}",
+        if plain.is_empty() {
+            "none".into()
+        } else {
+            plain.join(", ")
+        }
     );
     if opts.verify && equivalence + throughput + other > 0 {
         std::process::exit(1);

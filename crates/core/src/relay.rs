@@ -221,6 +221,9 @@ impl<V: Clone> RelayChain<V> {
     /// # Errors
     ///
     /// Propagates [`ProtocolError::RelayOverflow`] from any station.
+    // Called once per channel per cycle by the scalar kernel's step: kept
+    // inline there however codegen partitions the crate that instantiates it.
+    #[inline]
     pub fn update(&mut self, input: &Token<V>, stop_in: bool) -> Result<(), ProtocolError> {
         let n = self.stations.len();
         // The stop observed by the station being updated, i.e. the

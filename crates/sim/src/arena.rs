@@ -145,10 +145,12 @@ impl<V> WireArena<V> {
 /// where bit *l* of every word belongs to lane *l*.
 ///
 /// Groups are laid out exactly like [`PortArena`] (contiguous slots sliced
-/// through precomputed offsets) but with variable per-group widths: a group
-/// is a channel (planes = relay-station slots) or a process (planes = ports
-/// or counter bits).  Built once at construction and mutated in place, the
-/// arena keeps the lane kernel heap-allocation-free in steady state.
+/// through precomputed offsets) but with variable per-group widths: the
+/// lane kernel keeps one group per kind of control register (relay-station
+/// main, auxiliary and stop registers, output validity, stop registers,
+/// queue-occupancy counter bits, halted flags).  Built once at construction
+/// and mutated in place, the arena keeps the lane kernel
+/// heap-allocation-free in steady state.
 #[derive(Debug, Clone)]
 pub struct LanePlaneArena {
     /// One `u64` plane per (group, index) pair, in group-major order.
@@ -177,38 +179,11 @@ impl LanePlaneArena {
         self.offsets.len() - 1
     }
 
-    /// Total number of planes across all groups.
-    pub fn num_planes(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The planes of group `group`, in plane order.
-    #[inline]
-    pub fn of(&self, group: usize) -> &[u64] {
-        &self.slots[self.offsets[group]..self.offsets[group + 1]]
-    }
-
-    /// Mutable access to the planes of group `group`.
-    #[inline]
-    pub fn of_mut(&mut self, group: usize) -> &mut [u64] {
-        let lo = self.offsets[group];
-        let hi = self.offsets[group + 1];
-        &mut self.slots[lo..hi]
-    }
-
     /// One plane of a group.
     #[inline]
     pub fn get(&self, group: usize, plane: usize) -> u64 {
         debug_assert!(plane < self.offsets[group + 1] - self.offsets[group]);
         self.slots[self.offsets[group] + plane]
-    }
-
-    /// Overwrites one plane of a group.
-    #[inline]
-    pub fn set(&mut self, group: usize, plane: usize, word: u64) {
-        debug_assert!(plane < self.offsets[group + 1] - self.offsets[group]);
-        let slot = self.offsets[group] + plane;
-        self.slots[slot] = word;
     }
 
     /// Every plane of every group as one flat word slice, in group-major
@@ -219,9 +194,22 @@ impl LanePlaneArena {
         &self.slots
     }
 
-    /// Zeroes every plane (used by resets, not by the per-cycle step).
-    pub fn clear(&mut self) {
-        self.slots.fill(0);
+    /// Mutable access to every group at once, as `N` disjoint slices in
+    /// group order — for a step that updates planes of several groups in
+    /// one pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `N` is not the arena's group count.
+    pub fn groups_mut<const N: usize>(&mut self) -> [&mut [u64]; N] {
+        assert_eq!(N, self.num_groups(), "arena group count");
+        let offsets = &self.offsets;
+        let mut rest: &mut [u64] = &mut self.slots;
+        std::array::from_fn(|g| {
+            let (group, tail) = std::mem::take(&mut rest).split_at_mut(offsets[g + 1] - offsets[g]);
+            rest = tail;
+            group
+        })
     }
 }
 
@@ -270,13 +258,12 @@ mod tests {
     fn lane_plane_arena_slices_follow_the_layout() {
         let mut arena = LanePlaneArena::new([2, 0, 3]);
         assert_eq!(arena.num_groups(), 3);
-        assert_eq!(arena.num_planes(), 5);
-        arena.set(0, 1, 0xFF);
-        arena.of_mut(2)[0] = 7;
-        assert_eq!(arena.of(0), &[0, 0xFF]);
-        assert_eq!(arena.of(1), &[] as &[u64]);
+        let [first, empty, last] = arena.groups_mut();
+        assert_eq!((first.len(), empty.len(), last.len()), (2, 0, 3));
+        first[1] = 0xFF;
+        last[0] = 7;
+        assert_eq!(arena.planes(), &[0, 0xFF, 7, 0, 0]);
+        assert_eq!(arena.get(0, 1), 0xFF);
         assert_eq!(arena.get(2, 0), 7);
-        arena.clear();
-        assert_eq!(arena.of(0), &[0, 0]);
     }
 }

@@ -6,8 +6,10 @@
 //! validity, stop/back-pressure wires, relay-station occupancy — so instead
 //! of stepping one [`crate::LidSimulator`] per scenario, the
 //! [`LaneLidSimulator`] packs up to 64 scenario instances ("lanes") into
-//! `u64` control planes stored in [`crate::LanePlaneArena`]s and steps all
-//! of them with each evaluation of the pure bitwise transfer functions of
+//! `u64` control planes, all stored in one [`crate::LanePlaneArena`] slab
+//! and indexed through channel and port indices resolved at construction,
+//! and steps all of them with each evaluation of the pure bitwise transfer
+//! functions of
 //! [`wp_core::relay_station_control`] / [`wp_core::shell_fire_control`].
 //!
 //! # Why payloads can be ignored
@@ -55,9 +57,10 @@ use crate::arena::LanePlaneArena;
 use crate::golden::GoldenSimulator;
 use crate::lid::{LidReport, DEFAULT_DEADLOCK_WINDOW};
 use crate::oracle::{
-    goal_offset, max_cyclic_gap, split_remaining, OracleRun, ORACLE_DETECTION_WINDOW,
+    goal_offset, lcm_saturating, max_cyclic_gap, split_remaining, OracleFallback, OracleRun,
+    ORACLE_DETECTION_WINDOW,
 };
-use crate::spec::{ChannelSpec, ProcessId, SimError, SystemBuilder};
+use crate::spec::{check_shell_config, ProcessId, SimError, SystemBuilder};
 use crate::sweep::RunGoal;
 
 /// Maximum number of scenario instances one [`LaneLidSimulator`] steps
@@ -140,7 +143,9 @@ impl StallSchedule {
 /// Bitsliced per-lane counters: plane *j* holds bit *j* of all 64 lanes'
 /// counter values, so increment/decrement by a lane mask is a carry/borrow
 /// chain over the planes (almost always 1–2 words touched) and comparisons
-/// against a constant are word-parallel across lanes.
+/// against a constant are word-parallel across lanes.  The arithmetic is
+/// the `planes_*` functions below, which the queue occupancies share in
+/// place inside the control slab.
 #[derive(Debug, Clone)]
 struct LaneCounters {
     planes: Vec<u64>,
@@ -149,6 +154,63 @@ struct LaneCounters {
 /// Number of bits needed to store values up to and including `max`.
 fn bits_for(max: u64) -> usize {
     (64 - max.leading_zeros() as usize).max(1)
+}
+
+/// Adds 1 to every lane in `mask` (ripple carry, early exit).
+#[inline]
+fn planes_add(planes: &mut [u64], mask: u64) {
+    let mut carry = mask;
+    for plane in planes {
+        if carry == 0 {
+            return;
+        }
+        let sum = *plane ^ carry;
+        carry &= *plane;
+        *plane = sum;
+    }
+    debug_assert_eq!(carry, 0, "lane counter overflowed its bit width");
+}
+
+/// Subtracts 1 from every lane in `mask` (ripple borrow, early exit).
+#[inline]
+fn planes_sub(planes: &mut [u64], mask: u64) {
+    let mut borrow = mask;
+    for plane in planes {
+        if borrow == 0 {
+            return;
+        }
+        let diff = *plane ^ borrow;
+        borrow &= !*plane;
+        *plane = diff;
+    }
+    debug_assert_eq!(borrow, 0, "lane counter underflowed");
+}
+
+/// Lanes whose counter is non-zero.
+#[inline]
+fn planes_nonzero(planes: &[u64]) -> u64 {
+    planes.iter().fold(0, |acc, p| acc | p)
+}
+
+/// Lanes whose counter is at least `threshold`.
+#[inline]
+fn planes_ge(planes: &[u64], threshold: u64) -> u64 {
+    let width = planes.len();
+    if width < 64 && threshold >= 1u64 << width {
+        return 0;
+    }
+    // MSB-down comparator: `gt` collects lanes already proven greater,
+    // `eq` tracks lanes still equal on the inspected prefix.
+    let mut gt = 0u64;
+    let mut eq = !0u64;
+    for (j, &plane) in planes.iter().enumerate().rev() {
+        if (threshold >> j) & 1 == 1 {
+            eq &= plane;
+        } else {
+            gt |= eq & plane;
+        }
+    }
+    gt | eq
 }
 
 impl LaneCounters {
@@ -185,32 +247,14 @@ impl LaneCounters {
         }
     }
 
-    /// Adds 1 to every lane in `mask` (ripple carry, early exit).
+    /// Adds 1 to every lane in `mask`.
     fn add_mask(&mut self, mask: u64) {
-        let mut carry = mask;
-        for plane in &mut self.planes {
-            if carry == 0 {
-                return;
-            }
-            let sum = *plane ^ carry;
-            carry &= *plane;
-            *plane = sum;
-        }
-        debug_assert_eq!(carry, 0, "lane counter overflowed its bit width");
+        planes_add(&mut self.planes, mask);
     }
 
-    /// Subtracts 1 from every lane in `mask` (ripple borrow, early exit).
+    /// Subtracts 1 from every lane in `mask`.
     fn sub_mask(&mut self, mask: u64) {
-        let mut borrow = mask;
-        for plane in &mut self.planes {
-            if borrow == 0 {
-                return;
-            }
-            let diff = *plane ^ borrow;
-            borrow &= !*plane;
-            *plane = diff;
-        }
-        debug_assert_eq!(borrow, 0, "lane counter underflowed");
+        planes_sub(&mut self.planes, mask);
     }
 
     /// Zeroes the counters of every lane in `mask`.
@@ -222,28 +266,12 @@ impl LaneCounters {
 
     /// Lanes whose counter is non-zero.
     fn nonzero_mask(&self) -> u64 {
-        self.planes.iter().fold(0, |acc, p| acc | p)
+        planes_nonzero(&self.planes)
     }
 
     /// Lanes whose counter is at least `threshold`.
     fn ge_const(&self, threshold: u64) -> u64 {
-        let width = self.planes.len();
-        if width < 64 && threshold >= 1u64 << width {
-            return 0;
-        }
-        // MSB-down comparator: `gt` collects lanes already proven greater,
-        // `eq` tracks lanes still equal on the inspected prefix.
-        let mut gt = 0u64;
-        let mut eq = !0u64;
-        for j in (0..width).rev() {
-            let plane = self.planes[j];
-            if (threshold >> j) & 1 == 1 {
-                eq &= plane;
-            } else {
-                gt |= eq & plane;
-            }
-        }
-        gt | eq
+        planes_ge(&self.planes, threshold)
     }
 
     /// One lane's counter value.
@@ -320,6 +348,39 @@ enum LaneVerdict {
     NotPeriodic,
 }
 
+/// One channel, resolved to flat plane indices at construction.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    /// The producer's output port, as an index into the out-port planes.
+    src_out: usize,
+    /// The consumer's input port, as an index into the in-port planes.
+    dst_in: usize,
+    /// The channel's `max_rs` relay slots, as the relay-plane index range
+    /// `rs_lo..rs_hi` (each lane owns a suffix).
+    rs_lo: usize,
+    rs_hi: usize,
+    /// Lanes with zero relay stations (transparent wire).
+    zero: u64,
+}
+
+/// One process's ports, resolved to ranges of the flat port planes.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    in_lo: usize,
+    in_hi: usize,
+    out_lo: usize,
+    out_hi: usize,
+}
+
+/// Groups of the control slab, in [`LaneLidSimulator::control_words`]
+/// order: relay-station main, auxiliary and stop registers (one plane per
+/// relay slot), output validity (per out-port), stop registers (per
+/// in-port), queue occupancies (`occ_width` counter planes per in-port)
+/// and halted flags (per process).
+const CONTROL_GROUPS: usize = 7;
+/// The halted group of the control slab.
+const HALTED: usize = 6;
+
 /// The bit-parallel latency-insensitive kernel: up to 64 instances of one
 /// netlist, stepped together (see the module docs).
 ///
@@ -330,39 +391,31 @@ enum LaneVerdict {
 pub struct LaneLidSimulator<V> {
     lanes: usize,
     lane_mask: u64,
-    channels: Vec<ChannelSpec>,
-    /// Per-process `(num_inputs, num_outputs)`.
-    ports: Vec<(usize, usize)>,
+    links: Vec<Link>,
+    shapes: Vec<Shape>,
     almost_full: u64,
+    /// Bit width of one queue-occupancy counter.
+    occ_width: usize,
     deadlock_window: u64,
 
-    // Relay-chain planes, grouped by channel with `max_rs` planes each.
-    rs_main: LanePlaneArena,
-    rs_aux: LanePlaneArena,
-    rs_stop: LanePlaneArena,
-    /// Constant per-slot masks: lanes whose chain *starts* at this slot
-    /// (the producer injects here) …
-    rs_inject: LanePlaneArena,
+    /// Every control word of the batch, in the [`CONTROL_GROUPS`] layout.
+    ctrl: LanePlaneArena,
+    /// Constant per-relay-slot masks: lanes whose chain *starts* at this
+    /// slot (the producer injects here) …
+    rs_inject: Vec<u64>,
     /// … and lanes whose chain already covers the slot above (the slot's
     /// input is the previous slot's main register).
-    rs_above: LanePlaneArena,
-    /// Per channel: lanes with zero relay stations (transparent wire).
-    rs_zero: Vec<u64>,
-
-    // Shell planes, grouped by process.
-    out_valid: LanePlaneArena,
-    stop_reg: LanePlaneArena,
-    /// Per-cycle scratch: delivered-token validity per (process, input).
-    delivered: LanePlaneArena,
-    /// Per-cycle scratch: observed stop per (process, output).
-    out_stop: LanePlaneArena,
-    /// Input-queue occupancy per (process, input port).
-    occ: Vec<Vec<LaneCounters>>,
+    rs_above: Vec<u64>,
+    /// Per-cycle scratch: delivered-token validity per in-port.
+    delivered: Vec<u64>,
+    /// Per-cycle scratch: observed stop per out-port.
+    out_stop: Vec<u64>,
     /// Firing counters per process (full 64-bit width, no flushing).
     fired: Vec<LaneCounters>,
-    /// Halted plane per process (`fired ≥ K_p`).
-    halted: Vec<u64>,
     scripts: Vec<HaltScript>,
+    /// Halted-plane changes so far; each one starts a new recurrence epoch
+    /// of the period search.
+    halt_flips: u64,
 
     /// The live golden twin driving the shared halt script.
     golden: GoldenSimulator<V>,
@@ -403,8 +456,8 @@ impl<V> std::fmt::Debug for LaneLidSimulator<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LaneLidSimulator")
             .field("lanes", &self.lanes)
-            .field("processes", &self.ports.len())
-            .field("channels", &self.channels.len())
+            .field("processes", &self.shapes.len())
+            .field("channels", &self.links.len())
             .field("clock", &self.clock)
             .finish()
     }
@@ -425,8 +478,9 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
     /// validation, the lane count is 0 or exceeds [`MAX_LANES`], the shell
     /// policy is not [`SyncPolicy::Strict`] (the oracle policy consults
     /// payload-dependent `required_inputs`, which the control plane cannot
-    /// see), a lane's relay-station list does not match the channel count,
-    /// or the lanes' stall schedules mix families.
+    /// see), the input queues have fewer than two slots, a lane's
+    /// relay-station list does not match the channel count, or the lanes'
+    /// stall schedules mix families.
     pub fn new(
         builder: SystemBuilder<V>,
         lanes: &[LaneScenario],
@@ -443,16 +497,19 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
                 "the lane kernel supports only strict (WP1) shells".into(),
             ));
         }
-        if config.fifo_capacity < 2 {
-            return Err(SimError::InvalidSystem(
-                "shell queues need a capacity of at least 2".into(),
-            ));
+        check_shell_config(&config)?;
+        let mut shapes = Vec::with_capacity(builder.processes().len());
+        let (mut ins, mut outs) = (0, 0);
+        for p in builder.processes() {
+            shapes.push(Shape {
+                in_lo: ins,
+                in_hi: ins + p.num_inputs(),
+                out_lo: outs,
+                out_hi: outs + p.num_outputs(),
+            });
+            ins += p.num_inputs();
+            outs += p.num_outputs();
         }
-        let ports: Vec<(usize, usize)> = builder
-            .processes()
-            .iter()
-            .map(|p| (p.num_inputs(), p.num_outputs()))
-            .collect();
         let channels = builder.channels().to_vec();
         // The golden twin takes the process boxes to drive the shared halt
         // script (relay stations are irrelevant to it); building it
@@ -478,47 +535,54 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
             (1u64 << lane_count) - 1
         };
 
-        // Suffix-aligned relay slots: lane l of channel c occupies slots
-        // `max_rs - n .. max_rs`.
-        let max_rs: Vec<usize> = (0..channels.len())
-            .map(|c| lanes.iter().map(|l| l.relay_stations[c]).max().unwrap_or(0))
-            .collect();
-        let mut rs_inject = LanePlaneArena::new(max_rs.iter().copied());
-        let mut rs_above = LanePlaneArena::new(max_rs.iter().copied());
-        let mut rs_zero = vec![0u64; channels.len()];
-        for (c, &m) in max_rs.iter().enumerate() {
+        // Suffix-aligned relay slots: lane l of channel c occupies the last
+        // `n` of the channel's `max_rs` slots.
+        let mut links = Vec::with_capacity(channels.len());
+        let (mut rs_inject, mut rs_above) = (Vec::new(), Vec::new());
+        for (c, ch) in channels.iter().enumerate() {
+            let m = lanes.iter().map(|l| l.relay_stations[c]).max().unwrap_or(0);
+            let rs_lo = rs_inject.len();
+            rs_inject.resize(rs_lo + m, 0);
+            rs_above.resize(rs_lo + m, 0);
+            let mut zero = 0u64;
             for (l, lane) in lanes.iter().enumerate() {
                 let n = lane.relay_stations[c];
                 let bit = 1u64 << l;
                 if n == 0 {
-                    rs_zero[c] |= bit;
+                    zero |= bit;
                     continue;
                 }
-                let start = m - n;
-                let slots = rs_inject.of_mut(c);
-                slots[start] |= bit;
-                let slots = rs_above.of_mut(c);
-                for slot in slots.iter_mut().skip(start + 1) {
+                let start = rs_lo + m - n;
+                rs_inject[start] |= bit;
+                for slot in &mut rs_above[start + 1..rs_lo + m] {
                     *slot |= bit;
                 }
             }
+            links.push(Link {
+                src_out: shapes[ch.src].out_lo + ch.src_port,
+                dst_in: shapes[ch.dst].in_lo + ch.dst_port,
+                rs_lo,
+                rs_hi: rs_lo + m,
+                zero,
+            });
         }
 
         let occ_width = bits_for(config.fifo_capacity as u64);
-        let occ = ports
-            .iter()
-            .map(|&(ins, _)| (0..ins).map(|_| LaneCounters::new(occ_width)).collect())
-            .collect();
-        let mut out_valid = LanePlaneArena::new(ports.iter().map(|&(_, outs)| outs));
+        let slots = rs_inject.len();
+        let mut ctrl = LanePlaneArena::new([
+            slots,
+            slots,
+            slots,
+            outs,
+            ins,
+            ins * occ_width,
+            shapes.len(),
+        ]);
+        let [_, _, _, valid, _, _, halted] = ctrl.groups_mut::<CONTROL_GROUPS>();
         // Every shell presents its reset output as Valid on every port.
-        for p in 0..ports.len() {
-            for plane in out_valid.of_mut(p) {
-                *plane = lane_mask;
-            }
-        }
+        valid.fill(lane_mask);
         // A process halted at reset (`K_p = 0`) starts halted in every lane.
-        let mut halted = vec![0u64; ports.len()];
-        let mut scripts = Vec::with_capacity(ports.len());
+        let mut scripts = Vec::with_capacity(shapes.len());
         for (p, h) in halted.iter_mut().enumerate() {
             if golden.is_halted(p) {
                 *h = lane_mask;
@@ -531,27 +595,22 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
         Ok(Self {
             lanes: lane_count,
             lane_mask,
-            ports: ports.clone(),
+            links,
             almost_full: config.fifo_capacity as u64 - 1,
+            occ_width,
             deadlock_window: DEFAULT_DEADLOCK_WINDOW,
-            rs_main: LanePlaneArena::new(max_rs.iter().copied()),
-            rs_aux: LanePlaneArena::new(max_rs.iter().copied()),
-            rs_stop: LanePlaneArena::new(max_rs.iter().copied()),
+            ctrl,
             rs_inject,
             rs_above,
-            rs_zero,
-            out_valid,
-            stop_reg: LanePlaneArena::new(ports.iter().map(|&(ins, _)| ins)),
-            delivered: LanePlaneArena::new(ports.iter().map(|&(ins, _)| ins)),
-            out_stop: LanePlaneArena::new(ports.iter().map(|&(_, outs)| outs)),
-            occ,
-            fired: (0..ports.len()).map(|_| LaneCounters::new(64)).collect(),
-            halted,
+            delivered: vec![0; ins],
+            out_stop: vec![0; outs],
+            fired: (0..shapes.len()).map(|_| LaneCounters::new(64)).collect(),
             scripts,
+            halt_flips: 0,
             golden,
             stall,
-            fire_scratch: vec![0; ports.len()],
-            channels,
+            fire_scratch: vec![0; shapes.len()],
+            shapes,
             clock: 0,
         })
     }
@@ -630,7 +689,7 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
             // then the cycle budget, then deadlock.
             let goal_now = running
                 & match goal {
-                    RunGoal::UntilHalt { process, .. } => self.halted[process],
+                    RunGoal::UntilHalt { process, .. } => self.ctrl.get(HALTED, process),
                     RunGoal::UntilFirings { .. } => {
                         let rem = goal_rem.as_ref().expect("UntilFirings allocates a counter");
                         !rem.nonzero_mask()
@@ -726,9 +785,11 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
         }
     }
 
-    /// The packed control state of the whole batch as one word sequence:
-    /// every relay-station plane, output-validity and stop-register plane,
-    /// queue-occupancy counter plane and halted plane.
+    /// The packed control state of the whole batch: one contiguous slab
+    /// holding every relay-station plane, output-validity and
+    /// stop-register plane, queue-occupancy counter plane and halted plane
+    /// (see [`CONTROL_GROUPS`]), so hashing, comparing and snapshotting the
+    /// state are single-slice loops.
     ///
     /// This is exactly the state the control plane evolves on.  Token
     /// payloads and the enclosed processes' internal state are excluded:
@@ -746,32 +807,13 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
     /// lane's control trajectory — and therefore its firing pattern —
     /// repeats with the joint period, provided no halted flag flips after
     /// extrapolation begins (a halt is driven by data, which the control
-    /// plane cannot predict).  The monotonic `fired` counters and the
-    /// halt-script down-counters are deliberately excluded: their effect on
-    /// the control plane is fully captured by the halted planes.
-    fn control_words(&self) -> impl Iterator<Item = u64> + '_ {
-        self.rs_main
-            .planes()
-            .iter()
-            .chain(self.rs_aux.planes())
-            .chain(self.rs_stop.planes())
-            .chain(self.out_valid.planes())
-            .chain(self.stop_reg.planes())
-            .chain(self.occ.iter().flatten().flat_map(|c| &c.planes))
-            .chain(&self.halted)
-            .copied()
-    }
-
-    /// Hashes the packed control state.  Every candidate period is
-    /// verified on the complete state, so the hash only has to be fast:
-    /// one multiply-rotate per word, each step a bijection of the running
-    /// hash and of the word.
-    fn control_hash(&self) -> u64 {
-        self.control_words().fold(0, |hash, word| {
-            (hash ^ word)
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .rotate_left(27)
-        })
+    /// plane cannot predict).  The same holds per lane: a lane whose
+    /// bit-slice repeats has recurred on its own.  The monotonic `fired`
+    /// counters and the halt-script down-counters are deliberately
+    /// excluded: their effect on the control plane is fully captured by
+    /// the halted planes.
+    fn control_words(&self) -> &[u64] {
+        self.ctrl.planes()
     }
 
     /// The steady-state period oracle: runs every lane of a freshly
@@ -791,14 +833,27 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
     /// schedule hashes the absolute cycle, so the control plane alone does
     /// not determine the future — and simply simulate to their goals.
     ///
+    /// Alongside the hash search, Brent's cycle detection runs on every
+    /// lane at once and finds each lane's exact period `λ_l` (the proof is
+    /// in the `oracle` module's docs).  A joint repeat needs a multiple of
+    /// every `λ_l`, so once the epoch start plus the lcm of the periods
+    /// found so far exceeds [`crate::ORACLE_DETECTION_WINDOW`], the hash
+    /// search provably finds nothing and stops, and its table is dropped.  An epoch ends
+    /// where a halted plane changes (hashing resumes with an empty table if
+    /// it had stopped) and where a candidate period fails verification.
+    /// The search stops only when it cannot succeed, so every batch detects
+    /// its period at the same cycle as a search that never stops.
+    ///
     /// Returns one [`OracleRun`] (or the lane's [`SimError`], exactly as
-    /// plain simulation would have produced it) per lane, in lane order.
-    /// The budget error is exact: an extrapolated goal cycle beyond
-    /// `max_cycles` is reported as [`SimError::MaxCyclesExceeded`], and a
-    /// steady state whose firing gaps reach the deadlock window is finished
-    /// by plain simulation so the deadlock is reported at the right cycle.
-    /// An extrapolated kernel's architectural state is frozen at the last
-    /// simulated cycle — do not drain it.
+    /// plain simulation would have produced it) per lane, in lane order;
+    /// a run that did not extrapolate names why in
+    /// [`OracleRun::fallback`].  The budget error is exact: an extrapolated
+    /// goal cycle beyond `max_cycles` is reported as
+    /// [`SimError::MaxCyclesExceeded`], and a steady state whose firing
+    /// gaps reach the deadlock window is finished by plain simulation so
+    /// the deadlock is reported at the right cycle.  An extrapolated
+    /// kernel's architectural state is frozen at the last simulated cycle
+    /// — do not drain it.
     pub fn run_until_firings_extrapolated(
         &mut self,
         node: ProcessId,
@@ -812,14 +867,18 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
         let mut goal_rem = LaneCounters::with_value(target, self.lane_mask);
         let mut idle = LaneCounters::new(bits_for(self.deadlock_window) + 1);
         let mut detect = self.stall.is_none();
-        let mut seen: HashMap<u64, u64> = HashMap::new();
+        // A lane's own reason not to extrapolate, where the batch's search
+        // state does not give it.
+        let mut lane_fallback = [(!detect).then_some(OracleFallback::StallSchedule); MAX_LANES];
+        let mut search = PeriodSearch::new(self.control_words(), self.halt_flips);
 
         loop {
             // Boundary checks in the plain kernel's order: goal first, then
             // the cycle budget, then deadlock.
             let goal_now = undecided & !goal_rem.nonzero_mask();
             for lane in iter_lanes(goal_now) {
-                results[lane] = Some(Ok(self.plain_lane_outcome(lane)));
+                let why = lane_fallback[lane].unwrap_or_else(|| search.fallback(self.clock));
+                results[lane] = Some(Ok(self.plain_lane_outcome(lane, why)));
             }
             undecided &= !goal_now;
             if undecided != 0 && self.clock >= max_cycles {
@@ -838,48 +897,51 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
             }
 
             if detect && self.clock <= ORACLE_DETECTION_WINDOW {
-                let hash = self.control_hash();
-                match seen.entry(hash) {
-                    Entry::Occupied(entry) => {
-                        let period = self.clock - *entry.get();
-                        let verdict = self.verify_lane_period(
-                            node,
-                            max_cycles,
-                            period,
-                            &mut results,
-                            &mut undecided,
-                            &mut goal_rem,
-                            &mut idle,
-                        );
-                        match verdict {
-                            LaneVerdict::Verified { fire_masks } => {
-                                self.extrapolate_lanes(
-                                    node,
-                                    target,
-                                    max_cycles,
-                                    period,
-                                    &fire_masks,
-                                    &mut results,
-                                    &mut undecided,
-                                );
-                                // Lanes that cannot extrapolate (their goal
-                                // process never fires again, or their
-                                // steady-state gaps reach the deadlock
-                                // window) finish by plain simulation; the
-                                // verified period would only re-verify, so
-                                // detection is done.
-                                detect = false;
-                            }
-                            LaneVerdict::NotPeriodic => {}
+                let candidate = search.observe(
+                    self.control_words(),
+                    self.clock,
+                    self.halt_flips,
+                    self.lane_mask,
+                );
+                if let Some(period) = candidate {
+                    let verdict = self.verify_lane_period(
+                        node,
+                        max_cycles,
+                        period,
+                        &mut results,
+                        &mut undecided,
+                        &mut goal_rem,
+                        &mut idle,
+                    );
+                    match verdict {
+                        LaneVerdict::Verified { fire_masks } => {
+                            self.extrapolate_lanes(
+                                node,
+                                target,
+                                max_cycles,
+                                period,
+                                &fire_masks,
+                                &mut results,
+                                &mut undecided,
+                                &mut lane_fallback,
+                            );
+                            // Lanes that cannot extrapolate (their goal
+                            // process never fires again, or their
+                            // steady-state gaps reach the deadlock
+                            // window) finish by plain simulation; the
+                            // verified period would only re-verify, so
+                            // detection is done.
+                            detect = false;
                         }
-                        seen.clear();
-                        // Re-run the boundary checks before hashing or
-                        // stepping again: verification advanced the clock.
-                        continue;
+                        LaneVerdict::NotPeriodic => search.restart_after_verification(
+                            self.control_words(),
+                            self.clock,
+                            self.halt_flips,
+                        ),
                     }
-                    Entry::Vacant(entry) => {
-                        entry.insert(self.clock);
-                    }
+                    // Re-run the boundary checks before hashing or
+                    // stepping again: verification advanced the clock.
+                    continue;
                 }
             }
 
@@ -896,11 +958,12 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
     }
 
     /// One lane's outcome when its goal was reached by plain simulation.
-    fn plain_lane_outcome(&self, lane: usize) -> OracleRun {
+    fn plain_lane_outcome(&self, lane: usize, why: OracleFallback) -> OracleRun {
         OracleRun {
             report: lane_report(self.snapshot(lane)),
             simulated_cycles: self.clock,
             extrapolated: false,
+            fallback: Some(why),
         }
     }
 
@@ -920,8 +983,8 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
         goal_rem: &mut LaneCounters,
         idle: &mut LaneCounters,
     ) -> LaneVerdict {
-        let n = self.ports.len();
-        let expect: Vec<u64> = self.control_words().collect();
+        let n = self.shapes.len();
+        let expect = self.control_words().to_vec();
         let mut fire_masks: Vec<u64> = Vec::with_capacity(period as usize * n);
         for _ in 0..period {
             let fired_any = self.step_cycle(self.lane_mask);
@@ -932,7 +995,9 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
 
             let goal_now = *undecided & !goal_rem.nonzero_mask();
             for lane in iter_lanes(goal_now) {
-                results[lane] = Some(Ok(self.plain_lane_outcome(lane)));
+                results[lane] = Some(Ok(
+                    self.plain_lane_outcome(lane, OracleFallback::GoalBeforePeriod)
+                ));
             }
             *undecided &= !goal_now;
             if *undecided != 0 && self.clock >= max_cycles {
@@ -950,7 +1015,7 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
                 return LaneVerdict::NotPeriodic;
             }
         }
-        if self.control_words().eq(expect) {
+        if self.control_words() == expect {
             LaneVerdict::Verified { fire_masks }
         } else {
             LaneVerdict::NotPeriodic
@@ -964,9 +1029,9 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
     /// `max_cycles`, and every firing counter is the simulated count plus
     /// `k` whole periods plus the partial period up to `t`.  Lanes whose
     /// goal process never fires in the period, or whose steady-state firing
-    /// gaps reach the deadlock window, are left undecided — plain
-    /// simulation then reproduces exactly the budget or deadlock error the
-    /// un-extrapolated run would have hit.
+    /// gaps reach the deadlock window, are left undecided with that reason
+    /// in `lane_fallback` — plain simulation then reproduces exactly the
+    /// budget or deadlock error the un-extrapolated run would have hit.
     #[allow(clippy::too_many_arguments)]
     fn extrapolate_lanes(
         &self,
@@ -977,8 +1042,9 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
         fire_masks: &[u64],
         results: &mut [Option<Result<OracleRun, SimError>>],
         undecided: &mut u64,
+        lane_fallback: &mut [Option<OracleFallback>],
     ) {
-        let n = self.ports.len();
+        let n = self.shapes.len();
         let cycles_per_period = period as usize;
         let mut cum_node: Vec<u64> = Vec::with_capacity(cycles_per_period);
         let mut fired_lane: Vec<bool> = Vec::with_capacity(cycles_per_period);
@@ -994,7 +1060,12 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
                 fired_lane.push(row.iter().any(|&mask| mask & bit != 0));
             }
             let delta = cum;
-            if delta == 0 || max_cyclic_gap(&fired_lane) >= self.deadlock_window {
+            if delta == 0 {
+                lane_fallback[lane] = Some(OracleFallback::GoalNeverFires);
+                continue;
+            }
+            if max_cyclic_gap(&fired_lane) >= self.deadlock_window {
+                lane_fallback[lane] = Some(OracleFallback::DeadlockGap);
                 continue;
             }
             let rem = target - self.fired[node].get(lane);
@@ -1026,6 +1097,7 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
                     }),
                     simulated_cycles: self.clock,
                     extrapolated: true,
+                    fallback: None,
                 })
             };
             results[lane] = Some(outcome);
@@ -1043,7 +1115,7 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
     fn extend_horizon(&mut self, needed: u64) {
         while self.golden.cycles() < needed {
             self.golden.step();
-            for p in 0..self.ports.len() {
+            for p in 0..self.shapes.len() {
                 if matches!(self.scripts[p], HaltScript::Unknown) && self.golden.is_halted(p) {
                     let k = self.golden.cycles();
                     let mut rem = LaneCounters::new(bits_for(k));
@@ -1067,88 +1139,85 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
 
         let Self {
             lane_mask,
-            channels,
-            ports,
+            links,
+            shapes,
             almost_full,
-            rs_main,
-            rs_aux,
-            rs_stop,
+            occ_width,
+            ctrl,
             rs_inject,
             rs_above,
-            rs_zero,
-            out_valid,
-            stop_reg,
             delivered,
             out_stop,
-            occ,
             fired,
-            halted,
             scripts,
+            halt_flips,
             stall,
             fire_scratch,
             clock,
             ..
         } = self;
+        let [main, aux, stop, valid, stop_reg, occ, halted] = ctrl.groups_mut::<CONTROL_GROUPS>();
+        let w = *occ_width;
 
         // Phase 1: per channel, derive the delivered-validity and observed-
         // stop planes from the registered shell/station planes, then step
         // the station slots consumer-to-producer exactly like the scalar
         // `RelayChain::update` (each slot sees its neighbours' pre-update
         // wires; the carried word is the one stop each slot drove upstream).
-        for (c, ch) in channels.iter().enumerate() {
-            let produced = out_valid.get(ch.src, ch.src_port);
-            let consumer_stop = stop_reg.get(ch.dst, ch.dst_port);
-            let m = rs_main.of(c).len();
-            let zero = rs_zero[c];
-            let (deliver, observed_stop) = if m == 0 {
+        for link in links.iter() {
+            let produced = valid[link.src_out];
+            let consumer_stop = stop_reg[link.dst_in];
+            let (lo, hi, zero) = (link.rs_lo, link.rs_hi, link.zero);
+            let (deliver, observed_stop) = if lo == hi {
                 (produced, consumer_stop)
             } else {
-                let deliver = (zero & produced) | (!zero & rs_main.get(c, m - 1));
+                let deliver = (zero & produced) | (!zero & main[hi - 1]);
                 let mut observed = zero & consumer_stop;
-                for j in 0..m {
-                    observed |= rs_inject.get(c, j) & rs_stop.get(c, j);
+                for s in lo..hi {
+                    observed |= rs_inject[s] & stop[s];
                 }
                 let mut down = consumer_stop;
-                for j in (0..m).rev() {
-                    let pre_stop = rs_stop.get(c, j);
-                    let upstream = (rs_inject.get(c, j) & produced)
-                        | (rs_above.get(c, j) & if j > 0 { rs_main.get(c, j - 1) } else { 0 });
-                    let ctrl = relay_station_control(
-                        rs_main.get(c, j),
-                        rs_aux.get(c, j),
+                for s in (lo..hi).rev() {
+                    let pre_stop = stop[s];
+                    let above = if s > lo { rs_above[s] & main[s - 1] } else { 0 };
+                    let upstream = (rs_inject[s] & produced) | above;
+                    let next = relay_station_control(
+                        main[s],
+                        aux[s],
                         pre_stop,
                         !pre_stop & upstream,
                         down,
                     );
-                    rs_main.set(c, j, ctrl.main);
-                    rs_aux.set(c, j, ctrl.aux);
-                    rs_stop.set(c, j, ctrl.stop);
+                    main[s] = next.main;
+                    aux[s] = next.aux;
+                    stop[s] = next.stop;
                     down = pre_stop;
                 }
                 (deliver, observed)
             };
-            delivered.set(ch.dst, ch.dst_port, deliver);
-            out_stop.set(ch.src, ch.src_port, observed_stop);
+            delivered[link.dst_in] = deliver;
+            out_stop[link.src_out] = observed_stop;
         }
 
         // Phase 2: shells, in the scalar `Shell::update` order — accept,
         // release, fire, stop refresh.
         let mut fired_any = 0u64;
-        for (p, &(ins, outs)) in ports.iter().enumerate() {
-            for (i, slot) in occ[p].iter_mut().enumerate().take(ins) {
-                let accept = delivered.get(p, i) & !stop_reg.get(p, i);
-                slot.add_mask(accept);
+        for (p, shape) in shapes.iter().enumerate() {
+            let ins = shape.in_lo..shape.in_hi;
+            let outs = shape.out_lo..shape.out_hi;
+            let occ = &mut occ[shape.in_lo * w..shape.in_hi * w];
+            for (i, slot) in ins.clone().zip(occ.chunks_exact_mut(w)) {
+                planes_add(slot, delivered[i] & !stop_reg[i]);
             }
             let mut outputs_clear = !0u64;
-            for j in 0..outs {
-                let held = shell_release_control(out_valid.get(p, j), out_stop.get(p, j));
-                out_valid.set(p, j, held);
+            for j in outs.clone() {
+                let held = shell_release_control(valid[j], out_stop[j]);
+                valid[j] = held;
                 outputs_clear &= !held;
             }
-            let mut inputs_ready = !0u64;
-            for slot in occ[p].iter().take(ins) {
-                inputs_ready &= slot.nonzero_mask();
-            }
+            let inputs_ready = occ
+                .chunks_exact(w)
+                .fold(!0u64, |ready, slot| ready & planes_nonzero(slot));
             let gated = match stall {
                 Some(plan) => plan.mask(p, *clock),
                 None => 0,
@@ -1156,31 +1225,179 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
             let eligible = active & !halted[p] & !gated;
             let fire = shell_fire_control(eligible, outputs_clear, inputs_ready);
             if fire != 0 {
-                for slot in occ[p].iter_mut().take(ins) {
-                    slot.sub_mask(fire);
+                for slot in occ.chunks_exact_mut(w) {
+                    planes_sub(slot, fire);
                 }
-                for j in 0..outs {
-                    out_valid.set(p, j, out_valid.get(p, j) | fire);
+                for plane in &mut valid[outs] {
+                    *plane |= fire;
                 }
                 fired[p].add_mask(fire);
                 if let HaltScript::Counting(rem) = &mut scripts[p] {
                     rem.sub_mask(fire);
-                    halted[p] |= !rem.nonzero_mask() & *lane_mask;
-                    if halted[p] == *lane_mask {
+                    let now = halted[p] | (!rem.nonzero_mask() & *lane_mask);
+                    if now != halted[p] {
+                        halted[p] = now;
+                        *halt_flips += 1;
+                    }
+                    if now == *lane_mask {
                         scripts[p] = HaltScript::Done;
                     }
                 }
             }
             fire_scratch[p] = fire;
             fired_any |= fire;
-            for (i, slot) in occ[p].iter().enumerate().take(ins) {
-                stop_reg.set(p, i, slot.ge_const(*almost_full));
+            for (i, slot) in ins.zip(occ.chunks_exact(w)) {
+                stop_reg[i] = planes_ge(slot, *almost_full);
             }
         }
 
         *clock += 1;
         fired_any & active
     }
+}
+
+/// The joint-period search of
+/// [`LaneLidSimulator::run_until_firings_extrapolated`]: a table of control
+/// hashes that finds the joint period, and Brent's cycle detection on every
+/// lane at once, which proves when that table cannot succeed inside the
+/// detection window.
+struct PeriodSearch {
+    /// Control hash → clock it was first seen at; `None` while the
+    /// recurrences prove the search futile.
+    seen: Option<HashMap<u64, u64>>,
+    /// The cycle at which the search was last proven futile.
+    proven_at: Option<u64>,
+    /// First cycle of the current recurrence epoch.
+    epoch: u64,
+    /// The kernel's halt-flip count at the epoch start.
+    flips: u64,
+    /// Brent's fixed point: the control words at `snap_clock`, re-taken
+    /// `1, 2, 4, …` cycles into the epoch.
+    snap: Vec<u64>,
+    snap_clock: u64,
+    /// Cycles from `snap_clock` to the next snapshot.
+    power: u64,
+    /// Lanes whose exact period in this epoch is known …
+    found: u64,
+    /// … and the lcm of those periods, saturating.
+    lcm: u64,
+}
+
+impl PeriodSearch {
+    /// A search whose first epoch starts at cycle 0 in state `words`.
+    fn new(words: &[u64], flips: u64) -> Self {
+        Self {
+            seen: Some(HashMap::new()),
+            proven_at: None,
+            epoch: 0,
+            flips,
+            snap: words.to_vec(),
+            snap_clock: 0,
+            power: 1,
+            found: 0,
+            lcm: 1,
+        }
+    }
+
+    /// Starts a new recurrence epoch at `clock` in state `words`.
+    fn restart(&mut self, words: &[u64], clock: u64, flips: u64) {
+        self.epoch = clock;
+        self.flips = flips;
+        self.snap.copy_from_slice(words);
+        self.snap_clock = clock;
+        self.power = 1;
+        self.found = 0;
+        self.lcm = 1;
+    }
+
+    /// A candidate period failed verification: the hash table restarts
+    /// empty, and so does the epoch, because verification stepped the
+    /// clock without recurrence checks (a missed snapshot could report a
+    /// multiple of a lane's period).
+    fn restart_after_verification(&mut self, words: &[u64], clock: u64, flips: u64) {
+        if let Some(seen) = &mut self.seen {
+            seen.clear();
+        }
+        self.restart(words, clock, flips);
+    }
+
+    /// Examines the control state `words` at `clock`: returns the candidate
+    /// joint period when the hash table has seen this state before.
+    ///
+    /// Halted planes only ever gain bits, so no state after a halt flip
+    /// equals one before it: a flip starts a new epoch, and a search that
+    /// was proven futile resumes with an empty table.  Within an epoch,
+    /// lane `l`'s bit-slice evolves autonomously, and a lane whose slice
+    /// equals the snapshot has recurred exactly with period
+    /// `λ_l = clock − snap_clock`.  A joint repeat `(c′, c)` inside the
+    /// epoch needs every lane's period to divide `c − c′`, so
+    /// `c ≥ epoch + lcm(λ_l)`; the lcm of the periods found so far divides
+    /// the full one, so once `epoch + lcm` exceeds the detection window the
+    /// table can never hit again this epoch.
+    fn observe(&mut self, words: &[u64], clock: u64, flips: u64, lane_mask: u64) -> Option<u64> {
+        if flips != self.flips {
+            self.restart(words, clock, flips);
+            if self.seen.is_none() {
+                self.seen = Some(HashMap::new());
+                self.proven_at = None;
+            }
+        } else if self.seen.is_some() && self.found != lane_mask && clock > self.snap_clock {
+            self.recur(words, clock, lane_mask);
+        }
+        let seen = self.seen.as_mut()?;
+        match seen.entry(control_hash(words)) {
+            Entry::Occupied(entry) => Some(clock - *entry.get()),
+            Entry::Vacant(entry) => {
+                entry.insert(clock);
+                None
+            }
+        }
+    }
+
+    /// One step of Brent's cycle detection on every lane at once.
+    fn recur(&mut self, words: &[u64], clock: u64, lane_mask: u64) {
+        let diff = words
+            .iter()
+            .zip(&self.snap)
+            .fold(0, |acc, (now, then)| acc | (now ^ then));
+        let recurred = lane_mask & !diff & !self.found;
+        if recurred != 0 {
+            self.found |= recurred;
+            self.lcm = lcm_saturating(self.lcm, clock - self.snap_clock);
+            if self.epoch.saturating_add(self.lcm) > ORACLE_DETECTION_WINDOW {
+                self.seen = None;
+                self.proven_at = Some(clock);
+                return;
+            }
+        }
+        if clock - self.snap_clock == self.power {
+            self.snap.copy_from_slice(words);
+            self.snap_clock = clock;
+            self.power *= 2;
+        }
+    }
+
+    /// Why a lane whose goal is reached at `clock` was not extrapolated,
+    /// as far as the search state tells.
+    fn fallback(&self, clock: u64) -> OracleFallback {
+        match self.proven_at {
+            Some(proven_at) => OracleFallback::PeriodBeyondWindow { proven_at },
+            None if clock > ORACLE_DETECTION_WINDOW => OracleFallback::WindowExhausted,
+            None => OracleFallback::GoalBeforePeriod,
+        }
+    }
+}
+
+/// Hashes a packed control state.  Every candidate period is verified on
+/// the complete state, so the hash only has to be fast: one
+/// multiply-rotate per word, each step a bijection of the running hash and
+/// of the word.
+fn control_hash(words: &[u64]) -> u64 {
+    words.iter().fold(0, |hash, &word| {
+        (hash ^ word)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(27)
+    })
 }
 
 /// Validates and summarises the lanes' stall schedules: either no lane has
@@ -1443,21 +1660,7 @@ mod tests {
 
     #[test]
     fn halting_pipelines_follow_the_shared_halt_script() {
-        use crate::testutil::{Forward, Terminator};
-        use wp_core::SequenceSource;
-        let build = || {
-            let mut b = SystemBuilder::new();
-            let src = b.add_process(Box::new(SequenceSource::new(
-                "src",
-                (1..=9u64).collect(),
-                0,
-            )));
-            let fwd = b.add_process(Box::new(Forward::new("fwd")));
-            let term = b.add_process(Box::new(Terminator::new("term")));
-            b.connect("src_fwd", src, 0, fwd, 0, 0);
-            b.connect("fwd_term", fwd, 0, term, 0, 0);
-            b
-        };
+        let build = halting_pipeline;
         let goal = RunGoal::UntilHalt {
             process: 0,
             max_cycles: 10_000,
@@ -1546,34 +1749,24 @@ mod tests {
     /// over rings of `m` stages with `n` relay stations.
     #[test]
     fn extrapolated_lanes_match_scalar_plain_runs_exactly() {
-        let max_cycles = 1_000_000u64;
         let mut batches = vec![(3usize, vec![0usize, 1, 2, 4, 7, 0, 3, 5], 50_000u64)];
         batches.extend([(1, 0), (1, 4), (2, 1), (3, 2), (5, 3)].map(|(m, n)| (m, vec![n], 5_000)));
         for (stages, rs_budgets, target) in batches {
-            let lanes: Vec<LaneScenario> = rs_budgets
+            let budgets: Vec<Vec<usize>> = rs_budgets
                 .iter()
                 .map(|&rs| {
                     let mut relay_stations = vec![0; stages];
                     relay_stations[0] = rs;
-                    LaneScenario {
-                        relay_stations,
-                        stall: None,
-                    }
+                    relay_stations
                 })
                 .collect();
-            let mut kernel =
-                LaneLidSimulator::new(ring(stages, 0), &lanes, ShellConfig::strict()).unwrap();
-            let outcomes = kernel.run_until_firings_extrapolated(0, target, max_cycles);
-            assert_eq!(outcomes.len(), rs_budgets.len());
-            for (l, (outcome, &rs)) in outcomes.iter().zip(&rs_budgets).enumerate() {
+            let runs = oracle_batch_matching_plain(&|| ring(stages, 0), &budgets, 0, target);
+            assert_eq!(runs.len(), rs_budgets.len());
+            for (l, (run, &rs)) in runs.iter().zip(&rs_budgets).enumerate() {
                 let at = format!("m={stages} n={rs} lane {l}");
-                let run = outcome.as_ref().expect("ring lanes complete");
-                let mut scalar =
-                    LidSimulator::new(ring(stages, rs), ShellConfig::strict()).unwrap();
-                scalar.set_trace_enabled(false);
-                scalar.run_until_firings(0, target, max_cycles).unwrap();
-                assert_eq!(run.report, scalar.report(), "{at}");
+                let run = run.as_ref().expect("ring lanes complete");
                 assert!(run.extrapolated, "{at} should have extrapolated");
+                assert_eq!(run.fallback, None, "{at}");
                 assert!(
                     run.simulated_cycles * 10 <= run.report.cycles,
                     "{at}: simulated {} of {} cycles",
@@ -1606,6 +1799,7 @@ mod tests {
         for (l, outcome) in outcomes.iter().enumerate() {
             let run = outcome.as_ref().expect("stalled lanes complete");
             assert!(!run.extrapolated, "lane {l} must not extrapolate");
+            assert_eq!(run.fallback, Some(OracleFallback::StallSchedule));
             assert_eq!(run.simulated_cycles, run.report.cycles, "lane {l}");
             let mut scalar = LidSimulator::new(ring(2, l), ShellConfig::strict()).unwrap();
             scalar.set_trace_enabled(false);
@@ -1677,5 +1871,334 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Relay budgets for a two-stage ring whose lane periods `2 + n` are
+    /// 5, 7, 8, 9, 11 and 13: their lcm, 360 360, is beyond the detection
+    /// window, so no joint period exists inside it.
+    const FUTILE_BUDGETS: [usize; 6] = [3, 5, 6, 7, 9, 11];
+
+    /// Tokens of the source in [`two_rings`]: it halts at cycle 200, after
+    /// the recurrences have proven the joint search futile.
+    const SOURCE_TOKENS: u64 = 200;
+
+    /// Two independent two-stage rings, `a` (processes 0, 1) and `b`
+    /// (processes 2, 3; channel 2 carries the lanes' budgets), plus, with
+    /// `halting`, a source of [`SOURCE_TOKENS`] tokens feeding a sink
+    /// (processes 4, 5).  The source fires every cycle in every lane, so
+    /// its halted plane flips in all lanes at once.
+    fn two_rings(halting: bool) -> SystemBuilder<u64> {
+        let mut b = SystemBuilder::new();
+        let a0 = b.add_process(Box::new(RingStage::new("a0")));
+        let a1 = b.add_process(Box::new(RingStage::new("a1")));
+        let b0 = b.add_process(Box::new(RingStage::new("b0")));
+        let b1 = b.add_process(Box::new(RingStage::new("b1")));
+        b.connect("a01", a0, 0, a1, 0, 0);
+        b.connect("a10", a1, 0, a0, 0, 0);
+        b.connect("b01", b0, 0, b1, 0, 0);
+        b.connect("b10", b1, 0, b0, 0, 0);
+        if halting {
+            let tokens = (1..=SOURCE_TOKENS).collect();
+            let src = b.add_process(Box::new(wp_core::SequenceSource::new("src", tokens, 0)));
+            let sink = b.add_process(Box::new(crate::testutil::Terminator::new("sink")));
+            b.connect("src_sink", src, 0, sink, 0, 0);
+        }
+        b
+    }
+
+    /// Ring `a` keeps one relay station in every lane; ring `b` carries
+    /// the futile budgets.
+    fn two_ring_budgets(halting: bool) -> Vec<Vec<usize>> {
+        FUTILE_BUDGETS
+            .iter()
+            .map(|&n| {
+                let mut rs = vec![1, 0, n, 0];
+                rs.extend(halting.then_some(0));
+                rs
+            })
+            .collect()
+    }
+
+    /// A nine-token source feeding a forwarder and a sink.
+    fn halting_pipeline() -> SystemBuilder<u64> {
+        use crate::testutil::{Forward, Terminator};
+        use wp_core::SequenceSource;
+        let mut b = SystemBuilder::new();
+        let src = b.add_process(Box::new(SequenceSource::new(
+            "src",
+            (1..=9u64).collect(),
+            0,
+        )));
+        let fwd = b.add_process(Box::new(Forward::new("fwd")));
+        let term = b.add_process(Box::new(Terminator::new("term")));
+        b.connect("src_fwd", src, 0, fwd, 0, 0);
+        b.connect("fwd_term", fwd, 0, term, 0, 0);
+        b
+    }
+
+    /// Runs `build()` as one oracle batch with the given per-lane relay
+    /// budgets, and checks every lane against a plain scalar run of the
+    /// same scenario: the same report, or the same error.
+    fn oracle_batch_matching_plain(
+        build: &dyn Fn() -> SystemBuilder<u64>,
+        budgets: &[Vec<usize>],
+        node: ProcessId,
+        target: u64,
+    ) -> Vec<Result<OracleRun, SimError>> {
+        let max_cycles = 1_000_000;
+        let lanes: Vec<LaneScenario> = budgets
+            .iter()
+            .map(|rs| LaneScenario {
+                relay_stations: rs.clone(),
+                stall: None,
+            })
+            .collect();
+        let mut kernel = LaneLidSimulator::new(build(), &lanes, ShellConfig::strict()).unwrap();
+        let runs = kernel.run_until_firings_extrapolated(node, target, max_cycles);
+        for (l, (run, rs)) in runs.iter().zip(budgets).enumerate() {
+            let mut builder = build();
+            for (c, &n) in rs.iter().enumerate() {
+                builder.set_relay_stations(c, n);
+            }
+            let mut scalar = LidSimulator::new(builder, ShellConfig::strict()).unwrap();
+            scalar.set_trace_enabled(false);
+            let plain = scalar
+                .run_until_firings(node, target, max_cycles)
+                .map(|_| scalar.report());
+            match (run, plain) {
+                (Ok(run), Ok(report)) => assert_eq!(run.report, report, "lane {l} of {rs:?}"),
+                (Err(e), Err(p)) => assert_eq!(e.to_string(), p.to_string(), "lane {l}"),
+                (run, plain) => panic!("lane {l}: oracle {run:?} vs plain {plain:?}"),
+            }
+        }
+        runs
+    }
+
+    /// Per-lane routes of a fixed set of oracle batches (rings that
+    /// extrapolate, rings whose joint period is beyond the window, halting
+    /// pipelines, and a ring that freezes after a halt), recorded before
+    /// the search learned to stop early: ending a futile search changes no
+    /// lane's goal cycle, simulated cycles or extrapolation.
+    #[test]
+    fn oracle_routes_match_the_recorded_routes() {
+        /// Name, builder, per-lane relay budgets, goal process, target.
+        type Batch = (
+            String,
+            Box<dyn Fn() -> SystemBuilder<u64>>,
+            Vec<Vec<usize>>,
+            ProcessId,
+            u64,
+        );
+        let mut batches: Vec<Batch> = vec![
+            (
+                "ring3 mixed".into(),
+                Box::new(|| ring(3, 0)),
+                [0usize, 1, 2, 4, 7, 0, 3, 5]
+                    .map(|n| vec![n, 0, 0])
+                    .to_vec(),
+                0,
+                50_000,
+            ),
+            (
+                "ring2 futile".into(),
+                Box::new(|| ring(2, 0)),
+                FUTILE_BUDGETS.map(|n| vec![n, 0]).to_vec(),
+                0,
+                2_000,
+            ),
+            (
+                "two rings".into(),
+                Box::new(|| two_rings(false)),
+                two_ring_budgets(false),
+                0,
+                50_000,
+            ),
+            (
+                "two rings and a halting source".into(),
+                Box::new(|| two_rings(true)),
+                two_ring_budgets(true),
+                0,
+                50_000,
+            ),
+        ];
+        for (m, n) in [(1usize, 0usize), (1, 4), (2, 1), (3, 2), (5, 3)] {
+            let mut rs = vec![0; m];
+            rs[0] = n;
+            batches.push((
+                format!("ring{m} n={n}"),
+                Box::new(move || ring(m, 0)),
+                vec![rs],
+                0,
+                5_000,
+            ));
+        }
+        // The goal is the source, which halts after its ninth firing (the
+        // oracle's halt caveat: no other process halts).
+        for target in [5, 9] {
+            batches.push((
+                format!("pipeline to {target}"),
+                Box::new(halting_pipeline),
+                vec![vec![0, 0], vec![2, 1], vec![5, 0], vec![0, 4]],
+                0,
+                target,
+            ));
+        }
+        let mut routes = Vec::new();
+        for (name, build, budgets, node, target) in &batches {
+            let runs = oracle_batch_matching_plain(build, budgets, *node, *target);
+            for (l, run) in runs.iter().enumerate() {
+                routes.push(match run {
+                    Ok(run) => format!(
+                        "{name} lane {l}: {} cycles, simulated {}, extrapolated {}",
+                        run.report.cycles, run.simulated_cycles, run.extrapolated
+                    ),
+                    Err(e) => format!("{name} lane {l}: {e}"),
+                });
+            }
+        }
+        assert_eq!(routes, RECORDED_ROUTES);
+    }
+
+    /// The routes of [`oracle_routes_match_the_recorded_routes`], recorded
+    /// with a search that hashed every cycle of the detection window.
+    const RECORDED_ROUTES: [&str; 39] = [
+        "ring3 mixed lane 0: 50000 cycles, simulated 1680, extrapolated true",
+        "ring3 mixed lane 1: 66666 cycles, simulated 1680, extrapolated true",
+        "ring3 mixed lane 2: 83332 cycles, simulated 1680, extrapolated true",
+        "ring3 mixed lane 3: 116664 cycles, simulated 1680, extrapolated true",
+        "ring3 mixed lane 4: 166662 cycles, simulated 1680, extrapolated true",
+        "ring3 mixed lane 5: 50000 cycles, simulated 1680, extrapolated true",
+        "ring3 mixed lane 6: 99998 cycles, simulated 1680, extrapolated true",
+        "ring3 mixed lane 7: 133330 cycles, simulated 1680, extrapolated true",
+        "ring2 futile lane 0: 5000 cycles, simulated 5000, extrapolated false",
+        "ring2 futile lane 1: 7000 cycles, simulated 7000, extrapolated false",
+        "ring2 futile lane 2: 8000 cycles, simulated 8000, extrapolated false",
+        "ring2 futile lane 3: 9000 cycles, simulated 9000, extrapolated false",
+        "ring2 futile lane 4: 11000 cycles, simulated 11000, extrapolated false",
+        "ring2 futile lane 5: 13000 cycles, simulated 13000, extrapolated false",
+        "two rings lane 0: 75000 cycles, simulated 75000, extrapolated false",
+        "two rings lane 1: 75000 cycles, simulated 75000, extrapolated false",
+        "two rings lane 2: 75000 cycles, simulated 75000, extrapolated false",
+        "two rings lane 3: 75000 cycles, simulated 75000, extrapolated false",
+        "two rings lane 4: 75000 cycles, simulated 75000, extrapolated false",
+        "two rings lane 5: 75000 cycles, simulated 75000, extrapolated false",
+        "two rings and a halting source lane 0: 75000 cycles, simulated 75000, extrapolated false",
+        "two rings and a halting source lane 1: 75000 cycles, simulated 75000, extrapolated false",
+        "two rings and a halting source lane 2: 75000 cycles, simulated 75000, extrapolated false",
+        "two rings and a halting source lane 3: 75000 cycles, simulated 75000, extrapolated false",
+        "two rings and a halting source lane 4: 75000 cycles, simulated 75000, extrapolated false",
+        "two rings and a halting source lane 5: 75000 cycles, simulated 75000, extrapolated false",
+        "ring1 n=0 lane 0: 5000 cycles, simulated 2, extrapolated true",
+        "ring1 n=4 lane 0: 25000 cycles, simulated 10, extrapolated true",
+        "ring2 n=1 lane 0: 7500 cycles, simulated 6, extrapolated true",
+        "ring3 n=2 lane 0: 8332 cycles, simulated 10, extrapolated true",
+        "ring5 n=3 lane 0: 8000 cycles, simulated 16, extrapolated true",
+        "pipeline to 5 lane 0: 5 cycles, simulated 5, extrapolated false",
+        "pipeline to 5 lane 1: 5 cycles, simulated 5, extrapolated false",
+        "pipeline to 5 lane 2: 5 cycles, simulated 5, extrapolated false",
+        "pipeline to 5 lane 3: 5 cycles, simulated 5, extrapolated false",
+        "pipeline to 9 lane 0: 9 cycles, simulated 8, extrapolated true",
+        "pipeline to 9 lane 1: 9 cycles, simulated 8, extrapolated true",
+        "pipeline to 9 lane 2: 9 cycles, simulated 8, extrapolated true",
+        "pipeline to 9 lane 3: 9 cycles, simulated 8, extrapolated true",
+    ];
+
+    /// A lane's exact period by brute force: the first repeat of its
+    /// one-lane control state.
+    fn brute_force_period(build: SystemBuilder<u64>, relay_stations: Vec<usize>) -> u64 {
+        let lanes = [LaneScenario {
+            relay_stations,
+            stall: None,
+        }];
+        let mut kernel = LaneLidSimulator::new(build, &lanes, ShellConfig::strict()).unwrap();
+        let mut seen = HashMap::new();
+        loop {
+            if let Some(first) = seen.insert(kernel.control_words().to_vec(), kernel.cycles()) {
+                return kernel.cycles() - first;
+            }
+            kernel.run_for(1);
+        }
+    }
+
+    /// A heterogeneous batch whose joint period — the lcm of its lane
+    /// periods — is beyond the detection window: the per-lane recurrences
+    /// prove the joint search futile within a few lane periods, and every
+    /// lane still equals its plain run.
+    #[test]
+    fn futile_joint_search_is_proven_early_and_changes_no_result() {
+        let budgets: Vec<Vec<usize>> = FUTILE_BUDGETS.iter().map(|&n| vec![n, 0]).collect();
+        let periods: Vec<u64> = budgets
+            .iter()
+            .map(|rs| brute_force_period(ring(2, 0), rs.clone()))
+            .collect();
+        assert_eq!(periods, [5, 7, 8, 9, 11, 13]);
+        let joint = periods.iter().fold(1, |l, &p| lcm_saturating(l, p));
+        assert!(joint > ORACLE_DETECTION_WINDOW, "joint period {joint}");
+        let bound = 4 * periods.iter().max().unwrap();
+        let runs = oracle_batch_matching_plain(&|| ring(2, 0), &budgets, 0, 2_000);
+        for (l, run) in runs.iter().enumerate() {
+            let run = run.as_ref().expect("ring lanes complete");
+            assert!(!run.extrapolated, "lane {l}");
+            assert_eq!(run.simulated_cycles, run.report.cycles, "lane {l}");
+            match run.fallback {
+                Some(OracleFallback::PeriodBeyondWindow { proven_at }) => {
+                    assert!(proven_at <= bound, "lane {l}: proven at {proven_at}")
+                }
+                other => panic!("lane {l}: {other:?}"),
+            }
+        }
+    }
+
+    /// A halted plane that flips after the futility proof starts a new
+    /// epoch: the search resumes with an empty table and is proven futile
+    /// again only after the flip, and every lane still equals its plain
+    /// run.
+    #[test]
+    fn a_halt_after_the_futility_proof_resumes_the_search() {
+        let proofs = |halting| -> Vec<u64> {
+            let budgets = two_ring_budgets(halting);
+            oracle_batch_matching_plain(&|| two_rings(halting), &budgets, 0, 50_000)
+                .iter()
+                .map(
+                    |run| match run.as_ref().expect("ring lanes complete").fallback {
+                        Some(OracleFallback::PeriodBeyondWindow { proven_at }) => proven_at,
+                        other => panic!("{other:?}"),
+                    },
+                )
+                .collect()
+        };
+        // The source fires every cycle, so its halted plane flips at cycle
+        // SOURCE_TOKENS in every lane.
+        let without_halt = proofs(false);
+        assert!(
+            without_halt.iter().all(|&at| at < SOURCE_TOKENS),
+            "{without_halt:?}"
+        );
+        let with_halt = proofs(true);
+        assert!(
+            with_halt.iter().all(|&at| at > SOURCE_TOKENS),
+            "{with_halt:?}"
+        );
+    }
+
+    /// A goal met while the search still runs, or after it, names why.
+    #[test]
+    fn plain_routes_name_their_reason() {
+        let budgets = [vec![0, 0], vec![2, 1]];
+        for run in oracle_batch_matching_plain(&halting_pipeline, &budgets, 0, 5) {
+            assert_eq!(
+                run.unwrap().fallback,
+                Some(OracleFallback::GoalBeforePeriod)
+            );
+        }
+        let search = PeriodSearch::new(&[0], 0);
+        assert_eq!(
+            search.fallback(ORACLE_DETECTION_WINDOW),
+            OracleFallback::GoalBeforePeriod
+        );
+        assert_eq!(
+            search.fallback(ORACLE_DETECTION_WINDOW + 1),
+            OracleFallback::WindowExhausted
+        );
     }
 }

@@ -90,7 +90,7 @@ pub use golden::GoldenSimulator;
 pub use lane::{LaneLidSimulator, LaneOutcome, LaneScenario, StallSchedule, MAX_LANES};
 pub use lid::{LidReport, LidSimulator, DEFAULT_DEADLOCK_WINDOW};
 pub use naive::{NaiveGoldenSimulator, NaiveSimulator};
-pub use oracle::{OracleRun, ORACLE_DETECTION_WINDOW};
+pub use oracle::{OracleFallback, OracleRun, ORACLE_DETECTION_WINDOW};
 pub use simulator::Simulator;
 pub use spec::{ChannelId, ChannelSpec, ProcessId, SimError, SystemBuilder};
 pub use sweep::{RunGoal, Scenario, SweepError, SweepOutcome, SweepRunner, SweepStats};

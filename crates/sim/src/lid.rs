@@ -31,7 +31,7 @@ use wp_core::{ChannelTrace, Process, RelayChain, Shell, ShellConfig, ShellStats,
 
 use crate::arena::WireArena;
 use crate::lane::StallSchedule;
-use crate::spec::{ChannelSpec, ProcessId, SimError, SystemBuilder};
+use crate::spec::{check_shell_config, ChannelSpec, ProcessId, SimError, SystemBuilder};
 
 /// How many consecutive cycles without a single firing are tolerated before
 /// the simulator declares a deadlock.
@@ -101,9 +101,11 @@ impl<V: Clone + PartialEq> LidSimulator<V> {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidSystem`] when the description is not fully
-    /// and consistently connected.
+    /// and consistently connected, or when `config` asks for input queues
+    /// of fewer than two slots.
     pub fn new(builder: SystemBuilder<V>, config: ShellConfig) -> Result<Self, SimError> {
         builder.validate()?;
+        check_shell_config(&config)?;
         let (processes, channels) = builder.into_parts();
         let shells: Vec<Shell<V>> = processes
             .into_iter()
@@ -598,6 +600,20 @@ mod drain_tests {
         // Draining again immediately is a no-op apart from the idle window.
         let extra2 = sim.drain(8, 10_000).unwrap();
         assert_eq!(extra2, 8);
+    }
+
+    /// Input queues of one slot cannot hold the token that arrives after
+    /// the registered stop: the description is rejected, not a panic.
+    #[test]
+    fn a_one_slot_queue_is_an_invalid_system() {
+        let mut b = SystemBuilder::new();
+        let f1 = b.add_process(Box::new(Forward::new("f1")));
+        let f2 = b.add_process(Box::new(Forward::new("f2")));
+        b.connect("a", f1, 0, f2, 0, 0);
+        b.connect("b", f2, 0, f1, 0, 0);
+        let config = ShellConfig::strict().with_fifo_capacity(1);
+        let err = LidSimulator::new(b, config).expect_err("capacity 1 is rejected");
+        assert!(matches!(err, SimError::InvalidSystem(_)), "{err}");
     }
 
     #[test]

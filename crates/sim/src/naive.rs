@@ -28,7 +28,7 @@
 use wp_core::{ChannelTrace, Process, RelayChain, Shell, ShellConfig, Token, TraceArena};
 
 use crate::lid::LidReport;
-use crate::spec::{ChannelSpec, ProcessId, SimError, SystemBuilder};
+use crate::spec::{check_shell_config, ChannelSpec, ProcessId, SimError, SystemBuilder};
 
 /// The seed implementation of the latency-insensitive simulator: same
 /// observable behaviour as [`LidSimulator`], per-cycle heap allocations and
@@ -64,9 +64,11 @@ impl<V: Clone + PartialEq> NaiveSimulator<V> {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidSystem`] when the description is not fully
-    /// and consistently connected.
+    /// and consistently connected, or when `config` asks for input queues
+    /// of fewer than two slots.
     pub fn new(builder: SystemBuilder<V>, config: ShellConfig) -> Result<Self, SimError> {
         builder.validate()?;
+        check_shell_config(&config)?;
         let (processes, channels) = builder.into_parts();
         let shells = processes
             .into_iter()

@@ -21,8 +21,39 @@
 //! single run is a one-lane batch.  A batch with a stall schedule, or one
 //! with no period inside the detection window, simulates to its goals
 //! plainly — the oracle only ever reads state, so the fallback is
-//! bit-identical to never having asked.  Oracle-policy (WP2) runs, which
-//! the lane kernel rejects, are simulated plainly by the sweep.
+//! bit-identical to never having asked — and every such run names its
+//! [`OracleFallback`].  Oracle-policy (WP2) runs, which the lane kernel
+//! rejects, are simulated plainly by the sweep.
+//!
+//! # Proving the joint search futile
+//!
+//! The joint state of a batch repeats only with the least common multiple
+//! of its lanes' periods, which for heterogeneous relay budgets is often
+//! far beyond [`ORACLE_DETECTION_WINDOW`].  Beside the hash search the
+//! drive loop therefore runs Brent's cycle detection (Brent 1980) on every
+//! lane at once: it snapshots the control words `1, 2, 4, …` cycles into an
+//! *epoch*, and on every cycle ORs `snapshot ^ now` over all words.  A lane
+//! whose bit is clear has recurred exactly — lanes are independent
+//! bit-slices, so no hash is involved — with period
+//! `λ_l = clock − snapshot clock`, and it is exactly the lane's least
+//! period once the snapshot lies in its cycle.
+//!
+//! Every joint repeat `(c′, c)` inside an epoch starting at `e` repeats
+//! every lane, so each `λ_l` divides `c − c′` and `c ≥ e + lcm(λ_l)`.
+//! The lcm of the periods found so far divides the full one, so as soon as
+//! `e + lcm > ORACLE_DETECTION_WINDOW` the hash search provably finds
+//! nothing more inside the window: it stops and drops its table
+//! ([`OracleFallback::PeriodBeyondWindow`] records the proof cycle).  The
+//! search only ever stops when it cannot succeed, so a batch that does
+//! have a joint period in the window detects it at exactly the same cycle
+//! as before.
+//!
+//! Epochs bound the argument.  The lane step is autonomous only while the
+//! halted planes are constant, and halted planes only ever gain bits, so no
+//! state after a halt flip equals one before it: a flip starts a new epoch,
+//! and a search that was proven futile resumes with an empty table.  A
+//! candidate period that fails verification also starts a new epoch,
+//! because verification steps the clock without recurrence checks.
 //!
 //! One caveat bounds the soundness argument: a *halted* flag is part of the
 //! hashed control state, but its transition is driven by the process's data
@@ -63,6 +94,8 @@ pub struct OracleRun {
     /// `true` when steady-state extrapolation supplied the tail of the run;
     /// `false` when the goal was reached by plain simulation.
     pub extrapolated: bool,
+    /// Why the run was not extrapolated: `None` exactly when `extrapolated`.
+    pub fallback: Option<OracleFallback>,
 }
 
 impl OracleRun {
@@ -71,6 +104,59 @@ impl OracleRun {
     pub fn extrapolated_cycles(&self) -> u64 {
         self.report.cycles.saturating_sub(self.simulated_cycles)
     }
+}
+
+/// Why an oracle run reached its goal by plain simulation instead of by
+/// extrapolation.  Every such run carries exactly one reason, so no
+/// fallback is silent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum OracleFallback {
+    /// The goal was reached while the joint period was still being
+    /// searched for (or verified).
+    GoalBeforePeriod,
+    /// The per-lane recurrences proved, at cycle `proven_at`, that no joint
+    /// period can be found inside [`ORACLE_DETECTION_WINDOW`], and the
+    /// search stopped there.
+    PeriodBeyondWindow {
+        /// The cycle at which the lcm bound crossed the window.
+        proven_at: u64,
+    },
+    /// The detection window ran out without a joint period and without a
+    /// proof that none exists.
+    WindowExhausted,
+    /// The batch has a stall schedule, which reads the absolute cycle: the
+    /// control plane alone does not determine the future.
+    StallSchedule,
+    /// A joint period was verified, but the goal process never fires in it.
+    GoalNeverFires,
+    /// A joint period was verified, but a firing-free gap of its steady
+    /// state reaches the deadlock window.
+    DeadlockGap,
+}
+
+impl OracleFallback {
+    /// A short stable label (the proof cycle omitted), for tallies.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Self::GoalBeforePeriod => "goal before period",
+            Self::PeriodBeyondWindow { .. } => "period beyond window",
+            Self::WindowExhausted => "window exhausted",
+            Self::StallSchedule => "stall schedule",
+            Self::GoalNeverFires => "goal never fires",
+            Self::DeadlockGap => "deadlock gap",
+        }
+    }
+}
+
+/// Least common multiple, saturating at `u64::MAX`.
+pub(crate) fn lcm_saturating(a: u64, b: u64) -> u64 {
+    fn gcd(mut a: u64, mut b: u64) -> u64 {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    }
+    (a / gcd(a, b)).saturating_mul(b)
 }
 
 /// Splits `rem ≥ 1` remaining firings into `k` whole periods plus a residue
@@ -140,6 +226,14 @@ mod tests {
         let pattern = [0u64, 1, 1, 2];
         assert_eq!(goal_offset(&pattern, 1), 1);
         assert_eq!(goal_offset(&pattern, 2), 3);
+    }
+
+    #[test]
+    fn lcm_saturates() {
+        assert_eq!(lcm_saturating(1, 7), 7);
+        assert_eq!(lcm_saturating(4, 6), 12);
+        assert_eq!(lcm_saturating(12, 4), 12);
+        assert_eq!(lcm_saturating(u64::MAX - 1, 3), u64::MAX);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::error::Error;
 use std::fmt;
 
-use wp_core::{Process, ProtocolError};
+use wp_core::{Process, ProtocolError, ShellConfig};
 use wp_netlist::{Netlist, NodeId};
 
 /// Identifier of a process inside a [`SystemBuilder`] (also its index).
@@ -72,6 +72,19 @@ impl Error for SimError {
             _ => None,
         }
     }
+}
+
+/// Rejects a shell configuration no kernel can simulate: the protocol's
+/// registered stop lets one more token arrive after the stop is asserted,
+/// so every input queue needs at least two slots.
+pub(crate) fn check_shell_config(config: &ShellConfig) -> Result<(), SimError> {
+    if config.fifo_capacity < 2 {
+        return Err(SimError::InvalidSystem(format!(
+            "shell queues need a capacity of at least 2, got {}",
+            config.fifo_capacity
+        )));
+    }
+    Ok(())
 }
 
 impl From<ProtocolError> for SimError {

@@ -1778,31 +1778,11 @@ mod tests {
         assert_eq!(stats.lane_batches, 0);
     }
 
-    /// A port-free process that fires every cycle: it never queues a token,
-    /// so the plain kernel accepts any queue capacity.
-    struct Tick;
-
-    impl wp_core::Process<u64> for Tick {
-        fn name(&self) -> &str {
-            "tick"
-        }
-        fn num_inputs(&self) -> usize {
-            0
-        }
-        fn num_outputs(&self) -> usize {
-            0
-        }
-        fn output(&self, port: usize) -> u64 {
-            panic!("tick has no output port {port}")
-        }
-        fn fire(&mut self, _inputs: &[Option<u64>]) {}
-        fn reset(&mut self) {}
-    }
-
     /// The oracle route outside a packed batch.  A strict oracle scenario
-    /// with no lane key runs as a one-lane batch and extrapolates; a strict
-    /// one the lane kernel rejects (queue capacity 1) simulates plainly and
-    /// is counted as a fallback.  Both equal the plain sweep's outcome.
+    /// with no lane key runs as a one-lane batch and extrapolates, equal to
+    /// the plain sweep's outcome.  One the lane kernel rejects (queue
+    /// capacity 1) goes to the plain kernel, which rejects it with the same
+    /// error, and nothing is tallied.
     #[test]
     fn unpacked_oracle_scenarios_run_as_one_lane_batches() {
         let goal = RunGoal::UntilFirings {
@@ -1829,16 +1809,21 @@ mod tests {
         assert_eq!(stats.oracle_extrapolations, 1);
         assert_eq!(stats.oracle_fallbacks, 0);
 
-        let tick = ShellConfig::strict().with_fifo_capacity(1);
-        let (reference, stats) = run(Scenario::new("tick", tick, goal, || {
-            let mut b = SystemBuilder::new();
-            b.add_process(Box::new(Tick));
-            b
-        }));
+        let one_slot = ShellConfig::strict().with_fifo_capacity(1);
+        let scenario = || Scenario::new("one slot", one_slot, goal, || ring(3, 2));
+        let plain = execute(&scenario()).expect_err("capacity 1 is rejected");
+        let (mut outcomes, stats) =
+            SweepRunner::new(1).run_with_stats(vec![scenario().with_oracle()]);
+        let oracle = outcomes.remove(0).expect_err("capacity 1 is rejected");
+        assert!(
+            matches!(oracle.error, SimError::InvalidSystem(_)),
+            "{}",
+            oracle.error
+        );
+        assert_eq!(oracle.error.to_string(), plain.error.to_string());
         assert_eq!(stats.lane_batches, 0, "the lane kernel rejects capacity 1");
-        assert_eq!(stats.oracle_fallbacks, 1);
-        assert_eq!(stats.oracle_extrapolations, 0);
-        assert_eq!(stats.oracle_simulated_cycles, reference.report.cycles);
+        assert_eq!(stats.oracle_fallbacks + stats.oracle_extrapolations, 0);
+        assert_eq!(stats.oracle_simulated_cycles, 0);
     }
 
     /// `with_traces` + `with_equivalence_check`: the caller's traces must
