@@ -29,12 +29,12 @@ pub use wiring::ScenarioWiring;
 
 use wp_core::{PortSet, Process, ShellConfig, SyncPolicy};
 use wp_proc::{
-    build_soc, extraction_sort, matrix_multiply, run_golden_soc, soc_state, Link, Msg,
-    Organization, RsConfig, SocError, SocState, Workload, CU,
+    build_soc, extraction_sort, matrix_multiply, soc_state, Link, Msg, Organization, RsConfig,
+    SocError, SocState, Workload, CU,
 };
 use wp_sim::{
-    LaneLidSimulator, LaneScenario, LidReport, LidSimulator, RunGoal, Scenario, StallSchedule,
-    SweepOutcome, SweepRunner, SweepStats, SystemBuilder, MAX_LANES,
+    GoldenSimulator, LaneLidSimulator, LaneScenario, LidReport, LidSimulator, RunGoal, Scenario,
+    StallSchedule, SweepOutcome, SweepRunner, SweepStats, SystemBuilder, MAX_LANES,
 };
 
 /// Default cycle budget for SoC simulations.
@@ -402,7 +402,7 @@ pub fn run_table(
 ///
 /// When `oracle` converts rows (`--oracle`) and the equivalence gate is
 /// off, every WP1 (strict) scenario is replaced by its extrapolating twin
-/// ([`soc_oracle_scenario`], with the goal re-expressed as `golden.cycles`
+/// ([`soc_oracle_scenario`], with the goal re-expressed as `golden_cycles`
 /// CU firings); the produced cycle columns are bit-identical to a plain
 /// run while orders of magnitude fewer cycles are simulated (pinned
 /// byte-for-byte by CI).  `verify` wins over the oracle: the equivalence
@@ -425,7 +425,11 @@ pub fn run_table_oracle(
     lanes: LaneMode,
     oracle: OracleMode,
 ) -> Result<(Vec<TableRow>, SweepStats), SocError> {
-    let golden = run_golden_soc(workload, org, MAX_CYCLES)?;
+    // Only the golden cycle count is needed here: run the un-pipelined
+    // system without channel traces or the memory read-back.
+    let mut golden = GoldenSimulator::new(build_soc(workload, org, &RsConfig::ideal()))?;
+    golden.set_trace_enabled(false);
+    let golden_cycles = golden.run_until_halt(CU, MAX_CYCLES)?;
     // The equivalence gate needs the full streamed run, so --verify pins
     // plain simulation regardless of the oracle mode.
     let convert = oracle.converts_rows() && !verify;
@@ -436,7 +440,7 @@ pub fn run_table_oracle(
             // The oracle conversion happens at construction (the goal is
             // re-expressed as a firing count), not as a wired feature.
             let scenario = if convert && policy == SyncPolicy::Strict {
-                soc_oracle_scenario(row_label, workload, org, *rs, golden.cycles)
+                soc_oracle_scenario(row_label, workload, org, *rs, golden_cycles)
             } else {
                 soc_scenario(row_label, workload, org, *rs, policy)
             };
@@ -463,7 +467,7 @@ pub fn run_table_oracle(
         let predicted = predict_wp1_throughput(workload, org, rs);
         let mut row = TableRow::new(
             label.clone(),
-            golden.cycles,
+            golden_cycles,
             wp1.cycles_to_goal,
             wp2.cycles_to_goal,
             predicted,
@@ -1024,7 +1028,7 @@ mod tests {
 
     /// The `--oracle` acceptance property: converted tables are
     /// bit-identical to plain ones (which also pins the `UntilHalt` ≡
-    /// `UntilFirings(golden.cycles)` re-expression), the auto spot-check
+    /// `UntilFirings(golden_cycles)` re-expression), the auto spot-check
     /// passes, and the sweep reports a real simulated-cycle saving.
     #[test]
     fn oracle_table_matches_the_plain_table_and_reports_the_saving() {

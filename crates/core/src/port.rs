@@ -35,6 +35,7 @@ pub struct PortSet {
 
 impl PortSet {
     /// The empty set: the next firing reads no inputs.
+    #[inline]
     pub fn empty() -> Self {
         Self { bits: 0 }
     }
@@ -45,6 +46,7 @@ impl PortSet {
     /// # Panics
     ///
     /// Panics if `n > 64`.
+    #[inline]
     pub fn all(n: usize) -> Self {
         assert!(n <= MAX_PORTS, "PortSet supports at most {MAX_PORTS} ports");
         if n == MAX_PORTS {
@@ -70,6 +72,7 @@ impl PortSet {
     }
 
     /// Convenience constructor for a single-port set.
+    #[inline]
     pub fn single(port: usize) -> Self {
         let mut set = Self::empty();
         set.insert(port);
@@ -81,6 +84,7 @@ impl PortSet {
     /// # Panics
     ///
     /// Panics if `port >= 64`.
+    #[inline]
     pub fn insert(&mut self, port: usize) {
         assert!(port < MAX_PORTS, "port index {port} out of range");
         self.bits |= 1u64 << port;
@@ -94,6 +98,7 @@ impl PortSet {
     }
 
     /// Returns `true` when the port belongs to the set.
+    #[inline]
     pub fn contains(&self, port: usize) -> bool {
         port < MAX_PORTS && (self.bits >> port) & 1 == 1
     }
@@ -127,12 +132,11 @@ impl PortSet {
         self.bits & !other.bits == 0
     }
 
-    /// Iterates over the port indices in ascending order.
+    /// Iterates over the port indices in ascending order, visiting only
+    /// the members (one step per set bit, not one per possible port).
+    #[inline]
     pub fn iter(&self) -> Iter {
-        Iter {
-            bits: self.bits,
-            next: 0,
-        }
+        Iter { bits: self.bits }
     }
 }
 
@@ -164,27 +168,34 @@ impl fmt::Display for PortSet {
 }
 
 /// Iterator over the port indices of a [`PortSet`], produced by
-/// [`PortSet::iter`].
+/// [`PortSet::iter`].  It holds the members not yet visited and pops the
+/// lowest one per step, so a walk costs one step per member.
 #[derive(Debug, Clone)]
 pub struct Iter {
     bits: u64,
-    next: usize,
 }
 
 impl Iterator for Iter {
     type Item = usize;
 
+    #[inline]
     fn next(&mut self) -> Option<usize> {
-        while self.next < MAX_PORTS {
-            let idx = self.next;
-            self.next += 1;
-            if (self.bits >> idx) & 1 == 1 {
-                return Some(idx);
-            }
+        if self.bits == 0 {
+            return None;
         }
-        None
+        let idx = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(idx)
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.bits.count_ones() as usize;
+        (n, Some(n))
     }
 }
+
+impl ExactSizeIterator for Iter {}
 
 impl IntoIterator for PortSet {
     type Item = usize;

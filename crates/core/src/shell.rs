@@ -22,6 +22,10 @@
 //!   the next computation actually reads; the block fires as soon as those are
 //!   available, and tokens whose tag is older than the firing counter ("old
 //!   tags") are discarded on arrival because the process was blind to them.
+//!
+//! The firing path costs what the firing needs, not what the port space
+//! allows: a [`PortSet`] iterates its set bits only, so the synchroniser's
+//! readiness check and the pop loop each take one step per required port.
 
 use crate::error::ProtocolError;
 use crate::fifo::BoundedFifo;
@@ -197,8 +201,9 @@ pub struct Shell<V> {
     /// Number of firings performed so far (the current tag of the process).
     fired: u64,
     /// Persistent scratch handed to [`Process::fire`]: one slot per input
-    /// port, reset to `None` before every firing.  Keeping it in the shell
-    /// makes [`Shell::update`] allocation-free in steady state.
+    /// port, `None` except during a firing, which fills and then clears the
+    /// required slots only.  Keeping it in the shell makes [`Shell::update`]
+    /// allocation-free in steady state.
     fire_buf: Vec<Option<V>>,
     stats: ShellStats,
     last_stall: Option<StallCause>,
@@ -394,8 +399,9 @@ impl<V: Clone> Shell<V> {
         let fired = match decision {
             Ok(required) => {
                 // Pop the consumed tokens into the persistent scratch slots
-                // and fire (no allocation on this path).
-                self.fire_buf.iter_mut().for_each(|slot| *slot = None);
+                // and fire (no allocation on this path).  Every slot is
+                // `None` between firings, so only the required ones need
+                // clearing afterwards.
                 for i in required.iter() {
                     let value = self.in_queues[i]
                         .pop()
@@ -404,6 +410,9 @@ impl<V: Clone> Shell<V> {
                     self.fire_buf[i] = Some(value);
                 }
                 self.process.fire(&self.fire_buf);
+                for i in required.iter() {
+                    self.fire_buf[i] = None;
+                }
                 self.fired += 1;
                 self.stats.firings += 1;
                 self.last_stall = None;

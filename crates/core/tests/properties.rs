@@ -48,6 +48,32 @@ proptest! {
     }
 }
 
+// The set-bit walk of `PortSet::iter` visits exactly the ports a naive scan
+// of all 64 positions finds, in the same order, and reports its exact
+// remaining length, on dense (`a`), sparse (`a & b`) and very sparse
+// (`a & b & c`) random masks and on the empty, full and bit-63 masks.
+proptest! {
+    #[test]
+    fn portset_iter_equals_a_naive_bit_scan(
+        a in any::<u64>(),
+        b in any::<u64>(),
+        c in any::<u64>(),
+    ) {
+        for mask in [a, a & b, a & b & c, 0, u64::MAX, 1 << 63] {
+            let naive: Vec<usize> = (0..64).filter(|&p| (mask >> p) & 1 == 1).collect();
+            let set = PortSet::from_ports(naive.iter().copied());
+            prop_assert_eq!(set.iter().collect::<Vec<_>>(), naive);
+            // The exact size holds before and after every step.
+            let mut iter = set.iter();
+            for left in (0..=naive.len()).rev() {
+                prop_assert_eq!(iter.len(), left);
+                iter.next();
+            }
+            prop_assert_eq!(iter.next(), None);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // BoundedFifo behaves like VecDeque under the same operation sequence.
 // ---------------------------------------------------------------------------

@@ -1,7 +1,5 @@
 //! RF — the register file block.
 
-use std::collections::BTreeSet;
-
 use wp_core::{PortSet, Process};
 
 use crate::isa::{Reg, NUM_REGS};
@@ -18,6 +16,11 @@ pub const OUT_ALU: usize = 0;
 /// Output port towards the data memory (store data).
 pub const OUT_DC: usize = 1;
 
+/// Firings from a command to its ALU write-back.
+const ALU_WB_DELAY: u32 = 2;
+/// Firings from a command to its load write-back.
+const LOAD_WB_DELAY: u32 = 3;
+
 /// The register file.
 ///
 /// Its communication profile is the interesting one for the paper's oracle:
@@ -26,12 +29,16 @@ pub const OUT_DC: usize = 1;
 /// write-back (two, respectively three, firings after the command).  Those
 /// firing indices are tracked in small schedules, which is exactly the
 /// "minimal knowledge of the IP's communication profile" the paper asks for.
+///
+/// Each schedule is a shift register over the next firings: bit `k` means
+/// "due `k` firings from now".  A command announces by setting bit 2 (ALU)
+/// or 3 (load), a firing tests bit 0, and every firing shifts right once, so
+/// the oracle and the firing are constant-time and allocation-free.
 #[derive(Debug, Clone)]
 pub struct RegFile {
     regs: [i64; NUM_REGS],
-    fires: u64,
-    alu_wb_due: BTreeSet<u64>,
-    load_wb_due: BTreeSet<u64>,
+    alu_wb_due: u8,
+    load_wb_due: u8,
     out_operands: Msg,
     out_store: Msg,
     writebacks: u64,
@@ -42,9 +49,8 @@ impl RegFile {
     pub fn new() -> Self {
         Self {
             regs: [0; NUM_REGS],
-            fires: 0,
-            alu_wb_due: BTreeSet::new(),
-            load_wb_due: BTreeSet::new(),
+            alu_wb_due: 0,
+            load_wb_due: 0,
             out_operands: Msg::Bubble,
             out_store: Msg::Bubble,
             writebacks: 0,
@@ -102,10 +108,10 @@ impl Process<Msg> for RegFile {
 
     fn required_inputs(&self) -> PortSet {
         let mut set = PortSet::single(IN_CU);
-        if self.alu_wb_due.contains(&self.fires) {
+        if self.alu_wb_due & 1 == 1 {
             set.insert(IN_ALU);
         }
-        if self.load_wb_due.contains(&self.fires) {
+        if self.load_wb_due & 1 == 1 {
             set.insert(IN_DC);
         }
         set
@@ -114,12 +120,12 @@ impl Process<Msg> for RegFile {
     fn fire(&mut self, inputs: &[Option<Msg>]) {
         // Write-backs are applied before the command is served so that an
         // instruction issued in the same firing observes the freshest values.
-        if self.alu_wb_due.remove(&self.fires) {
+        if self.alu_wb_due & 1 == 1 {
             if let Some(Msg::Writeback { reg, value }) = inputs[IN_ALU] {
                 self.set_reg(reg, value);
             }
         }
-        if self.load_wb_due.remove(&self.fires) {
+        if self.load_wb_due & 1 == 1 {
             if let Some(Msg::LoadData { reg, value }) = inputs[IN_DC] {
                 self.set_reg(reg, value);
             }
@@ -138,10 +144,10 @@ impl Process<Msg> for RegFile {
                     None => Msg::Bubble,
                 };
                 if cmd.expect_alu_wb {
-                    self.alu_wb_due.insert(self.fires + 2);
+                    self.alu_wb_due |= 1 << ALU_WB_DELAY;
                 }
                 if cmd.expect_load_wb {
-                    self.load_wb_due.insert(self.fires + 3);
+                    self.load_wb_due |= 1 << LOAD_WB_DELAY;
                 }
             }
             _ => {
@@ -149,7 +155,8 @@ impl Process<Msg> for RegFile {
                 self.out_store = Msg::Bubble;
             }
         }
-        self.fires += 1;
+        self.alu_wb_due >>= 1;
+        self.load_wb_due >>= 1;
     }
 
     fn reset(&mut self) {
@@ -287,6 +294,54 @@ mod tests {
             None,
         ]);
         assert_eq!(rf.output(OUT_ALU), Msg::Operands { a: 11, b: 0 });
+    }
+
+    #[test]
+    fn overlapping_writebacks_are_required_at_exactly_k_plus_two_and_three() {
+        let announce = |alu, load| {
+            Msg::RegCmd(RegCmd {
+                rs1: 1,
+                rs2: 2,
+                expect_alu_wb: alu,
+                expect_load_wb: load,
+                ..RegCmd::default()
+            })
+        };
+        // Firing 0 announces an ALU write-back (due at 2) and a load (due
+        // at 3); firing 1 announces both again (due at 3 and 4).
+        let commands = [announce(true, true), announce(true, true)];
+        let mut rf = RegFile::new();
+        let mut required = Vec::new();
+        for k in 0..7 {
+            let need = rf.required_inputs();
+            required.push((need.contains(IN_ALU), need.contains(IN_DC)));
+            let cu = commands.get(k).copied().unwrap_or(Msg::Bubble);
+            let alu = need.contains(IN_ALU).then_some(Msg::Writeback {
+                reg: 3,
+                value: 30 + k as i64,
+            });
+            let dc = need.contains(IN_DC).then_some(Msg::LoadData {
+                reg: 4,
+                value: 40 + k as i64,
+            });
+            rf.fire(&[Some(cu), alu, dc]);
+        }
+        assert_eq!(
+            required,
+            [
+                (false, false),
+                (false, false),
+                (true, false),
+                (true, true),
+                (false, true),
+                (false, false),
+                (false, false),
+            ]
+        );
+        // Every announced write-back was applied at its firing, the last of
+        // each kind winning.
+        assert_eq!(rf.writebacks(), 4);
+        assert_eq!((rf.reg(3), rf.reg(4)), (33, 44));
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //!   recorded trace);
 //! * the per-cycle fired count is returned by the shell update phase and
 //!   folded into one monotonic counter, instead of re-scanning every shell's
-//!   firing counter twice per cycle (and twice more per `drain` cycle).
+//!   firing counter twice per cycle (and twice more per `drain` cycle);
+//! * a shell's firing path walks only the set bits of the port set its
+//!   synchroniser needs ([`wp_core::PortSet`] iteration is O(members), not
+//!   O(64)), so a WP2 firing that reads one input touches one queue.
 //!
 //! The seed implementation survives as [`crate::NaiveSimulator`]: the
 //! kernel-equivalence property tests assert cycle-identical behaviour and

@@ -8,6 +8,14 @@ use std::fmt::Write as _;
 
 use wp_netlist::{relay_stations_for_delay, Netlist};
 
+/// The most relay stations one channel may carry, whether declared with
+/// `relay=` or derived from `latency=` by [`NetlistSpec::insert_relays`].
+/// Every simulator allocates each station, so a count read from spec text
+/// must be bounded before it reaches one: an unbounded count aborts the
+/// process on allocation instead of failing with a [`SpecError`].  The
+/// paper's wires need a handful of stations; this leaves ample headroom.
+pub const MAX_RELAY_STATIONS: usize = 4096;
+
 /// Errors raised while parsing or lowering a netlist spec.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -193,6 +201,9 @@ impl NetlistSpec {
     /// Converts every declared channel latency into a relay-station count
     /// (`⌈latency / clock_period⌉ − 1`, the paper's wire-pipelining rule)
     /// and clears the latency, keeping whatever explicit count is larger.
+    /// A count above [`MAX_RELAY_STATIONS`] (a latency parsed at the unit
+    /// period, inserted at a shorter one) fails [`NetlistSpec::check`], so
+    /// lowering rejects it.
     ///
     /// # Panics
     ///
@@ -210,7 +221,9 @@ impl NetlistSpec {
     /// Validates the whole-spec invariants that individual directive lines
     /// cannot: at least one block, every channel endpoint resolving to a
     /// declared port of the right direction, every declared port used by
-    /// exactly one channel, and the relay total within the budget.
+    /// exactly one channel, at most [`MAX_RELAY_STATIONS`] stations per
+    /// channel (also after [`NetlistSpec::insert_relays`]), and the relay
+    /// total within the budget.
     ///
     /// Parsing runs this before returning; it is public because specs can
     /// also be built programmatically (the `wp_gen` generator) or mutated
@@ -243,6 +256,12 @@ impl NetlistSpec {
                 .map_err(|e| format!("channel '{}': {e}", channel.name))?;
             out_counts[src][src_port] += 1;
             in_counts[dst][dst_port] += 1;
+            if channel.relay_stations > MAX_RELAY_STATIONS {
+                return Err(format!(
+                    "channel '{}' has {} relay stations; at most {MAX_RELAY_STATIONS} per channel",
+                    channel.name, channel.relay_stations
+                ));
+            }
         }
         for (b, block) in self.blocks.iter().enumerate() {
             for (p, count) in in_counts[b].iter().enumerate() {

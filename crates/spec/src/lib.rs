@@ -35,7 +35,9 @@
 //!   the port index of the lowered process.
 //! * `channel <name> from=<block>.<port> to=<block>.<port> [relay=N]
 //!   [latency=L]` — a point-to-point channel with `N` relay stations
-//!   and/or a wire latency of `L` clock periods.
+//!   and/or a wire latency of `L` clock periods (each bounded by
+//!   [`MAX_RELAY_STATIONS`], so a spec cannot ask a simulator for an
+//!   unbounded allocation).
 //! * `relay <channel> <N>` / `latency <channel> <L>` — standalone
 //!   overrides, so a base topology can be re-budgeted without editing the
 //!   channel lines.
@@ -54,7 +56,7 @@ mod lower;
 mod parse;
 mod synth;
 
-pub use ast::{BlockSpec, ChannelDecl, Endpoint, NetlistSpec, SpecError};
+pub use ast::{BlockSpec, ChannelDecl, Endpoint, NetlistSpec, SpecError, MAX_RELAY_STATIONS};
 pub use lower::{lower, BlockRegistry};
 pub use synth::{synthetic_registry, FanBlock};
 

@@ -3,7 +3,9 @@
 
 use wp_lex::{directive_lines, split_fields, Pairs};
 
-use crate::ast::{BlockSpec, ChannelDecl, Direction, Endpoint, NetlistSpec, SpecError};
+use crate::ast::{
+    BlockSpec, ChannelDecl, Direction, Endpoint, NetlistSpec, SpecError, MAX_RELAY_STATIONS,
+};
 
 impl NetlistSpec {
     /// Parses netlist-spec text (see `docs/NETLIST_FORMAT.md` and the crate
@@ -118,15 +120,15 @@ fn parse_channel(spec: &mut NetlistSpec, tokens: &[String]) -> Result<(), String
     let to = endpoint(&name, "to", pairs.take("to"))?;
     let relay_stations = match pairs.take("relay") {
         None => 0,
-        Some(v) => parse_count(&v).ok_or_else(|| {
-            format!("channel '{name}' has relay '{v}'; expected a non-negative integer")
-        })?,
+        Some(v) => parse_relay_count(&v)
+            .map_err(|expected| format!("channel '{name}' has relay '{v}'; {expected}"))?,
     };
     let latency = match pairs.take("latency") {
         None => None,
-        Some(v) => Some(v.parse::<u64>().map_err(|_| {
-            format!("channel '{name}' has latency '{v}'; expected a non-negative integer")
-        })?),
+        Some(v) => Some(
+            parse_latency_periods(&v)
+                .map_err(|expected| format!("channel '{name}' has latency '{v}'; {expected}"))?,
+        ),
     };
     if let Some(key) = pairs.first_key() {
         return Err(format!("unknown key '{key}' for channel '{name}'"));
@@ -151,8 +153,8 @@ fn parse_channel(spec: &mut NetlistSpec, tokens: &[String]) -> Result<(), String
 /// `relay <channel> <count>` — overrides the channel's relay-station count.
 fn parse_relay(spec: &mut NetlistSpec, tokens: &[String]) -> Result<(), String> {
     let (name, value) = two_operands(tokens, "relay <channel> <count>")?;
-    let count = parse_count(value)
-        .ok_or_else(|| format!("relay count '{value}'; expected a non-negative integer"))?;
+    let count = parse_relay_count(value)
+        .map_err(|expected| format!("relay count '{value}'; {expected}"))?;
     let channel = find_channel_mut(spec, name)?;
     channel.relay_stations = count;
     Ok(())
@@ -161,9 +163,8 @@ fn parse_relay(spec: &mut NetlistSpec, tokens: &[String]) -> Result<(), String> 
 /// `latency <channel> <periods>` — overrides the channel's wire latency.
 fn parse_latency(spec: &mut NetlistSpec, tokens: &[String]) -> Result<(), String> {
     let (name, value) = two_operands(tokens, "latency <channel> <periods>")?;
-    let latency = value
-        .parse::<u64>()
-        .map_err(|_| format!("latency '{value}'; expected a non-negative integer"))?;
+    let latency = parse_latency_periods(value)
+        .map_err(|expected| format!("latency '{value}'; {expected}"))?;
     let channel = find_channel_mut(spec, name)?;
     channel.latency = Some(latency);
     Ok(())
@@ -220,6 +221,36 @@ fn find_channel_mut<'a>(
 
 fn parse_count(value: &str) -> Option<usize> {
     value.parse::<usize>().ok()
+}
+
+/// A channel's relay-station count, at most [`MAX_RELAY_STATIONS`]; the
+/// error says what was expected.
+fn parse_relay_count(value: &str) -> Result<usize, String> {
+    let count = parse_count(value).ok_or_else(|| "expected a non-negative integer".to_string())?;
+    if count > MAX_RELAY_STATIONS {
+        return Err(format!(
+            "at most {MAX_RELAY_STATIONS} relay stations per channel"
+        ));
+    }
+    Ok(count)
+}
+
+/// A channel's wire latency in clock periods.  At the unit clock period a
+/// latency of `L` takes `L − 1` stations, so it is bounded by
+/// [`MAX_RELAY_STATIONS`]` + 1`; a shorter clock passed to
+/// [`NetlistSpec::insert_relays`] can derive more, which
+/// [`NetlistSpec::check`] then rejects at lowering.
+fn parse_latency_periods(value: &str) -> Result<u64, String> {
+    let latency = value
+        .parse::<u64>()
+        .map_err(|_| "expected a non-negative integer".to_string())?;
+    let max = MAX_RELAY_STATIONS as u64 + 1;
+    if latency > max {
+        return Err(format!(
+            "at most {max} clock periods ({MAX_RELAY_STATIONS} relay stations) per channel"
+        ));
+    }
+    Ok(latency)
 }
 
 /// Names travel through endpoints (`<block>.<port>`) and `key=value`

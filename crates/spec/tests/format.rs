@@ -3,7 +3,10 @@
 //! for every malformed-directive class the parser knows.
 
 use proptest::prelude::*;
-use wp_spec::{BlockSpec, ChannelDecl, Endpoint, NetlistSpec, SpecError};
+use wp_spec::{
+    lower, synthetic_registry, BlockSpec, ChannelDecl, Endpoint, NetlistSpec, SpecError,
+    MAX_RELAY_STATIONS,
+};
 
 /// A minimal valid two-block loop (8 lines): every port used exactly once,
 /// so appending one bad directive makes it line 9.
@@ -93,6 +96,17 @@ fn every_malformed_directive_class_names_its_line() {
             "channel x from=a.o to=b.i latency=fast",
             "channel 'x' has latency 'fast'; expected a non-negative integer",
         ),
+        // Relay counts are bounded (wp_spec::MAX_RELAY_STATIONS = 4096): a
+        // four-billion-station channel used to abort the process on
+        // allocation once a simulator was built from it.
+        (
+            "channel x from=a.o to=b.i relay=4000000000",
+            "channel 'x' has relay '4000000000'; at most 4096 relay stations per channel",
+        ),
+        (
+            "channel x from=a.o to=b.i latency=4000000000",
+            "channel 'x' has latency '4000000000'; at most 4097 clock periods",
+        ),
         (
             "channel x from=a.o to=b.i color=red",
             "unknown key 'color' for channel 'x'",
@@ -117,11 +131,19 @@ fn every_malformed_directive_class_names_its_line() {
             "relay ab many",
             "relay count 'many'; expected a non-negative integer",
         ),
+        (
+            "relay ab 4097",
+            "relay count '4097'; at most 4096 relay stations",
+        ),
         ("latency ab 1 2", "expected 'latency <channel> <periods>'"),
         ("latency zz 1", "undeclared channel 'zz'"),
         (
             "latency ab soon",
             "latency 'soon'; expected a non-negative integer",
+        ),
+        (
+            "latency ab 4098",
+            "latency '4098'; at most 4097 clock periods",
         ),
         // budget
         ("budget", "expected 'budget <total>'"),
@@ -138,6 +160,37 @@ fn every_malformed_directive_class_names_its_line() {
             message.contains(fragment),
             "directive {bad:?}: message {message:?} does not contain {fragment:?}"
         );
+    }
+}
+
+/// The relay bound is inclusive, and relays that `insert_relays` derives
+/// from a latency at a shorter clock are rejected at lowering instead of
+/// reaching a simulator's allocation.  (Counts above the bound in the text
+/// are malformed-directive cases above.)
+#[test]
+fn relay_bound_holds_after_latency_insertion() {
+    let max = MAX_RELAY_STATIONS;
+    let at_bound = format!(
+        "block a kind=fan\nport a in i\nport a out o\nchannel c from=a.o to=a.i relay={max}\n\
+         block b kind=fan\nport b in i\nport b out o\nchannel d from=b.o to=b.i latency={}\n",
+        max + 1
+    );
+    let mut spec = NetlistSpec::parse(&at_bound).expect("the bound parses");
+    spec.insert_relays(1.0);
+    assert_eq!(spec.relay_assignment(), vec![max, max]);
+    assert!(lower(&spec, &synthetic_registry()).is_ok());
+
+    let mut spec = NetlistSpec::parse(&at_bound).expect("the bound parses");
+    spec.insert_relays(0.5);
+    match lower(&spec, &synthetic_registry()) {
+        Err(SpecError::Build { message }) => assert!(
+            message.contains(&format!(
+                "channel 'd' has {} relay stations; at most {max} per channel",
+                2 * max + 1
+            )),
+            "{message}"
+        ),
+        other => panic!("expected a build error, got {other:?}"),
     }
 }
 
