@@ -17,6 +17,10 @@
 //!    period oracle extrapolated, and the summary totals them: a lane that
 //!    was not extrapolated simulated all the way to its goal.  Stderr
 //!    tallies those lanes by reason (`wp_sim::OracleFallback`).
+//!
+//!    Before either run, a synthetic netlist whose exact MCR proves that
+//!    a run cannot reach its firing target within the run's cycle ceiling
+//!    fails at once, naming the cycles the MCR predicts.
 //! 3. **Program result** — self-contained SoC specs (a `cu` block with
 //!    workload attributes, see `examples/soc_sort.nl`) instead run their
 //!    program to the halt and check the final data memory against the
@@ -37,7 +41,7 @@ use std::fmt;
 use wp_bench::{flag_value, ArgError, SweepArgs, MAX_CYCLES};
 use wp_core::ShellConfig;
 use wp_gen::{generate, GenConfig};
-use wp_netlist::ThroughputModel;
+use wp_netlist::{strongly_connected_components, Netlist, ThroughputModel};
 use wp_proc::{soc_spec_context, soc_state, Msg, SocSpecContext, CU, SOC_KINDS};
 use wp_sim::{
     GoldenSimulator, LaneLidSimulator, LaneScenario, OracleFallback, RunGoal, Scenario, SweepRunner,
@@ -50,6 +54,10 @@ const LANES: usize = 8;
 /// Firing target of the streamed equivalence run (every firing of every
 /// process is checked, so a short run proves a long prefix).
 const EQUIV_FIRINGS: u64 = 2_000;
+/// Cycle ceiling of the streamed equivalence run.
+const EQUIV_MAX_CYCLES: u64 = 1_000 * EQUIV_FIRINGS;
+/// Cycle ceiling of the lane run, per firing of its target.
+const LANE_CYCLES_PER_FIRING: u64 = 100;
 /// Measured-vs-predicted steady-state tolerance (relative).
 const TOLERANCE: f64 = 0.02;
 
@@ -182,6 +190,53 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
     })
 }
 
+/// Process 0's firing bound in the WP1 realisation of `net`: no run of `c`
+/// cycles fires process 0 more than `rate·c + slack` times.
+///
+/// `rate` is the exact MCR (worst `m/(m+n)` loop ratio) of the strongly
+/// connected component holding process 0, or 1 when process 0 is on no
+/// loop (a process fires at most once per cycle).  A loop of `m` channels
+/// and `n` relay stations holds `m` tokens, and each token needs `m + n`
+/// cycles to go round, so a process on the component's critical loop
+/// fires at most `m` times in any `m + n` consecutive cycles: fewer than
+/// `rate·c + m` times in `c` cycles.  A consumer leads its producer by at
+/// most the one token their channel holds at reset, so along a forward
+/// path of `p` channels from that loop, process 0 leads it by at most `p`
+/// firings.  Both `m` and `p` are at most the block count.
+fn firing_bound(net: &Netlist) -> (f64, u64) {
+    let slack = 2 * net.node_count() as u64;
+    let Some(first) = net.node_ids().next() else {
+        return (1.0, slack);
+    };
+    let component = strongly_connected_components(net)
+        .into_iter()
+        .find(|c| c.contains(&first))
+        .unwrap_or_default();
+    let rate = ThroughputModel::Exact
+        .analyze(net)
+        .loops()
+        .iter()
+        .filter(|l| component.contains(&l.cycle.nodes[0]))
+        .fold(1.0, |rate: f64, l| rate.min(l.throughput));
+    (rate, slack)
+}
+
+/// Fails a run whose cycle ceiling `cap` is provably too small for
+/// `target` firings of process 0 under `bound` (see [`firing_bound`]),
+/// naming the cycles the exact MCR predicts.  A run that could still make
+/// it within `cap` passes, so no run that would succeed is refused.
+fn check_cycle_cap(run: &str, target: u64, bound: (f64, u64), cap: u64) -> Result<(), Failure> {
+    let (rate, slack) = bound;
+    if target as f64 <= rate * cap as f64 + slack as f64 {
+        return Ok(());
+    }
+    Err(Failure::Other(format!(
+        "{run} needs ~{} cycles for {target} firings at exact MCR {rate:.6}, \
+         above its cap of {cap} cycles",
+        (target as f64 / rate).ceil()
+    )))
+}
+
 /// A passed check: its report line, and why each lane of the throughput
 /// batch was not extrapolated (`None` for an extrapolated lane; no entries
 /// when no lane batch ran).
@@ -197,6 +252,25 @@ fn check_synthetic(
 ) -> Result<Checked, Failure> {
     // Validate the lowering once up front so factory closures may expect().
     lower::<u64>(spec, &synthetic_registry()).map_err(|e| Failure::Other(e.to_string()))?;
+    // Refuse up front a run whose cycle ceiling the exact MCR already rules
+    // out, instead of simulating up to the ceiling; the lane run's slowest
+    // lane is the last (most relay stations on the first channel).
+    check_cycle_cap(
+        "equivalence run",
+        EQUIV_FIRINGS,
+        firing_bound(&spec.to_netlist()),
+        EQUIV_MAX_CYCLES,
+    )?;
+    let mut slowest = spec.clone();
+    if let Some(first) = slowest.channels.first_mut() {
+        first.relay_stations += LANES - 1;
+    }
+    check_cycle_cap(
+        &format!("lane {}", LANES - 1),
+        firings,
+        firing_bound(&slowest.to_netlist()),
+        LANE_CYCLES_PER_FIRING * firings,
+    )?;
     let factory = {
         let spec = spec.clone();
         move || lower(&spec, &synthetic_registry()).expect("validated spec lowers")
@@ -211,7 +285,7 @@ fn check_synthetic(
         RunGoal::UntilFirings {
             process: 0,
             target: EQUIV_FIRINGS,
-            max_cycles: 1_000 * EQUIV_FIRINGS,
+            max_cycles: EQUIV_MAX_CYCLES,
         },
         factory,
     )
@@ -244,7 +318,7 @@ fn check_synthetic(
     let mut worst = 0.0f64;
     let mut routes = Vec::with_capacity(LANES);
     for (k, outcome) in sim
-        .run_until_firings_extrapolated(0, firings, 100 * firings)
+        .run_until_firings_extrapolated(0, firings, LANE_CYCLES_PER_FIRING * firings)
         .into_iter()
         .enumerate()
     {
@@ -441,5 +515,87 @@ fn main() {
     );
     if opts.verify && equivalence + throughput + other > 0 {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wp_sim::LidSimulator;
+
+    /// A one-block spec whose only channel loops back with `relay`
+    /// stations.
+    fn self_loop(relay: usize) -> NetlistSpec {
+        NetlistSpec::parse(&format!(
+            "block a kind=fan\nport a in i0\nport a out o0\n\
+             channel c from=a.o0 to=a.i0 relay={relay}\n"
+        ))
+        .unwrap()
+    }
+
+    /// The bound refuses a self-loop at the relay limit at once, and on the
+    /// lane run's ceiling it draws the line exactly where simulation does:
+    /// 92 relay stations (99 in the slowest lane) still fit 20 000 firings
+    /// in 2 000 000 cycles, 93 do not.
+    #[test]
+    fn cycle_caps_refuse_only_runs_out_of_reach() {
+        let bound = firing_bound(&self_loop(4096).to_netlist());
+        match check_cycle_cap("equivalence run", EQUIV_FIRINGS, bound, EQUIV_MAX_CYCLES) {
+            Err(Failure::Other(message)) => assert!(
+                message.contains("needs ~8194000 cycles for 2000 firings")
+                    && message.contains("cap of 2000000 cycles"),
+                "{message}"
+            ),
+            _ => panic!("a 4096-station loop cannot fire 2000 times in the cap"),
+        }
+        let lane_cap = |relay| {
+            let bound = firing_bound(&self_loop(relay + LANES - 1).to_netlist());
+            check_cycle_cap("lane", 20_000, bound, LANE_CYCLES_PER_FIRING * 20_000).is_ok()
+        };
+        assert!(lane_cap(92));
+        assert!(!lane_cap(93));
+    }
+
+    /// The bound is sound on simulated runs: at the exact cycle a WP1 run
+    /// reaches each firing target, a ceiling of that many cycles passes.
+    /// Rings with relay stations start with their tokens bunched and fire
+    /// ahead of the steady-state rate, which the slack covers.
+    #[test]
+    fn firing_bound_holds_at_every_simulated_goal_cycle() {
+        let mut specs: Vec<NetlistSpec> = (0..8)
+            .map(|seed| {
+                let mut spec = generate(&GenConfig {
+                    seed,
+                    ..GenConfig::default()
+                });
+                spec.insert_relays(1.0);
+                spec
+            })
+            .collect();
+        specs.push(self_loop(5));
+        specs.push(
+            NetlistSpec::parse(
+                "block a kind=fan\nport a in i0\nport a out o0\n\
+                 block b kind=fan\nport b in i0\nport b out o0\n\
+                 block c kind=fan\nport c in i0\nport c out o0\n\
+                 channel ab from=a.o0 to=b.i0 relay=7\n\
+                 channel bc from=b.o0 to=c.i0\n\
+                 channel ca from=c.o0 to=a.i0\n",
+            )
+            .unwrap(),
+        );
+        for spec in &specs {
+            let bound = firing_bound(&spec.to_netlist());
+            let builder = lower::<u64>(spec, &synthetic_registry()).unwrap();
+            let mut sim = LidSimulator::new(builder, ShellConfig::strict()).unwrap();
+            sim.set_trace_enabled(false);
+            for target in 1..=300 {
+                let cycles = sim.run_until_firings(0, target, 1_000_000).unwrap();
+                assert!(
+                    check_cycle_cap("run", target, bound, cycles).is_ok(),
+                    "{spec}: {target} firings at cycle {cycles}, bound {bound:?}"
+                );
+            }
+        }
     }
 }

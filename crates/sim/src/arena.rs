@@ -19,6 +19,9 @@
 //! `SystemBuilder::validate`), each slab slot is overwritten by exactly one
 //! channel during every sampling phase — the arenas never need clearing
 //! between cycles.
+//!
+//! The module also holds `impl_trace_arena_accessors`, the one definition
+//! of the trace accessors every arena-recording simulator shares.
 
 use wp_core::Token;
 
@@ -212,6 +215,48 @@ impl LanePlaneArena {
         })
     }
 }
+
+/// Implements the four arena-backed trace accessors (`traces`,
+/// `trace_arena`, `reserve_traces`, `clear_traces`) for a simulator type
+/// holding its recordings in a `traces: TraceArena<V>` field.  The three
+/// arena-recording simulators used to carry copy-pasted versions of these;
+/// they now share this one definition.
+macro_rules! impl_trace_arena_accessors {
+    ($ty:ident) => {
+        impl<V: Clone> $ty<V> {
+            /// The recorded channel traces (one per channel, in channel
+            /// order), materialised out of the trace arena into standalone
+            /// [`wp_core::ChannelTrace`]s for compatibility with the
+            /// pre-arena API; use [`Self::trace_arena`] to read the
+            /// recordings without copying.
+            pub fn traces(&self) -> Vec<wp_core::ChannelTrace<V>> {
+                self.traces.to_channel_traces()
+            }
+
+            /// Borrowed access to the arena-backed channel recordings.
+            pub fn trace_arena(&self) -> &wp_core::TraceArena<V> {
+                &self.traces
+            }
+
+            /// Reserves trace capacity for `cycles` more simulated cycles,
+            /// so the recording itself performs no heap allocation over
+            /// that window (the counting-allocator test
+            /// `steady_state_alloc_free` pins this for the arena kernels).
+            pub fn reserve_traces(&mut self, cycles: usize) {
+                self.traces.reserve_cycles(cycles);
+            }
+
+            /// Clears the recorded traces (names and capacity retained).
+            /// The streaming equivalence path drains and clears the arena
+            /// chunk by chunk to keep memory bounded.
+            pub fn clear_traces(&mut self) {
+                self.traces.clear();
+            }
+        }
+    };
+}
+
+pub(crate) use impl_trace_arena_accessors;
 
 #[cfg(test)]
 mod tests {

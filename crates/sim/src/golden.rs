@@ -23,7 +23,7 @@
 //! The seed implementation survives as [`crate::NaiveGoldenSimulator`]; the
 //! `golden_equivalence` property tests assert cycle-identical behaviour.
 
-use wp_core::{ChannelTrace, Process, TraceArena};
+use wp_core::{Process, TraceArena};
 
 use crate::arena::PortArena;
 use crate::spec::{ChannelSpec, ProcessId, SimError, SystemBuilder};
@@ -162,29 +162,7 @@ impl<V: Clone + PartialEq> GoldenSimulator<V> {
     }
 }
 
-crate::simulator::impl_trace_arena_accessors!(GoldenSimulator);
-
-impl<V: Clone + PartialEq> crate::Simulator<V> for GoldenSimulator<V> {
-    fn step(&mut self) -> Result<(), SimError> {
-        GoldenSimulator::step(self);
-        Ok(())
-    }
-    fn cycles(&self) -> u64 {
-        self.cycles
-    }
-    fn is_halted(&self, id: ProcessId) -> bool {
-        self.processes[id].is_halted()
-    }
-    fn process(&self, id: ProcessId) -> &dyn Process<V> {
-        self.processes[id].as_ref()
-    }
-    fn set_trace_enabled(&mut self, enabled: bool) {
-        self.trace_enabled = enabled;
-    }
-    fn channel_traces(&self) -> Vec<ChannelTrace<V>> {
-        self.traces.to_channel_traces()
-    }
-}
+crate::arena::impl_trace_arena_accessors!(GoldenSimulator);
 
 #[cfg(test)]
 mod tests {

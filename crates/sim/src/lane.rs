@@ -331,23 +331,6 @@ enum HaltScript {
     Done,
 }
 
-/// Per-lane bookkeeping snapshotted when a lane finishes (goal + drain).
-struct LaneFinal {
-    cycles: u64,
-    firings: Vec<u64>,
-}
-
-/// What the lane kernel's one-period re-simulation established.
-enum LaneVerdict {
-    /// The joint control state repeated exactly: `fire_masks[t * n + p]`
-    /// holds the lanes that fired process `p` in in-period cycle `t`.
-    Verified { fire_masks: Vec<u64> },
-    /// The candidate was a hash collision (or a halt flipped inside the
-    /// window) — or every lane was decided mid-verification; either way
-    /// there is nothing to extrapolate from.
-    NotPeriodic,
-}
-
 /// One channel, resolved to flat plane indices at construction.
 #[derive(Debug, Clone, Copy)]
 struct Link {
@@ -641,7 +624,7 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
     /// is the one-time discovery of a process's first-halt index.
     pub fn run_for(&mut self, cycles: u64) {
         for _ in 0..cycles {
-            self.step_cycle(self.lane_mask);
+            self.step_cycle();
         }
     }
 
@@ -650,139 +633,29 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
     /// [`LaneOutcome`] or the same [`SimError`] the scalar kernel would
     /// have produced (`MaxCyclesExceeded`, `Deadlock`).
     ///
-    /// Lanes reach their goals at different cycles; finished lanes are
-    /// frozen (their shells stop firing, which is protocol-safe) while the
-    /// rest keep stepping in lockstep, and each lane's report is
-    /// snapshotted the moment it finishes, so results never depend on how
-    /// scenarios were packed into lanes.
+    /// Lanes reach their goals at different cycles.  Every lane keeps
+    /// stepping in lockstep (lanes never interact), and each lane's report
+    /// is snapshotted the moment it finishes, so results never depend on
+    /// how scenarios were packed into lanes.
     pub fn run(
         &mut self,
         goal: RunGoal,
         drain: Option<(u64, u64)>,
     ) -> Vec<Result<LaneOutcome, SimError>> {
-        debug_assert_eq!(self.clock, 0, "run() expects a fresh kernel");
-        let (max_cycles, mut goal_rem) = match goal {
-            RunGoal::UntilHalt { max_cycles, .. } => (Some(max_cycles), None),
-            RunGoal::UntilFirings {
-                target, max_cycles, ..
-            } => (
-                Some(max_cycles),
-                Some(LaneCounters::with_value(target, self.lane_mask)),
-            ),
-            RunGoal::ForCycles(_) => (None, None),
-        };
-
-        let mut running = self.lane_mask;
-        let mut draining = 0u64;
-        let mut idle = LaneCounters::new(bits_for(self.deadlock_window) + 1);
-        let (drain_idle_w, drain_extra_w) = drain
-            .map(|(i, e)| (bits_for(i) + 1, bits_for(e) + 1))
-            .unwrap_or((1, 1));
-        let mut drain_idle = LaneCounters::new(drain_idle_w);
-        let mut drain_extra = LaneCounters::new(drain_extra_w);
-        let mut cycles_to_goal = [0u64; MAX_LANES];
-        let mut finals: Vec<Option<Result<LaneFinal, SimError>>> =
-            (0..self.lanes).map(|_| None).collect();
-
-        loop {
-            // Boundary checks, in the scalar kernel's order: goal first,
-            // then the cycle budget, then deadlock.
-            let goal_now = running
-                & match goal {
-                    RunGoal::UntilHalt { process, .. } => self.ctrl.get(HALTED, process),
-                    RunGoal::UntilFirings { .. } => {
-                        let rem = goal_rem.as_ref().expect("UntilFirings allocates a counter");
-                        !rem.nonzero_mask()
-                    }
-                    RunGoal::ForCycles(cycles) => {
-                        if self.clock >= cycles {
-                            !0
-                        } else {
-                            0
-                        }
-                    }
-                };
-            for lane in iter_lanes(goal_now) {
-                cycles_to_goal[lane] = self.clock;
-            }
-            running &= !goal_now;
-            if drain.is_some() {
-                draining |= goal_now;
-                drain_idle.clear_lanes(goal_now);
-                drain_extra.clear_lanes(goal_now);
-            } else {
-                for lane in iter_lanes(goal_now) {
-                    finals[lane] = Some(Ok(self.snapshot(lane)));
-                }
-            }
-            // Drain exit: the scalar loop `while idle < idle_cycles &&
-            // extra < max_extra` checks before each extra step, so lanes
-            // that just entered (idle = extra = 0) exit immediately when a
-            // bound is zero.
-            if let Some((idle_cycles, max_extra)) = drain {
-                let exit =
-                    draining & (drain_idle.ge_const(idle_cycles) | drain_extra.ge_const(max_extra));
-                for lane in iter_lanes(exit) {
-                    finals[lane] = Some(Ok(self.snapshot(lane)));
-                }
-                draining &= !exit;
-            }
-            if let Some(max_cycles) = max_cycles {
-                if running != 0 && self.clock >= max_cycles {
-                    for lane in iter_lanes(running) {
-                        finals[lane] = Some(Err(SimError::MaxCyclesExceeded { max_cycles }));
-                    }
-                    running = 0;
-                }
-                let dead = running & idle.ge_const(self.deadlock_window);
-                for lane in iter_lanes(dead) {
-                    finals[lane] = Some(Err(SimError::Deadlock { cycle: self.clock }));
-                }
-                running &= !dead;
-            }
-
-            let active = running | draining;
-            if active == 0 {
-                break;
-            }
-
-            let fired_any = self.step_cycle(active);
-
-            // Per-lane idle/extra accounting mirrors the scalar kernel:
-            // `cycles_since_firing` resets on any firing in the lane, the
-            // drain loop counts its own fresh idle window and extra cycles.
-            idle.clear_lanes(fired_any);
-            idle.add_mask(running & !fired_any);
-            if drain.is_some() {
-                drain_extra.add_mask(draining);
-                drain_idle.clear_lanes(draining & fired_any);
-                drain_idle.add_mask(draining & !fired_any);
-            }
-            if let (Some(rem), RunGoal::UntilFirings { process, .. }) = (&mut goal_rem, goal) {
-                rem.sub_mask(self.fire_scratch[process] & running);
-            }
-        }
-
-        finals
+        self.drive(goal, drain, false)
             .into_iter()
-            .enumerate()
-            .map(|(lane, f)| {
-                f.expect("every lane finishes before the loop exits")
-                    .map(|fin| LaneOutcome {
-                        cycles_to_goal: cycles_to_goal[lane],
-                        report: lane_report(fin),
-                    })
+            .map(|end| {
+                end.map(|end| LaneOutcome {
+                    cycles_to_goal: end.cycles_to_goal,
+                    report: end.report,
+                })
             })
             .collect()
     }
 
-    /// Snapshots one lane's final accounting (its report is materialised
-    /// lazily when results are assembled).
-    fn snapshot(&self, lane: usize) -> LaneFinal {
-        LaneFinal {
-            cycles: self.clock,
-            firings: self.fired.iter().map(|f| f.get(lane)).collect(),
-        }
+    /// Snapshots one lane's report at the current cycle.
+    fn snapshot(&self, lane: usize) -> LidReport {
+        lane_report(self.clock, self.fired.iter().map(|f| f.get(lane)).collect())
     }
 
     /// The packed control state of the whole batch: one contiguous slab
@@ -824,12 +697,19 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
     /// is verified.  A single run that is not packed with others is a
     /// one-lane batch.
     ///
+    /// This is the kernel's one drive loop (the one [`LaneLidSimulator::run`]
+    /// uses) with the oracle's phases between its boundary checks and its
+    /// step: *search* hashes the control state each cycle for a candidate
+    /// period; *verify* re-simulates one candidate period while the checks
+    /// go on, then compares the complete control state; a match
+    /// *extrapolates* every undecided lane, a mismatch restarts the search.
     /// Lanes are independent bit-slices of the control planes, so one joint
     /// period (the least common multiple of the per-lane periods, found by
-    /// hashing all planes at once) proves every lane's pattern; lanes that
-    /// reach their goal before a period is found are reported from plain
-    /// simulation, bit-identical to [`LaneLidSimulator::run`] without a
-    /// drain.  Batches with a stall schedule never extrapolate — the
+    /// hashing all planes at once) proves every lane's pattern.  Decided
+    /// lanes keep stepping, because the joint state includes them.  Lanes
+    /// that reach their goal before a period is verified are reported from
+    /// plain simulation, bit-identical to [`LaneLidSimulator::run`] without
+    /// a drain.  Batches with a stall schedule never extrapolate — the
     /// schedule hashes the absolute cycle, so the control plane alone does
     /// not determine the future — and simply simulate to their goals.
     ///
@@ -838,11 +718,12 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
     /// in the `oracle` module's docs).  A joint repeat needs a multiple of
     /// every `λ_l`, so once the epoch start plus the lcm of the periods
     /// found so far exceeds [`crate::ORACLE_DETECTION_WINDOW`], the hash
-    /// search provably finds nothing and stops, and its table is dropped.  An epoch ends
-    /// where a halted plane changes (hashing resumes with an empty table if
-    /// it had stopped) and where a candidate period fails verification.
-    /// The search stops only when it cannot succeed, so every batch detects
-    /// its period at the same cycle as a search that never stops.
+    /// search provably finds nothing and stops, and its table is dropped.
+    /// An epoch ends where a halted plane changes (hashing resumes with an
+    /// empty table if it had stopped) and where a candidate period fails
+    /// verification.  The search stops only when it cannot succeed, so
+    /// every batch detects its period at the same cycle as a search that
+    /// never stops.
     ///
     /// Returns one [`OracleRun`] (or the lane's [`SimError`], exactly as
     /// plain simulation would have produced it) per lane, in lane order;
@@ -860,195 +741,219 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
         target: u64,
         max_cycles: u64,
     ) -> Vec<Result<OracleRun, SimError>> {
-        debug_assert_eq!(self.clock, 0, "expects a fresh kernel");
-        let mut results: Vec<Option<Result<OracleRun, SimError>>> =
-            (0..self.lanes).map(|_| None).collect();
-        let mut undecided = self.lane_mask;
-        let mut goal_rem = LaneCounters::with_value(target, self.lane_mask);
-        let mut idle = LaneCounters::new(bits_for(self.deadlock_window) + 1);
-        let mut detect = self.stall.is_none();
-        // A lane's own reason not to extrapolate, where the batch's search
-        // state does not give it.
-        let mut lane_fallback = [(!detect).then_some(OracleFallback::StallSchedule); MAX_LANES];
-        let mut search = PeriodSearch::new(self.control_words(), self.halt_flips);
-
-        loop {
-            // Boundary checks in the plain kernel's order: goal first, then
-            // the cycle budget, then deadlock.
-            let goal_now = undecided & !goal_rem.nonzero_mask();
-            for lane in iter_lanes(goal_now) {
-                let why = lane_fallback[lane].unwrap_or_else(|| search.fallback(self.clock));
-                results[lane] = Some(Ok(self.plain_lane_outcome(lane, why)));
-            }
-            undecided &= !goal_now;
-            if undecided != 0 && self.clock >= max_cycles {
-                for lane in iter_lanes(undecided) {
-                    results[lane] = Some(Err(SimError::MaxCyclesExceeded { max_cycles }));
-                }
-                undecided = 0;
-            }
-            let dead = undecided & idle.ge_const(self.deadlock_window);
-            for lane in iter_lanes(dead) {
-                results[lane] = Some(Err(SimError::Deadlock { cycle: self.clock }));
-            }
-            undecided &= !dead;
-            if undecided == 0 {
-                break;
-            }
-
-            if detect && self.clock <= ORACLE_DETECTION_WINDOW {
-                let candidate = search.observe(
-                    self.control_words(),
-                    self.clock,
-                    self.halt_flips,
-                    self.lane_mask,
-                );
-                if let Some(period) = candidate {
-                    let verdict = self.verify_lane_period(
-                        node,
-                        max_cycles,
-                        period,
-                        &mut results,
-                        &mut undecided,
-                        &mut goal_rem,
-                        &mut idle,
-                    );
-                    match verdict {
-                        LaneVerdict::Verified { fire_masks } => {
-                            self.extrapolate_lanes(
-                                node,
-                                target,
-                                max_cycles,
-                                period,
-                                &fire_masks,
-                                &mut results,
-                                &mut undecided,
-                                &mut lane_fallback,
-                            );
-                            // Lanes that cannot extrapolate (their goal
-                            // process never fires again, or their
-                            // steady-state gaps reach the deadlock
-                            // window) finish by plain simulation; the
-                            // verified period would only re-verify, so
-                            // detection is done.
-                            detect = false;
-                        }
-                        LaneVerdict::NotPeriodic => search.restart_after_verification(
-                            self.control_words(),
-                            self.clock,
-                            self.halt_flips,
-                        ),
-                    }
-                    // Re-run the boundary checks before hashing or
-                    // stepping again: verification advanced the clock.
-                    continue;
-                }
-            }
-
-            let fired_any = self.step_cycle(self.lane_mask);
-            idle.clear_lanes(fired_any);
-            idle.add_mask(undecided & !fired_any);
-            goal_rem.sub_mask(self.fire_scratch[node] & undecided);
-        }
-
-        results
+        let goal = RunGoal::UntilFirings {
+            process: node,
+            target,
+            max_cycles,
+        };
+        self.drive(goal, None, true)
             .into_iter()
-            .map(|r| r.expect("every lane is decided before the loop exits"))
+            .map(|end| {
+                end.map(|end| OracleRun {
+                    extrapolated: end.fallback.is_none(),
+                    report: end.report,
+                    simulated_cycles: end.simulated_cycles,
+                    fallback: end.fallback,
+                })
+            })
             .collect()
     }
 
-    /// One lane's outcome when its goal was reached by plain simulation.
-    fn plain_lane_outcome(&self, lane: usize, why: OracleFallback) -> OracleRun {
-        OracleRun {
-            report: lane_report(self.snapshot(lane)),
-            simulated_cycles: self.clock,
-            extrapolated: false,
-            fallback: Some(why),
-        }
-    }
-
-    /// Re-simulates exactly `period` cycles and compares the complete
-    /// control vector against the snapshot taken at entry (defeating hash
-    /// collisions), recording each cycle's per-process fire masks.  The
-    /// per-cycle boundary bookkeeping of the main loop continues, so lanes
-    /// may reach their goals — or run out of budget — mid-verification.
-    #[allow(clippy::too_many_arguments)]
-    fn verify_lane_period(
+    /// The kernel's one drive loop: steps every lane of a fresh kernel in
+    /// lockstep until each lane has ended, and returns how each ended, in
+    /// lane order.
+    ///
+    /// Each cycle runs the boundary checks in the scalar kernel's order
+    /// (goal and drain exit, then the cycle budget, then deadlock), gives
+    /// the period oracle its turn, and steps once.  The oracle runs when
+    /// `extrapolate` is set, the goal is a firing count and there is no
+    /// drain (an extrapolated lane has no state left to drain).
+    pub(crate) fn drive(
         &mut self,
-        node: ProcessId,
-        max_cycles: u64,
-        period: u64,
-        results: &mut [Option<Result<OracleRun, SimError>>],
-        undecided: &mut u64,
-        goal_rem: &mut LaneCounters,
-        idle: &mut LaneCounters,
-    ) -> LaneVerdict {
-        let n = self.shapes.len();
-        let expect = self.control_words().to_vec();
-        let mut fire_masks: Vec<u64> = Vec::with_capacity(period as usize * n);
-        for _ in 0..period {
-            let fired_any = self.step_cycle(self.lane_mask);
-            fire_masks.extend_from_slice(&self.fire_scratch);
-            idle.clear_lanes(fired_any);
-            idle.add_mask(*undecided & !fired_any);
-            goal_rem.sub_mask(self.fire_scratch[node] & *undecided);
-
-            let goal_now = *undecided & !goal_rem.nonzero_mask();
-            for lane in iter_lanes(goal_now) {
-                results[lane] = Some(Ok(
-                    self.plain_lane_outcome(lane, OracleFallback::GoalBeforePeriod)
-                ));
+        goal: RunGoal,
+        drain: Option<(u64, u64)>,
+        extrapolate: bool,
+    ) -> Vec<Result<LaneEnd, SimError>> {
+        debug_assert_eq!(self.clock, 0, "a drive expects a fresh kernel");
+        let mut d = self.start_drive(goal, drain, extrapolate);
+        loop {
+            self.settle(&mut d);
+            self.advance_oracle(&mut d);
+            if d.running | d.draining() == 0 {
+                break;
             }
-            *undecided &= !goal_now;
-            if *undecided != 0 && self.clock >= max_cycles {
-                for lane in iter_lanes(*undecided) {
-                    results[lane] = Some(Err(SimError::MaxCyclesExceeded { max_cycles }));
-                }
-                *undecided = 0;
-            }
-            let dead = *undecided & idle.ge_const(self.deadlock_window);
-            for lane in iter_lanes(dead) {
-                results[lane] = Some(Err(SimError::Deadlock { cycle: self.clock }));
-            }
-            *undecided &= !dead;
-            if *undecided == 0 {
-                return LaneVerdict::NotPeriodic;
-            }
+            let fired_any = self.step_cycle();
+            d.account(fired_any, &self.fire_scratch);
         }
-        if self.control_words() == expect {
-            LaneVerdict::Verified { fire_masks }
-        } else {
-            LaneVerdict::NotPeriodic
+        d.ends
+            .into_iter()
+            .map(|end| end.expect("every lane ends before the drive does"))
+            .collect()
+    }
+
+    /// The state of a drive at cycle 0.
+    fn start_drive(&self, goal: RunGoal, drain: Option<(u64, u64)>, extrapolate: bool) -> Drive {
+        let (stop, budget) = match goal {
+            RunGoal::UntilHalt {
+                process,
+                max_cycles,
+            } => (Stop::Halt(process), Some(max_cycles)),
+            RunGoal::UntilFirings {
+                process,
+                target,
+                max_cycles,
+            } => (
+                Stop::Firings {
+                    process,
+                    rem: LaneCounters::with_value(target, self.lane_mask),
+                },
+                Some(max_cycles),
+            ),
+            RunGoal::ForCycles(cycles) => (Stop::Cycles(cycles), None),
+        };
+        let extrapolate = extrapolate && drain.is_none() && matches!(stop, Stop::Firings { .. });
+        let oracle = extrapolate.then(|| {
+            let detect = self.stall.is_none();
+            Oracle {
+                search: PeriodSearch::new(self.control_words(), self.halt_flips),
+                verifying: None,
+                detect,
+                lane_fallback: [(!detect).then_some(OracleFallback::StallSchedule); MAX_LANES],
+            }
+        });
+        Drive {
+            stop,
+            budget,
+            running: self.lane_mask,
+            idle: LaneCounters::new(bits_for(self.deadlock_window) + 1),
+            cycles_to_goal: [0; MAX_LANES],
+            drain: drain.map(Drain::new),
+            oracle,
+            ends: (0..self.lanes).map(|_| None).collect(),
         }
     }
 
-    /// Extrapolates every still-undecided lane from the verified per-cycle
-    /// fire masks, with exact error parity against plain simulation: the
-    /// goal cycle is
-    /// `clock + k·period + t + 1`, the budget errs iff that exceeds
-    /// `max_cycles`, and every firing counter is the simulated count plus
-    /// `k` whole periods plus the partial period up to `t`.  Lanes whose
-    /// goal process never fires in the period, or whose steady-state firing
-    /// gaps reach the deadlock window, are left undecided with that reason
-    /// in `lane_fallback` — plain simulation then reproduces exactly the
-    /// budget or deadlock error the un-extrapolated run would have hit.
-    #[allow(clippy::too_many_arguments)]
-    fn extrapolate_lanes(
-        &self,
-        node: ProcessId,
-        target: u64,
-        max_cycles: u64,
-        period: u64,
-        fire_masks: &[u64],
-        results: &mut [Option<Result<OracleRun, SimError>>],
-        undecided: &mut u64,
-        lane_fallback: &mut [Option<OracleFallback>],
-    ) {
+    /// The boundary checks at the current cycle, in the scalar kernel's
+    /// order: goal first (a lane with a drain then drains, and ends when
+    /// its drain does), then the cycle budget, then deadlock.
+    fn settle(&self, d: &mut Drive) {
+        let reached = d.running
+            & match &d.stop {
+                Stop::Halt(process) => self.ctrl.get(HALTED, *process),
+                Stop::Firings { rem, .. } => !rem.nonzero_mask(),
+                Stop::Cycles(cycles) => {
+                    if self.clock >= *cycles {
+                        !0
+                    } else {
+                        0
+                    }
+                }
+            };
+        d.running &= !reached;
+        for lane in iter_lanes(reached) {
+            d.cycles_to_goal[lane] = self.clock;
+        }
+        let ended = match &mut d.drain {
+            Some(drain) => drain.admit_and_exit(reached),
+            None => reached,
+        };
+        for lane in iter_lanes(ended) {
+            d.ends[lane] = Some(Ok(LaneEnd {
+                cycles_to_goal: d.cycles_to_goal[lane],
+                report: self.snapshot(lane),
+                simulated_cycles: self.clock,
+                fallback: d.oracle.as_ref().map(|o| o.fallback(lane, self.clock)),
+            }));
+        }
+        if let Some(max_cycles) = d.budget {
+            if d.running != 0 && self.clock >= max_cycles {
+                for lane in iter_lanes(d.running) {
+                    d.ends[lane] = Some(Err(SimError::MaxCyclesExceeded { max_cycles }));
+                }
+                d.running = 0;
+            }
+            let dead = d.running & d.idle.ge_const(self.deadlock_window);
+            for lane in iter_lanes(dead) {
+                d.ends[lane] = Some(Err(SimError::Deadlock { cycle: self.clock }));
+            }
+            d.running &= !dead;
+        }
+    }
+
+    /// The period oracle's turn at the current cycle, after the boundary
+    /// checks.  A verification that has re-simulated its whole candidate
+    /// period ends: on an exact repeat of the control state every
+    /// undecided lane is extrapolated and detection is done, otherwise the
+    /// search restarts.  Then, while detecting inside the window, the
+    /// search looks at this cycle's state and may start a verification.
+    fn advance_oracle(&self, d: &mut Drive) {
+        let Some(oracle) = &mut d.oracle else {
+            return;
+        };
+        if let Some(verified) = oracle.verifying.take_if(|v| v.until == self.clock) {
+            if self.control_words() == verified.expect {
+                // Lanes that cannot extrapolate (their goal process never
+                // fires again, or their steady-state gaps reach the
+                // deadlock window) finish by plain simulation; the
+                // verified period would only re-verify.
+                oracle.detect = false;
+                self.extrapolate_lanes(&verified, d);
+                return;
+            }
+            oracle.search.restart_after_verification(
+                self.control_words(),
+                self.clock,
+                self.halt_flips,
+            );
+        }
+        if oracle.detect && oracle.verifying.is_none() && self.clock <= ORACLE_DETECTION_WINDOW {
+            let candidate = oracle.search.observe(
+                self.control_words(),
+                self.clock,
+                self.halt_flips,
+                self.lane_mask,
+            );
+            if let Some(period) = candidate {
+                oracle.verifying = Some(Verification {
+                    period,
+                    until: self.clock + period,
+                    expect: self.control_words().to_vec(),
+                    fire_masks: Vec::with_capacity(period as usize * self.shapes.len()),
+                });
+            }
+        }
+    }
+
+    /// Extrapolates every still-running lane from a verified period's
+    /// per-cycle fire masks, with exact error parity against plain
+    /// simulation: the goal cycle is `clock + k·period + t + 1`, the budget
+    /// errs iff that exceeds `max_cycles`, and every firing counter is the
+    /// simulated count plus `k` whole periods plus the partial period up to
+    /// `t`.  Lanes whose goal process never fires in the period, or whose
+    /// steady-state firing gaps reach the deadlock window, keep running
+    /// with that reason recorded — plain simulation then reproduces exactly
+    /// the budget or deadlock error the un-extrapolated run would have hit.
+    fn extrapolate_lanes(&self, verified: &Verification, d: &mut Drive) {
+        let Drive {
+            stop,
+            budget,
+            running,
+            oracle,
+            ends,
+            ..
+        } = d;
+        let (Stop::Firings { process: node, rem }, Some(max_cycles), Some(oracle)) =
+            (stop, *budget, oracle)
+        else {
+            return;
+        };
+        let node = *node;
         let n = self.shapes.len();
+        let (period, fire_masks) = (verified.period, &verified.fire_masks);
         let cycles_per_period = period as usize;
         let mut cum_node: Vec<u64> = Vec::with_capacity(cycles_per_period);
         let mut fired_lane: Vec<bool> = Vec::with_capacity(cycles_per_period);
-        for lane in iter_lanes(*undecided) {
+        for lane in iter_lanes(*running) {
             let bit = 1u64 << lane;
             cum_node.clear();
             fired_lane.clear();
@@ -1061,19 +966,17 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
             }
             let delta = cum;
             if delta == 0 {
-                lane_fallback[lane] = Some(OracleFallback::GoalNeverFires);
+                oracle.lane_fallback[lane] = Some(OracleFallback::GoalNeverFires);
                 continue;
             }
             if max_cyclic_gap(&fired_lane) >= self.deadlock_window {
-                lane_fallback[lane] = Some(OracleFallback::DeadlockGap);
+                oracle.lane_fallback[lane] = Some(OracleFallback::DeadlockGap);
                 continue;
             }
-            let rem = target - self.fired[node].get(lane);
-            debug_assert!(rem >= 1, "an undecided lane has firings left to go");
-            let (k, residue) = split_remaining(rem, delta);
+            let (k, residue) = split_remaining(rem.get(lane), delta);
             let t = goal_offset(&cum_node, residue);
             let goal_cycle = self.clock + k * period + t as u64 + 1;
-            let outcome = if goal_cycle > max_cycles {
+            let end = if goal_cycle > max_cycles {
                 Err(SimError::MaxCyclesExceeded { max_cycles })
             } else {
                 let firings: Vec<u64> = (0..n)
@@ -1090,18 +993,15 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
                         self.fired[p].get(lane) + k * whole + partial
                     })
                     .collect();
-                Ok(OracleRun {
-                    report: lane_report(LaneFinal {
-                        cycles: goal_cycle,
-                        firings,
-                    }),
+                Ok(LaneEnd {
+                    cycles_to_goal: goal_cycle,
+                    report: lane_report(goal_cycle, firings),
                     simulated_cycles: self.clock,
-                    extrapolated: true,
                     fallback: None,
                 })
             };
-            results[lane] = Some(outcome);
-            *undecided &= !bit;
+            ends[lane] = Some(end);
+            *running &= !bit;
         }
     }
 
@@ -1130,9 +1030,9 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
         }
     }
 
-    /// One lockstep protocol cycle over every lane in `active`; returns the
-    /// lanes in which at least one process fired.
-    fn step_cycle(&mut self, active: u64) -> u64 {
+    /// One lockstep protocol cycle over every lane; returns the lanes in
+    /// which at least one process fired.
+    fn step_cycle(&mut self) -> u64 {
         // The halted planes consulted below must cover firing counts up to
         // this cycle's clock.
         self.extend_horizon(self.clock + 1);
@@ -1222,7 +1122,7 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
                 Some(plan) => plan.mask(p, *clock),
                 None => 0,
             };
-            let eligible = active & !halted[p] & !gated;
+            let eligible = *lane_mask & !halted[p] & !gated;
             let fire = shell_fire_control(eligible, outputs_clear, inputs_ready);
             if fire != 0 {
                 for slot in occ.chunks_exact_mut(w) {
@@ -1252,8 +1152,165 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
         }
 
         *clock += 1;
-        fired_any & active
+        fired_any
     }
+}
+
+/// How one lane of a drive ended (see [`LaneLidSimulator::drive`]).
+#[derive(Debug)]
+pub(crate) struct LaneEnd {
+    /// The cycle at which the lane met its goal, simulated or extrapolated
+    /// (drain cycles excluded here, included in `report.cycles`).
+    pub(crate) cycles_to_goal: u64,
+    /// The lane's report at the end of its run and drain.
+    pub(crate) report: LidReport,
+    /// Cycles simulated when the lane ended.
+    pub(crate) simulated_cycles: u64,
+    /// Why an extrapolating drive simulated the lane to its goal: `None`
+    /// for an extrapolated lane, and for every lane of a plain drive.
+    pub(crate) fallback: Option<OracleFallback>,
+}
+
+/// The per-lane state of one drive.
+struct Drive {
+    stop: Stop,
+    /// The cycle budget before [`SimError::MaxCyclesExceeded`]; a cycle
+    /// goal has none, and no deadlock check either (as the scalar
+    /// `run_for`).
+    budget: Option<u64>,
+    /// Lanes still heading for their goal.
+    running: u64,
+    /// Consecutive firing-free cycles per lane (read for running lanes).
+    idle: LaneCounters,
+    /// The cycle each lane met its goal.
+    cycles_to_goal: [u64; MAX_LANES],
+    drain: Option<Drain>,
+    oracle: Option<Oracle>,
+    /// How each lane ended, once it has.
+    ends: Vec<Option<Result<LaneEnd, SimError>>>,
+}
+
+impl Drive {
+    /// Lanes past their goal and still draining.
+    fn draining(&self) -> u64 {
+        self.drain.as_ref().map_or(0, |drain| drain.lanes)
+    }
+
+    /// The per-lane accounting of one stepped cycle, as the scalar kernel
+    /// keeps it: `cycles_since_firing` resets on any firing in the lane,
+    /// the drain counts its own idle window and extra cycles, and a firing
+    /// goal counts down the goal process's firings.
+    fn account(&mut self, fired_any: u64, fire: &[u64]) {
+        self.idle.clear_lanes(fired_any);
+        self.idle.add_mask(self.running & !fired_any);
+        if let Some(drain) = &mut self.drain {
+            drain.account(fired_any);
+        }
+        if let Stop::Firings { process, rem } = &mut self.stop {
+            rem.sub_mask(fire[*process] & self.running);
+        }
+        if let Some(verifying) = self.oracle.as_mut().and_then(|o| o.verifying.as_mut()) {
+            verifying.fire_masks.extend_from_slice(fire);
+        }
+    }
+}
+
+/// What ends a lane's run.
+enum Stop {
+    /// The process's halted plane.
+    Halt(ProcessId),
+    /// The process's firing count: `rem` counts each lane's firings still
+    /// to go.
+    Firings {
+        process: ProcessId,
+        rem: LaneCounters,
+    },
+    /// The clock.
+    Cycles(u64),
+}
+
+/// The post-goal drain of a plain drive, as the scalar
+/// [`crate::LidSimulator::drain`] runs it: a lane past its goal keeps
+/// stepping until `idle_cycles` consecutive cycles pass without a firing,
+/// or `max_extra` extra cycles have passed.
+struct Drain {
+    idle_cycles: u64,
+    max_extra: u64,
+    /// Lanes past their goal and still draining.
+    lanes: u64,
+    idle: LaneCounters,
+    extra: LaneCounters,
+}
+
+impl Drain {
+    fn new((idle_cycles, max_extra): (u64, u64)) -> Self {
+        Self {
+            idle_cycles,
+            max_extra,
+            lanes: 0,
+            idle: LaneCounters::new(bits_for(idle_cycles) + 1),
+            extra: LaneCounters::new(bits_for(max_extra) + 1),
+        }
+    }
+
+    /// Starts draining the lanes in `reached` and returns the lanes whose
+    /// drain ends now.  The scalar loop `while idle < idle_cycles && extra
+    /// < max_extra` checks before each extra step, so lanes that just
+    /// entered (idle = extra = 0) exit at once when a bound is zero.
+    fn admit_and_exit(&mut self, reached: u64) -> u64 {
+        self.lanes |= reached;
+        self.idle.clear_lanes(reached);
+        self.extra.clear_lanes(reached);
+        let exit = self.lanes
+            & (self.idle.ge_const(self.idle_cycles) | self.extra.ge_const(self.max_extra));
+        self.lanes &= !exit;
+        exit
+    }
+
+    fn account(&mut self, fired_any: u64) {
+        self.extra.add_mask(self.lanes);
+        self.idle.clear_lanes(self.lanes & fired_any);
+        self.idle.add_mask(self.lanes & !fired_any);
+    }
+}
+
+/// The steady-state period oracle of an extrapolating drive.
+struct Oracle {
+    search: PeriodSearch,
+    /// The candidate period being re-simulated, if any.
+    verifying: Option<Verification>,
+    /// Whether the search still looks for candidates: not under a stall
+    /// schedule, and not once a period was verified.
+    detect: bool,
+    /// A lane's own reason not to extrapolate, where the search state does
+    /// not give it.
+    lane_fallback: [Option<OracleFallback>; MAX_LANES],
+}
+
+impl Oracle {
+    /// Why a lane whose goal is met at `clock` by simulation was not
+    /// extrapolated.
+    fn fallback(&self, lane: usize, clock: u64) -> OracleFallback {
+        if self.verifying.is_some() {
+            OracleFallback::GoalBeforePeriod
+        } else {
+            self.lane_fallback[lane].unwrap_or_else(|| self.search.fallback(clock))
+        }
+    }
+}
+
+/// A candidate joint period under verification: one full period is
+/// re-simulated and the complete control state compared against the
+/// snapshot taken at its start (defeating hash collisions).
+struct Verification {
+    period: u64,
+    /// The cycle at which the whole period has been re-simulated.
+    until: u64,
+    /// The control state at the candidate's start.
+    expect: Vec<u64>,
+    /// `fire_masks[t * n + p]`: the lanes that fired process `p` in
+    /// in-period cycle `t`.
+    fire_masks: Vec<u64>,
 }
 
 /// The joint-period search of
@@ -1443,26 +1500,25 @@ fn build_stall_plan(lanes: &[LaneScenario]) -> Result<Option<StallPlan>, SimErro
     }
 }
 
-/// Materialises one lane's [`LidReport`] from its final accounting, field
-/// by field as the scalar [`crate::LidSimulator::report`] computes it
-/// (strict shells never discard, so that column is all zeros).
-fn lane_report(fin: LaneFinal) -> LidReport {
-    let total_firings = fin.firings.iter().sum();
-    let throughput = fin
-        .firings
+/// Materialises one lane's [`LidReport`] from its cycles and per-process
+/// firings, field by field as the scalar [`crate::LidSimulator::report`]
+/// computes it (strict shells never discard, so that column is all zeros).
+fn lane_report(cycles: u64, firings: Vec<u64>) -> LidReport {
+    let total_firings = firings.iter().sum();
+    let throughput = firings
         .iter()
         .map(|&f| {
-            if fin.cycles == 0 {
+            if cycles == 0 {
                 0.0
             } else {
-                f as f64 / fin.cycles as f64
+                f as f64 / cycles as f64
             }
         })
         .collect();
-    let discarded = vec![0; fin.firings.len()];
+    let discarded = vec![0; firings.len()];
     LidReport {
-        cycles: fin.cycles,
-        firings: fin.firings,
+        cycles,
+        firings,
         total_firings,
         discarded,
         throughput,
@@ -1975,10 +2031,10 @@ mod tests {
     }
 
     /// Per-lane routes of a fixed set of oracle batches (rings that
-    /// extrapolate, rings whose joint period is beyond the window, halting
-    /// pipelines, and a ring that freezes after a halt), recorded before
-    /// the search learned to stop early: ending a futile search changes no
-    /// lane's goal cycle, simulated cycles or extrapolation.
+    /// extrapolate, rings whose joint period is beyond the window, lanes
+    /// that meet their goal while a candidate period is verified, halting
+    /// pipelines, and a ring that freezes after a halt): the goal cycle,
+    /// simulated cycles, extrapolation and fallback reason of every lane.
     #[test]
     fn oracle_routes_match_the_recorded_routes() {
         /// Name, builder, per-lane relay budgets, goal process, target.
@@ -2021,6 +2077,27 @@ mod tests {
                 50_000,
             ),
         ];
+        // Lanes 0 and 5 reach the goal before the joint candidate, lanes 1,
+        // 2 and 6 while it is being verified, and the rest extrapolate.
+        batches.push((
+            "ring3 mixed to 800".into(),
+            Box::new(|| ring(3, 0)),
+            [0usize, 1, 2, 4, 7, 0, 3, 5]
+                .map(|n| vec![n, 0, 0])
+                .to_vec(),
+            0,
+            800,
+        ));
+        // Lane periods 5, 7, 9, 13 and 16: the joint period, 65 520, is a
+        // candidate just inside the window, and the last lane meets its
+        // goal while that candidate is verified beyond the window.
+        batches.push((
+            "ring2 lcm 65520".into(),
+            Box::new(|| ring(2, 0)),
+            [3usize, 5, 7, 11, 14].map(|n| vec![n, 0]).to_vec(),
+            0,
+            10_000,
+        ));
         for (m, n) in [(1usize, 0usize), (1, 4), (2, 1), (3, 2), (5, 3)] {
             let mut rs = vec![0; m];
             rs[0] = n;
@@ -2049,8 +2126,8 @@ mod tests {
             for (l, run) in runs.iter().enumerate() {
                 routes.push(match run {
                     Ok(run) => format!(
-                        "{name} lane {l}: {} cycles, simulated {}, extrapolated {}",
-                        run.report.cycles, run.simulated_cycles, run.extrapolated
+                        "{name} lane {l}: {} cycles, simulated {}, extrapolated {}, fallback {:?}",
+                        run.report.cycles, run.simulated_cycles, run.extrapolated, run.fallback
                     ),
                     Err(e) => format!("{name} lane {l}: {e}"),
                 });
@@ -2059,49 +2136,102 @@ mod tests {
         assert_eq!(routes, RECORDED_ROUTES);
     }
 
-    /// The routes of [`oracle_routes_match_the_recorded_routes`], recorded
-    /// with a search that hashed every cycle of the detection window.
-    const RECORDED_ROUTES: [&str; 39] = [
-        "ring3 mixed lane 0: 50000 cycles, simulated 1680, extrapolated true",
-        "ring3 mixed lane 1: 66666 cycles, simulated 1680, extrapolated true",
-        "ring3 mixed lane 2: 83332 cycles, simulated 1680, extrapolated true",
-        "ring3 mixed lane 3: 116664 cycles, simulated 1680, extrapolated true",
-        "ring3 mixed lane 4: 166662 cycles, simulated 1680, extrapolated true",
-        "ring3 mixed lane 5: 50000 cycles, simulated 1680, extrapolated true",
-        "ring3 mixed lane 6: 99998 cycles, simulated 1680, extrapolated true",
-        "ring3 mixed lane 7: 133330 cycles, simulated 1680, extrapolated true",
-        "ring2 futile lane 0: 5000 cycles, simulated 5000, extrapolated false",
-        "ring2 futile lane 1: 7000 cycles, simulated 7000, extrapolated false",
-        "ring2 futile lane 2: 8000 cycles, simulated 8000, extrapolated false",
-        "ring2 futile lane 3: 9000 cycles, simulated 9000, extrapolated false",
-        "ring2 futile lane 4: 11000 cycles, simulated 11000, extrapolated false",
-        "ring2 futile lane 5: 13000 cycles, simulated 13000, extrapolated false",
-        "two rings lane 0: 75000 cycles, simulated 75000, extrapolated false",
-        "two rings lane 1: 75000 cycles, simulated 75000, extrapolated false",
-        "two rings lane 2: 75000 cycles, simulated 75000, extrapolated false",
-        "two rings lane 3: 75000 cycles, simulated 75000, extrapolated false",
-        "two rings lane 4: 75000 cycles, simulated 75000, extrapolated false",
-        "two rings lane 5: 75000 cycles, simulated 75000, extrapolated false",
-        "two rings and a halting source lane 0: 75000 cycles, simulated 75000, extrapolated false",
-        "two rings and a halting source lane 1: 75000 cycles, simulated 75000, extrapolated false",
-        "two rings and a halting source lane 2: 75000 cycles, simulated 75000, extrapolated false",
-        "two rings and a halting source lane 3: 75000 cycles, simulated 75000, extrapolated false",
-        "two rings and a halting source lane 4: 75000 cycles, simulated 75000, extrapolated false",
-        "two rings and a halting source lane 5: 75000 cycles, simulated 75000, extrapolated false",
-        "ring1 n=0 lane 0: 5000 cycles, simulated 2, extrapolated true",
-        "ring1 n=4 lane 0: 25000 cycles, simulated 10, extrapolated true",
-        "ring2 n=1 lane 0: 7500 cycles, simulated 6, extrapolated true",
-        "ring3 n=2 lane 0: 8332 cycles, simulated 10, extrapolated true",
-        "ring5 n=3 lane 0: 8000 cycles, simulated 16, extrapolated true",
-        "pipeline to 5 lane 0: 5 cycles, simulated 5, extrapolated false",
-        "pipeline to 5 lane 1: 5 cycles, simulated 5, extrapolated false",
-        "pipeline to 5 lane 2: 5 cycles, simulated 5, extrapolated false",
-        "pipeline to 5 lane 3: 5 cycles, simulated 5, extrapolated false",
-        "pipeline to 9 lane 0: 9 cycles, simulated 8, extrapolated true",
-        "pipeline to 9 lane 1: 9 cycles, simulated 8, extrapolated true",
-        "pipeline to 9 lane 2: 9 cycles, simulated 8, extrapolated true",
-        "pipeline to 9 lane 3: 9 cycles, simulated 8, extrapolated true",
+    /// The routes of [`oracle_routes_match_the_recorded_routes`].  The
+    /// cycles and extrapolation flags were first recorded with a search
+    /// that hashed every cycle of the detection window; the fallback
+    /// reasons and the two batches verified mid-goal were recorded with the
+    /// separate search, verification and plain loops this kernel's one
+    /// drive loop replaced.
+    const RECORDED_ROUTES: [&str; 52] = [
+        "ring3 mixed lane 0: 50000 cycles, simulated 1680, extrapolated true, fallback None",
+        "ring3 mixed lane 1: 66666 cycles, simulated 1680, extrapolated true, fallback None",
+        "ring3 mixed lane 2: 83332 cycles, simulated 1680, extrapolated true, fallback None",
+        "ring3 mixed lane 3: 116664 cycles, simulated 1680, extrapolated true, fallback None",
+        "ring3 mixed lane 4: 166662 cycles, simulated 1680, extrapolated true, fallback None",
+        "ring3 mixed lane 5: 50000 cycles, simulated 1680, extrapolated true, fallback None",
+        "ring3 mixed lane 6: 99998 cycles, simulated 1680, extrapolated true, fallback None",
+        "ring3 mixed lane 7: 133330 cycles, simulated 1680, extrapolated true, fallback None",
+        "ring2 futile lane 0: 5000 cycles, simulated 5000, extrapolated false, fallback Some(PeriodBeyondWindow { proven_at: 28 })",
+        "ring2 futile lane 1: 7000 cycles, simulated 7000, extrapolated false, fallback Some(PeriodBeyondWindow { proven_at: 28 })",
+        "ring2 futile lane 2: 8000 cycles, simulated 8000, extrapolated false, fallback Some(PeriodBeyondWindow { proven_at: 28 })",
+        "ring2 futile lane 3: 9000 cycles, simulated 9000, extrapolated false, fallback Some(PeriodBeyondWindow { proven_at: 28 })",
+        "ring2 futile lane 4: 11000 cycles, simulated 11000, extrapolated false, fallback Some(PeriodBeyondWindow { proven_at: 28 })",
+        "ring2 futile lane 5: 13000 cycles, simulated 13000, extrapolated false, fallback Some(PeriodBeyondWindow { proven_at: 28 })",
+        "two rings lane 0: 75000 cycles, simulated 75000, extrapolated false, fallback Some(PeriodBeyondWindow { proven_at: 102 })",
+        "two rings lane 1: 75000 cycles, simulated 75000, extrapolated false, fallback Some(PeriodBeyondWindow { proven_at: 102 })",
+        "two rings lane 2: 75000 cycles, simulated 75000, extrapolated false, fallback Some(PeriodBeyondWindow { proven_at: 102 })",
+        "two rings lane 3: 75000 cycles, simulated 75000, extrapolated false, fallback Some(PeriodBeyondWindow { proven_at: 102 })",
+        "two rings lane 4: 75000 cycles, simulated 75000, extrapolated false, fallback Some(PeriodBeyondWindow { proven_at: 102 })",
+        "two rings lane 5: 75000 cycles, simulated 75000, extrapolated false, fallback Some(PeriodBeyondWindow { proven_at: 102 })",
+        "two rings and a halting source lane 0: 75000 cycles, simulated 75000, extrapolated false, fallback Some(PeriodBeyondWindow { proven_at: 302 })",
+        "two rings and a halting source lane 1: 75000 cycles, simulated 75000, extrapolated false, fallback Some(PeriodBeyondWindow { proven_at: 302 })",
+        "two rings and a halting source lane 2: 75000 cycles, simulated 75000, extrapolated false, fallback Some(PeriodBeyondWindow { proven_at: 302 })",
+        "two rings and a halting source lane 3: 75000 cycles, simulated 75000, extrapolated false, fallback Some(PeriodBeyondWindow { proven_at: 302 })",
+        "two rings and a halting source lane 4: 75000 cycles, simulated 75000, extrapolated false, fallback Some(PeriodBeyondWindow { proven_at: 302 })",
+        "two rings and a halting source lane 5: 75000 cycles, simulated 75000, extrapolated false, fallback Some(PeriodBeyondWindow { proven_at: 302 })",
+        "ring3 mixed to 800 lane 0: 800 cycles, simulated 800, extrapolated false, fallback Some(GoalBeforePeriod)",
+        "ring3 mixed to 800 lane 1: 1066 cycles, simulated 1066, extrapolated false, fallback Some(GoalBeforePeriod)",
+        "ring3 mixed to 800 lane 2: 1332 cycles, simulated 1332, extrapolated false, fallback Some(GoalBeforePeriod)",
+        "ring3 mixed to 800 lane 3: 1864 cycles, simulated 1680, extrapolated true, fallback None",
+        "ring3 mixed to 800 lane 4: 2662 cycles, simulated 1680, extrapolated true, fallback None",
+        "ring3 mixed to 800 lane 5: 800 cycles, simulated 800, extrapolated false, fallback Some(GoalBeforePeriod)",
+        "ring3 mixed to 800 lane 6: 1598 cycles, simulated 1598, extrapolated false, fallback Some(GoalBeforePeriod)",
+        "ring3 mixed to 800 lane 7: 2130 cycles, simulated 1680, extrapolated true, fallback None",
+        "ring2 lcm 65520 lane 0: 25000 cycles, simulated 25000, extrapolated false, fallback Some(GoalBeforePeriod)",
+        "ring2 lcm 65520 lane 1: 35000 cycles, simulated 35000, extrapolated false, fallback Some(GoalBeforePeriod)",
+        "ring2 lcm 65520 lane 2: 45000 cycles, simulated 45000, extrapolated false, fallback Some(GoalBeforePeriod)",
+        "ring2 lcm 65520 lane 3: 65000 cycles, simulated 65000, extrapolated false, fallback Some(GoalBeforePeriod)",
+        "ring2 lcm 65520 lane 4: 80000 cycles, simulated 80000, extrapolated false, fallback Some(GoalBeforePeriod)",
+        "ring1 n=0 lane 0: 5000 cycles, simulated 2, extrapolated true, fallback None",
+        "ring1 n=4 lane 0: 25000 cycles, simulated 10, extrapolated true, fallback None",
+        "ring2 n=1 lane 0: 7500 cycles, simulated 6, extrapolated true, fallback None",
+        "ring3 n=2 lane 0: 8332 cycles, simulated 10, extrapolated true, fallback None",
+        "ring5 n=3 lane 0: 8000 cycles, simulated 16, extrapolated true, fallback None",
+        "pipeline to 5 lane 0: 5 cycles, simulated 5, extrapolated false, fallback Some(GoalBeforePeriod)",
+        "pipeline to 5 lane 1: 5 cycles, simulated 5, extrapolated false, fallback Some(GoalBeforePeriod)",
+        "pipeline to 5 lane 2: 5 cycles, simulated 5, extrapolated false, fallback Some(GoalBeforePeriod)",
+        "pipeline to 5 lane 3: 5 cycles, simulated 5, extrapolated false, fallback Some(GoalBeforePeriod)",
+        "pipeline to 9 lane 0: 9 cycles, simulated 8, extrapolated true, fallback None",
+        "pipeline to 9 lane 1: 9 cycles, simulated 8, extrapolated true, fallback None",
+        "pipeline to 9 lane 2: 9 cycles, simulated 8, extrapolated true, fallback None",
+        "pipeline to 9 lane 3: 9 cycles, simulated 8, extrapolated true, fallback None",
     ];
+
+    /// A cycle budget that runs out while a candidate period is being
+    /// verified (cycles 840–1680 of `ring3 mixed to 800`) errs every lane
+    /// still running, exactly as their plain runs do; the lanes that met
+    /// their goal before keep their plain reports.
+    #[test]
+    fn a_budget_spent_mid_verification_errs_like_plain_runs() {
+        let (target, max_cycles) = (800, 1_500);
+        let rs_budgets = [0usize, 1, 2, 4, 7, 0, 3, 5];
+        let lanes: Vec<LaneScenario> = rs_budgets
+            .iter()
+            .map(|&n| LaneScenario {
+                relay_stations: vec![n, 0, 0],
+                stall: None,
+            })
+            .collect();
+        let mut kernel = LaneLidSimulator::new(ring(3, 0), &lanes, ShellConfig::strict()).unwrap();
+        let runs = kernel.run_until_firings_extrapolated(0, target, max_cycles);
+        let mut errs = 0;
+        for (l, (run, &n)) in runs.iter().zip(&rs_budgets).enumerate() {
+            let mut scalar = LidSimulator::new(ring(3, n), ShellConfig::strict()).unwrap();
+            scalar.set_trace_enabled(false);
+            match (run, scalar.run_until_firings(0, target, max_cycles)) {
+                (Ok(run), Ok(_)) => {
+                    assert_eq!(run.report, scalar.report(), "lane {l}");
+                    assert_eq!(run.fallback, Some(OracleFallback::GoalBeforePeriod));
+                }
+                (Err(e), Err(p)) => {
+                    assert_eq!(e.to_string(), p.to_string(), "lane {l}");
+                    errs += 1;
+                }
+                (run, plain) => panic!("lane {l}: oracle {run:?} vs plain {plain:?}"),
+            }
+        }
+        assert_eq!(errs, 4, "lanes 3, 4, 6 and 7 run out of budget");
+    }
 
     /// A lane's exact period by brute force: the first repeat of its
     /// one-lane control state.

@@ -37,10 +37,11 @@
 //!   allocation-free [`LidSimulator`] and [`GoldenSimulator`] kernels are
 //!   property-tested and benchmarked against.
 //!
-//! All four simulators implement the shared [`Simulator`] trait
-//! (`step`/`cycles`/`is_halted`/`run_until_halt`/`run_for` plus trace
-//! accessors), so generic harnesses and future goal modes are written once
-//! against the trait instead of four times against the concrete types.
+//! Each kernel has one drive loop.  The scalar kernels run their goals
+//! through their own `run_until_halt`/`run_until_firings`/`run_for`, and
+//! the lane kernel runs every batch — plain, drained or extrapolating —
+//! through one private loop over a per-lane status, with the period
+//! oracle as phases of that loop.
 //!
 //! ```
 //! use wp_core::{Process, ShellConfig};
@@ -79,7 +80,6 @@ mod lane;
 mod lid;
 mod naive;
 mod oracle;
-mod simulator;
 mod spec;
 mod sweep;
 #[cfg(test)]
@@ -91,6 +91,5 @@ pub use lane::{LaneLidSimulator, LaneOutcome, LaneScenario, StallSchedule, MAX_L
 pub use lid::{LidReport, LidSimulator, DEFAULT_DEADLOCK_WINDOW};
 pub use naive::{NaiveGoldenSimulator, NaiveSimulator};
 pub use oracle::{OracleFallback, OracleRun, ORACLE_DETECTION_WINDOW};
-pub use simulator::Simulator;
 pub use spec::{ChannelId, ChannelSpec, ProcessId, SimError, SystemBuilder};
 pub use sweep::{RunGoal, Scenario, SweepError, SweepOutcome, SweepRunner, SweepStats};

@@ -30,7 +30,7 @@
 //! kernel-equivalence property tests assert cycle-identical behaviour and
 //! the criterion benches measure the speedup against it.
 
-use wp_core::{ChannelTrace, Process, RelayChain, Shell, ShellConfig, ShellStats, TraceArena};
+use wp_core::{Process, RelayChain, Shell, ShellConfig, ShellStats, TraceArena};
 
 use crate::arena::WireArena;
 use crate::lane::StallSchedule;
@@ -387,32 +387,7 @@ impl<V: Clone + PartialEq> LidSimulator<V> {
     }
 }
 
-crate::simulator::impl_trace_arena_accessors!(LidSimulator);
-
-impl<V: Clone + PartialEq> crate::Simulator<V> for LidSimulator<V> {
-    fn step(&mut self) -> Result<(), SimError> {
-        LidSimulator::step(self)
-    }
-    fn cycles(&self) -> u64 {
-        self.cycles
-    }
-    fn is_halted(&self, id: ProcessId) -> bool {
-        self.shells[id].is_halted()
-    }
-    fn process(&self, id: ProcessId) -> &dyn Process<V> {
-        self.shells[id].process()
-    }
-    fn set_trace_enabled(&mut self, enabled: bool) {
-        self.trace_enabled = enabled;
-    }
-    fn channel_traces(&self) -> Vec<ChannelTrace<V>> {
-        self.traces.to_channel_traces()
-    }
-    fn halt_guard(&self) -> Option<SimError> {
-        (self.cycles_since_firing >= self.deadlock_window)
-            .then_some(SimError::Deadlock { cycle: self.cycles })
-    }
-}
+crate::arena::impl_trace_arena_accessors!(LidSimulator);
 
 #[cfg(test)]
 mod tests {

@@ -435,51 +435,4 @@ impl<V: Clone + PartialEq> NaiveGoldenSimulator<V> {
     }
 }
 
-crate::simulator::impl_trace_arena_accessors!(NaiveGoldenSimulator);
-
-impl<V: Clone + PartialEq> crate::Simulator<V> for NaiveSimulator<V> {
-    fn step(&mut self) -> Result<(), SimError> {
-        NaiveSimulator::step(self)
-    }
-    fn cycles(&self) -> u64 {
-        self.cycles
-    }
-    fn is_halted(&self, id: ProcessId) -> bool {
-        self.shells[id].is_halted()
-    }
-    fn process(&self, id: ProcessId) -> &dyn Process<V> {
-        self.shells[id].process()
-    }
-    fn set_trace_enabled(&mut self, enabled: bool) {
-        self.trace_enabled = enabled;
-    }
-    fn channel_traces(&self) -> Vec<ChannelTrace<V>> {
-        self.traces.clone()
-    }
-    fn halt_guard(&self) -> Option<SimError> {
-        (self.cycles_since_firing >= self.deadlock_window)
-            .then_some(SimError::Deadlock { cycle: self.cycles })
-    }
-}
-
-impl<V: Clone + PartialEq> crate::Simulator<V> for NaiveGoldenSimulator<V> {
-    fn step(&mut self) -> Result<(), SimError> {
-        NaiveGoldenSimulator::step(self);
-        Ok(())
-    }
-    fn cycles(&self) -> u64 {
-        self.cycles
-    }
-    fn is_halted(&self, id: ProcessId) -> bool {
-        self.processes[id].is_halted()
-    }
-    fn process(&self, id: ProcessId) -> &dyn Process<V> {
-        self.processes[id].as_ref()
-    }
-    fn set_trace_enabled(&mut self, enabled: bool) {
-        self.trace_enabled = enabled;
-    }
-    fn channel_traces(&self) -> Vec<ChannelTrace<V>> {
-        self.traces.to_channel_traces()
-    }
-}
+crate::arena::impl_trace_arena_accessors!(NaiveGoldenSimulator);

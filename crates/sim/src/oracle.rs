@@ -12,17 +12,22 @@
 //! firing patterns repeat with period `P` forever.
 //!
 //! [`crate::LaneLidSimulator::run_until_firings_extrapolated`] exploits
-//! this: it simulates until the packed control state repeats (hashing the
-//! control planes each cycle), verifies the candidate period by simulating
-//! one more full period and comparing the complete control vectors
-//! (defeating hash collisions), and then *extrapolates* each lane's goal
-//! cycle and per-process firing counters in O(1) instead of simulating
-//! millions of steady-state cycles.  That drive loop is the only one: a
-//! single run is a one-lane batch.  A batch with a stall schedule, or one
-//! with no period inside the detection window, simulates to its goals
-//! plainly — the oracle only ever reads state, so the fallback is
-//! bit-identical to never having asked — and every such run names its
-//! [`OracleFallback`].  Oracle-policy (WP2) runs, which the lane kernel
+//! this.  The oracle is three phases of the lane kernel's one drive loop,
+//! between that loop's per-cycle boundary checks (goal, budget, deadlock)
+//! and its step.  *Search* hashes the packed control state each cycle
+//! until it repeats.  *Verify* simulates one more full period while the
+//! checks go on, recording the fire masks, and compares the complete
+//! control vectors (defeating hash collisions).  A match *extrapolates*
+//! each undecided lane's goal cycle and per-process firing counters in
+//! O(1) instead of simulating millions of steady-state cycles; a mismatch
+//! restarts the search.  Lanes that meet their goal during verification
+//! are reported from simulation, as reaching their goal before a period.
+//! That loop is the only one: a single run is a one-lane batch, and a
+//! plain lane run is the same loop without the oracle's phases.  A batch
+//! with a stall schedule, or one with no period inside the detection
+//! window, simulates to its goals plainly — the oracle only ever reads
+//! state, so the fallback is bit-identical to never having asked — and
+//! every such run names its [`OracleFallback`].  Oracle-policy (WP2) runs, which the lane kernel
 //! rejects, are simulated plainly by the sweep.
 //!
 //! # Proving the joint search futile

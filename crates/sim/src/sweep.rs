@@ -98,7 +98,7 @@ use std::sync::Mutex;
 use wp_core::{EquivalenceReport, ShellConfig, StreamingEquivalence, SyncPolicy, TraceArena};
 
 use crate::golden::GoldenSimulator;
-use crate::lane::{LaneLidSimulator, LaneScenario, StallSchedule, MAX_LANES};
+use crate::lane::{LaneEnd, LaneLidSimulator, LaneScenario, StallSchedule, MAX_LANES};
 use crate::lid::{LidReport, LidSimulator};
 use crate::spec::{ProcessId, SimError, SystemBuilder};
 
@@ -474,13 +474,15 @@ struct OracleTally {
 }
 
 impl OracleTally {
-    /// Accounts one finished run of the lane kernel's oracle.
-    fn record(&self, run: &crate::oracle::OracleRun) {
+    /// Accounts one lane of an extrapolating lane-kernel drive.
+    fn record(&self, end: &LaneEnd) {
         self.simulated
-            .fetch_add(run.simulated_cycles, Ordering::Relaxed);
-        self.extrapolated
-            .fetch_add(run.extrapolated_cycles(), Ordering::Relaxed);
-        if run.extrapolated {
+            .fetch_add(end.simulated_cycles, Ordering::Relaxed);
+        self.extrapolated.fetch_add(
+            end.report.cycles.saturating_sub(end.simulated_cycles),
+            Ordering::Relaxed,
+        );
+        if end.fallback.is_none() {
             self.extrapolations.fetch_add(1, Ordering::Relaxed);
         } else {
             self.fallbacks.fetch_add(1, Ordering::Relaxed);
@@ -881,52 +883,25 @@ where
     // An oracle batch finishes by per-lane steady-state extrapolation (the
     // grouping key includes the oracle flag, so the whole batch opted in);
     // everything else runs the plain goal + drain lifecycle.
-    if let (
-        true,
-        RunGoal::UntilFirings {
-            process,
-            target,
-            max_cycles,
-        },
-    ) = (lead.oracle_eligible(), lead.goal)
-    {
-        let outcomes = kernel.run_until_firings_extrapolated(process, target, max_cycles);
-        return Some(
-            batch
-                .iter()
-                .zip(outcomes)
-                .map(|(&i, outcome)| match outcome {
-                    Ok(run) => {
-                        tally.record(&run);
-                        Ok(SweepOutcome {
-                            label: scenarios[i].label.clone(),
-                            cycles_to_goal: run.report.cycles,
-                            report: run.report,
-                            post: None,
-                            equivalence: None,
-                        })
-                    }
-                    Err(error) => Err(SweepError {
-                        label: scenarios[i].label.clone(),
-                        error,
-                    }),
-                })
-                .collect(),
-        );
-    }
-    let outcomes = kernel.run(lead.goal, lead.drain);
+    let oracle = lead.oracle_eligible();
+    let ends = kernel.drive(lead.goal, lead.drain, oracle);
     Some(
         batch
             .iter()
-            .zip(outcomes)
-            .map(|(&i, outcome)| match outcome {
-                Ok(o) => Ok(SweepOutcome {
-                    label: scenarios[i].label.clone(),
-                    cycles_to_goal: o.cycles_to_goal,
-                    report: o.report,
-                    post: None,
-                    equivalence: None,
-                }),
+            .zip(ends)
+            .map(|(&i, end)| match end {
+                Ok(end) => {
+                    if oracle {
+                        tally.record(&end);
+                    }
+                    Ok(SweepOutcome {
+                        label: scenarios[i].label.clone(),
+                        cycles_to_goal: end.cycles_to_goal,
+                        report: end.report,
+                        post: None,
+                        equivalence: None,
+                    })
+                }
                 Err(error) => Err(SweepError {
                     label: scenarios[i].label.clone(),
                     error,
@@ -958,7 +933,8 @@ const EQUIVALENCE_CHUNK: u64 = 256;
 /// `Ok(true)` once the goal is reached; a [`SimError::MaxCyclesExceeded`]
 /// produced by the *chunk boundary* (not the goal's own budget) is mapped
 /// to `Ok(false)`, so deadlock detection and the real cycle budget behave
-/// exactly as in the un-chunked path.
+/// exactly as in one unbounded chunk (`u64::MAX`), which is how a run
+/// without an equivalence twin is driven.
 fn run_goal_chunk<V: Clone + PartialEq>(
     sim: &mut LidSimulator<V>,
     goal: RunGoal,
@@ -1103,36 +1079,22 @@ where
         None => None,
     };
 
-    let cycles_to_goal = match &mut driver {
-        None => match scenario.goal {
-            RunGoal::UntilHalt {
-                process,
-                max_cycles,
-            } => sim.run_until_halt(process, max_cycles).map_err(fail)?,
-            RunGoal::UntilFirings {
-                process,
-                target,
-                max_cycles,
-            } => sim
-                .run_until_firings(process, target, max_cycles)
-                .map_err(fail)?,
-            RunGoal::ForCycles(cycles) => {
-                sim.run_for(cycles).map_err(fail)?;
-                sim.cycles()
-            }
-        },
-        Some(driver) => {
-            loop {
-                let done =
-                    run_goal_chunk(&mut sim, scenario.goal, EQUIVALENCE_CHUNK).map_err(fail)?;
-                driver.sync(&mut sim, !scenario.trace_enabled);
-                if done {
-                    break;
-                }
-            }
-            sim.cycles()
-        }
+    // Without an equivalence twin the whole run is one unbounded chunk.
+    let chunk = if driver.is_some() {
+        EQUIVALENCE_CHUNK
+    } else {
+        u64::MAX
     };
+    loop {
+        let done = run_goal_chunk(&mut sim, scenario.goal, chunk).map_err(fail)?;
+        if let Some(driver) = &mut driver {
+            driver.sync(&mut sim, !scenario.trace_enabled);
+        }
+        if done {
+            break;
+        }
+    }
+    let cycles_to_goal = sim.cycles();
     if let Some((idle_cycles, max_extra)) = scenario.drain {
         sim.drain(idle_cycles, max_extra).map_err(fail)?;
         if let Some(driver) = &mut driver {
