@@ -1,49 +1,19 @@
-//! End-to-end proof of the cross-machine acceptance criterion: `table1
-//! --quick --verify --hosts <2 shell fake hosts>` (real dispatched worker
-//! processes) produces byte-identical table output and `BENCH_table1.json`
-//! (modulo the wall-time field) to the in-process run — including when the
-//! first host always fails and its shard must fail over to the second.
+//! End-to-end proof of the cross-machine acceptance criterion: every
+//! sharding binary under `--hosts <2 shell fake hosts>` (real dispatched
+//! worker processes) produces byte-identical stdout — and `table1` a
+//! `BENCH_table1.json` identical modulo the wall-time field — to its
+//! in-process run, including when the first host always fails and its
+//! shard must fail over to the second.
+
+mod common;
 
 use std::path::PathBuf;
 use std::process::Command;
 
-/// Runs the real `table1` binary and returns (stdout, report JSON).
-fn run_table1(extra: &[&str], json_path: &std::path::Path) -> (String, String) {
-    let json = json_path.to_str().expect("utf-8 temp path");
-    let output = Command::new(env!("CARGO_BIN_EXE_table1"))
-        .args(["--quick", "--verify", "--json", json])
-        .args(extra)
-        .output()
-        .expect("table1 runs");
-    assert!(
-        output.status.success(),
-        "table1 {extra:?} failed: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let stdout = String::from_utf8(output.stdout).expect("utf-8 table output");
-    let report = std::fs::read_to_string(json_path).expect("report was written");
-    (stdout, report)
-}
-
-/// The report with its wall-clock line dropped (the only field a
-/// dispatched run is allowed to differ in).
-fn without_wall_time(report: &str) -> String {
-    report
-        .lines()
-        .filter(|line| !line.contains("\"wall_seconds\""))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-fn temp_path(tag: &str, ext: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "wp_bench_dispatched_{tag}_{}.{ext}",
-        std::process::id()
-    ))
-}
+use common::{assert_every_binary_matches_in_process, temp_path, without_wall_time, TABLE1};
 
 fn write_hostfile(tag: &str, text: &str) -> PathBuf {
-    let path = temp_path(tag, "conf");
+    let path = temp_path(&format!("dispatched_{tag}"), "conf");
     std::fs::write(&path, text).expect("hostfile written");
     path
 }
@@ -56,25 +26,8 @@ fn two_shell_fake_hosts_reproduce_the_in_process_run_byte_for_byte() {
          fake0 shell capacity=1\n\
          fake1 shell capacity=1\n",
     );
-    let json_ref = temp_path("ref", "json");
-    let json_hosts = temp_path("hosts", "json");
-    let (stdout_ref, report_ref) = run_table1(&[], &json_ref);
-    let (stdout_hosts, report_hosts) =
-        run_table1(&["--hosts", hosts.to_str().unwrap()], &json_hosts);
-    let _ = std::fs::remove_file(&json_ref);
-    let _ = std::fs::remove_file(&json_hosts);
+    assert_every_binary_matches_in_process(&["--hosts", hosts.to_str().unwrap()], "hosts");
     let _ = std::fs::remove_file(&hosts);
-
-    assert_eq!(
-        stdout_ref, stdout_hosts,
-        "dispatched table output must be byte-identical"
-    );
-    assert_ne!(report_hosts, "", "the report was written");
-    assert_eq!(
-        without_wall_time(&report_ref),
-        without_wall_time(&report_hosts),
-        "dispatched reports must be identical modulo wall time"
-    );
 }
 
 /// The failover acceptance criterion, end to end: the first host always
@@ -87,21 +40,20 @@ fn an_always_failing_first_host_fails_over_and_stays_byte_identical() {
         "sick shell capacity=1 prefix=\"exit 1 #\"\n\
          well shell capacity=1\n",
     );
-    let json_ref = temp_path("failover_ref", "json");
-    let json_hosts = temp_path("failover_hosts", "json");
-    let (stdout_ref, report_ref) = run_table1(&["--program", "sort"], &json_ref);
-    let (stdout_hosts, report_hosts) = run_table1(
+    let reference = TABLE1.run(&["--program", "sort"], "failover_ref");
+    let failed_over = TABLE1.run(
         &["--program", "sort", "--hosts", hosts.to_str().unwrap()],
-        &json_hosts,
+        "failover",
     );
-    let _ = std::fs::remove_file(&json_ref);
-    let _ = std::fs::remove_file(&json_hosts);
     let _ = std::fs::remove_file(&hosts);
 
-    assert_eq!(stdout_ref, stdout_hosts, "failover must not change output");
     assert_eq!(
-        without_wall_time(&report_ref),
-        without_wall_time(&report_hosts)
+        reference.stdout, failed_over.stdout,
+        "failover must not change output"
+    );
+    assert_eq!(
+        reference.report.as_deref().map(without_wall_time),
+        failed_over.report.as_deref().map(without_wall_time)
     );
 }
 

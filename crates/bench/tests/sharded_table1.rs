@@ -1,72 +1,25 @@
-//! End-to-end proof of the sharding acceptance criterion: `table1 --quick
-//! --verify --shards 2` (real forked worker processes) produces
-//! byte-identical table output and `BENCH_table1.json` (modulo the
-//! wall-time field) to `--shards 1`.
+//! End-to-end proof of the sharding acceptance criterion: every sharding
+//! binary under `--shards 2` (real forked worker processes) produces
+//! byte-identical stdout — and `table1` a `BENCH_table1.json` identical
+//! modulo the wall-time field — to its in-process run.
 
-use std::path::PathBuf;
+mod common;
+
 use std::process::Command;
 
-/// Runs the real `table1` binary and returns (stdout, report JSON).
-fn run_table1(extra: &[&str], json_path: &std::path::Path) -> (String, String) {
-    let json = json_path.to_str().expect("utf-8 temp path");
-    let output = Command::new(env!("CARGO_BIN_EXE_table1"))
-        .args(["--quick", "--verify", "--json", json])
-        .args(extra)
-        .output()
-        .expect("table1 runs");
-    assert!(
-        output.status.success(),
-        "table1 {extra:?} failed: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let stdout = String::from_utf8(output.stdout).expect("utf-8 table output");
-    let report = std::fs::read_to_string(json_path).expect("report was written");
-    (stdout, report)
-}
-
-/// The report with its wall-clock line dropped (the only field a sharded
-/// run is allowed to differ in).
-fn without_wall_time(report: &str) -> String {
-    report
-        .lines()
-        .filter(|line| !line.contains("\"wall_seconds\""))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-fn temp_json(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "wp_bench_sharded_{tag}_{}.json",
-        std::process::id()
-    ))
-}
+use common::{assert_every_binary_matches_in_process, TABLE1};
 
 #[test]
 fn two_shards_reproduce_the_single_process_run_byte_for_byte() {
-    let json1 = temp_json("shards1");
-    let json2 = temp_json("shards2");
-    let (stdout1, report1) = run_table1(&["--shards", "1"], &json1);
-    let (stdout2, report2) = run_table1(&["--shards", "2"], &json2);
-    let _ = std::fs::remove_file(&json1);
-    let _ = std::fs::remove_file(&json2);
-
+    let runs = assert_every_binary_matches_in_process(&["--shards", "2"], "shards2");
+    let table1 = &runs[0].stdout;
     assert!(
-        stdout1.contains("Table 1 (upper, quick)") && stdout1.contains("Table 1 (lower, quick)"),
-        "the quick run prints both tables:\n{stdout1}"
+        table1.contains("Table 1 (upper, quick)") && table1.contains("Table 1 (lower, quick)"),
+        "the quick run prints both tables:\n{table1}"
     );
     assert!(
-        stdout1.contains("N WP1"),
-        "--verify surfaces the proven-N columns:\n{stdout1}"
-    );
-    assert_eq!(
-        stdout1, stdout2,
-        "sharded table output must be byte-identical"
-    );
-    assert_ne!(report1, "", "the report was written");
-    assert_eq!(
-        without_wall_time(&report1),
-        without_wall_time(&report2),
-        "sharded reports must be identical modulo wall time"
+        table1.contains("N WP1"),
+        "--verify surfaces the proven-N columns:\n{table1}"
     );
 }
 
@@ -100,13 +53,11 @@ fn worker_mode_emits_one_parseable_record_per_assigned_row() {
 /// still merges to the in-process output.
 #[test]
 fn a_stale_shard_plan_larger_than_the_rows_still_merges() {
-    let json_ref = temp_json("ref");
-    let (stdout_ref, _) = run_table1(&["--program", "sort"], &json_ref);
-    let _ = std::fs::remove_file(&json_ref);
+    let stdout_ref = TABLE1.run(&["--program", "sort"], "stale_ref").stdout;
     for shards in ["40", "18446744073709551615"] {
-        let json = temp_json("many");
-        let (stdout_many, _) = run_table1(&["--program", "sort", "--shards", shards], &json);
-        let _ = std::fs::remove_file(&json);
+        let stdout_many = TABLE1
+            .run(&["--program", "sort", "--shards", shards], "stale")
+            .stdout;
         assert_eq!(
             stdout_many, stdout_ref,
             "{shards} shards over 12 rows still merge"
