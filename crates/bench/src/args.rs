@@ -49,6 +49,13 @@
 //! * `--emit-ndjson` — emit one machine-readable JSON record per result
 //!   row on stdout instead of the human-readable report.
 //!
+//! None of the sharding binaries branches on these modes: each describes
+//! its rows once (a row count, a closure computing the rows of a
+//! submission-order range, the row's NDJSON encoder and decoder) and calls
+//! the one row driver, [`ShardArgs::run_rows`], which runs the mode and
+//! hands back the rows to publish — all of them in process and in the
+//! parent, none in a worker.
+//!
 //! Both the `--flag value` and the `--flag=value` spellings are accepted.
 //! Parsing returns [`ArgError`] instead of exiting, so it is unit-testable;
 //! the binaries keep exiting with status 2 through [`ArgError::exit`].
@@ -57,7 +64,7 @@ use std::fmt;
 use std::ops::Range;
 
 use wp_dist::{load_hostfile, run_dispatched, Host, Json, LocalProcess, ShardPlan, ShardSpec};
-use wp_sim::SweepRunner;
+use wp_sim::{SweepRunner, SweepStats};
 
 /// A malformed command line, as reported by [`flag_value`] and
 /// [`SweepArgs::from_args`].
@@ -227,6 +234,28 @@ impl OracleMode {
         matches!(self, OracleMode::Auto)
     }
 
+    /// Reports the period-oracle saving of `sweeps` on stderr when this
+    /// mode converts rows — never on stdout, which stays byte-identical
+    /// across `--oracle` modes.  Each process reports the sweeps it ran, so
+    /// a sharded run prints one line per worker.
+    pub fn report_saving<'a>(self, sweeps: impl IntoIterator<Item = &'a SweepStats>) {
+        if !self.converts_rows() {
+            return;
+        }
+        let (mut simulated, mut total, mut extrapolations, mut fallbacks) = (0, 0, 0, 0);
+        for stats in sweeps {
+            simulated += stats.oracle_simulated_cycles;
+            total += stats.oracle_simulated_cycles + stats.oracle_extrapolated_cycles;
+            extrapolations += stats.oracle_extrapolations;
+            fallbacks += stats.oracle_fallbacks;
+        }
+        eprintln!(
+            "oracle: simulated {simulated} of {total} cycles ({}x saving), \
+             {extrapolations} extrapolation(s), {fallbacks} fallback(s)",
+            total.checked_div(simulated).unwrap_or(0),
+        );
+    }
+
     /// The command-line spelling of this mode.
     pub fn label(self) -> &'static str {
         match self {
@@ -343,7 +372,7 @@ pub struct ShardArgs {
     pub range: Option<Range<usize>>,
     /// Whether to emit NDJSON records instead of the human-readable report
     /// (`--emit-ndjson`, implied by `--shard`).
-    pub emit_ndjson: bool,
+    emit_ndjson: bool,
 }
 
 impl ShardArgs {
@@ -456,17 +485,78 @@ impl ShardArgs {
         })
     }
 
+    /// The one row driver of every sharding binary: runs `n_rows`
+    /// submission-order result rows in this invocation's mode.
+    ///
+    /// * In process — returns `compute(0..n_rows)`.
+    /// * Worker (`--shard i/N` / `--emit-ndjson`) — computes only this
+    ///   worker's range, prints `encode(index, row)` as one NDJSON record
+    ///   per row and returns `None`: a worker has nothing to publish.
+    /// * Parent (`--shards N` / `--hosts`) — dispatches the rows to one
+    ///   worker per populated shard of the fleet through
+    ///   [`wp_dist::run_dispatched`] (capacity-weighted ranges, failover,
+    ///   the machine's cores shared among co-located workers) and returns
+    ///   their records decoded in index order.
+    ///
+    /// `compute` returns the rows of a range in order; `encode` writes one
+    /// single-line record whose `"index"` member is the row's global
+    /// index; `decode` reads a record back for the row its index names and
+    /// must reject one whose identity member (a label, a table number)
+    /// names another row, so a mismatched worker binary fails loudly
+    /// instead of corrupting the merged output.  `noun` names a row in the
+    /// dispatch log and in decode errors; `gate` reports the equivalence
+    /// gate there (`None` for binaries without one).  Callers print the
+    /// returned rows themselves, so one publishing path serves the
+    /// in-process run and the parent alike.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `compute`'s errors, dispatch failures and the first
+    /// record `decode` rejects, naming its row.
+    pub fn run_rows<R>(
+        &self,
+        n_rows: usize,
+        noun: &str,
+        gate: Option<bool>,
+        compute: impl FnOnce(Range<usize>) -> Result<Vec<R>, Box<dyn std::error::Error>>,
+        encode: impl Fn(usize, &R) -> String,
+        mut decode: impl FnMut(usize, &Json) -> Result<R, String>,
+    ) -> Result<Option<Vec<R>>, Box<dyn std::error::Error>> {
+        if self.is_parent() {
+            let records = self.run_sharded_rows(n_rows, noun, gate)?;
+            let rows = records
+                .iter()
+                .enumerate()
+                .map(|(index, record)| {
+                    decode(index, record)
+                        .map_err(|e| format!("worker record for {noun} {index}: {e}"))
+                })
+                .collect::<Result<_, _>>()?;
+            return Ok(Some(rows));
+        }
+        let range = self.worker_range(n_rows);
+        let rows = compute(range.clone())?;
+        assert_eq!(rows.len(), range.len(), "one {noun} per index of {range:?}");
+        if !self.emit_ndjson {
+            return Ok(Some(rows));
+        }
+        for (index, row) in range.zip(&rows) {
+            println!("{}", encode(index, row));
+        }
+        Ok(None)
+    }
+
     /// Whether this invocation is the sharding parent (it should spawn
     /// workers instead of sweeping itself) — either the local `--shards N`
     /// fork or the cross-machine `--hosts` dispatch.
-    pub fn is_parent(&self) -> bool {
+    fn is_parent(&self) -> bool {
         self.shards > 1 || self.hosts.is_some()
     }
 
     /// The submission-order range this worker runs, out of `n_items` total:
     /// the explicit `--shard-range` when present (clamped to `n_items`),
     /// else the uniform split of `--shard i/N`, else everything.
-    pub fn worker_range(&self, n_items: usize) -> Range<usize> {
+    fn worker_range(&self, n_items: usize) -> Range<usize> {
         if let Some(range) = &self.range {
             return range.start.min(n_items)..range.end.min(n_items);
         }
@@ -483,7 +573,7 @@ impl ShardArgs {
     /// makes the worker independent of how the parent planned the split
     /// (uniform or capacity-weighted), and stripping `--hosts` guarantees
     /// a dispatched worker never re-dispatches.
-    pub fn worker_args(args: &[String], shard: ShardSpec, range: &Range<usize>) -> Vec<String> {
+    fn worker_args(args: &[String], shard: ShardSpec, range: &Range<usize>) -> Vec<String> {
         const PARENT_FLAGS: [&str; 4] = ["--shards", "--shard", "--shard-range", "--hosts"];
         let mut out = Vec::with_capacity(args.len() + 5);
         let mut skip_value = false;
@@ -516,13 +606,12 @@ impl ShardArgs {
         out
     }
 
-    /// The parent side of a sharded experiment, shared by every sharding
-    /// binary: plans `n_items` result rows over a fleet of hosts, logs the
-    /// dispatch to stderr (`noun` names a row, e.g. "table row"; `gate`
-    /// reports the equivalence gate, or `None` for binaries without one),
-    /// spawns one worker per populated shard through
-    /// [`wp_dist::run_dispatched`] and returns the merged NDJSON records in
-    /// submission order.
+    /// The parent side of [`ShardArgs::run_rows`]: plans `n_items` result
+    /// rows over a fleet of hosts, logs the dispatch to stderr (`noun`
+    /// names a row, e.g. "table row"; `gate` reports the equivalence gate,
+    /// or `None` for binaries without one), spawns one worker per
+    /// populated shard through [`wp_dist::run_dispatched`] and returns the
+    /// merged NDJSON records in submission order.
     ///
     /// The fleet is the hostfile's with `--hosts hosts.conf`, and with
     /// `--shards N` it is `N` capacity-1 `local` hosts (`local_fleet`), each
@@ -545,7 +634,7 @@ impl ShardArgs {
     ///
     /// Propagates [`std::env::current_exe`] failures, hostfile errors and
     /// any [`wp_dist::DistError`] from the worker protocol.
-    pub fn run_sharded_rows(
+    fn run_sharded_rows(
         &self,
         n_items: usize,
         noun: &str,

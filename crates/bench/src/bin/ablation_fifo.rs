@@ -13,11 +13,14 @@
 //! with `--hosts hosts.conf` (worker mode: `--shard i/N` /
 //! `--emit-ndjson`), merging to byte-identical output.
 
+use std::ops::Range;
+
 use wp_bench::{
     json_opt_usize, soc_factory, soc_scenario_with_config, sort_workload, ScenarioWiring,
     ShardArgs, SweepArgs, MAX_CYCLES,
 };
 use wp_core::ShellConfig;
+use wp_dist::Json;
 use wp_proc::SocState;
 use wp_proc::{run_golden_soc, Link, Organization, RsConfig};
 use wp_sim::{Scenario, SweepOutcome};
@@ -26,6 +29,7 @@ const DEPTHS: [usize; 6] = [2, 3, 4, 6, 8, 16];
 
 /// One merged table row: the queue depth, both cycle counts and — under
 /// `--verify` — the proven equivalence prefix per policy.
+#[derive(Debug, PartialEq)]
 struct Row {
     depth: usize,
     wp1_cycles: u64,
@@ -110,71 +114,97 @@ fn print_table(golden_cycles: u64, rows: &[Row]) {
     }
 }
 
+/// Sweeps the depth rows in `range` (row `i` owns scenarios `2i` and
+/// `2i + 1`).
+fn sweep_rows(
+    sweep: &SweepArgs,
+    verify: bool,
+    range: Range<usize>,
+) -> Result<Vec<Row>, Box<dyn std::error::Error>> {
+    let outcomes: Vec<SweepOutcome<SocState>> = sweep
+        .runner()
+        .run_range(scenarios(verify), 2 * range.start..2 * range.end)
+        .into_iter()
+        .collect::<Result<_, _>>()?;
+    Ok(DEPTHS[range]
+        .iter()
+        .zip(outcomes.chunks(2))
+        .map(|(&depth, pair)| row_of(depth, &pair[0], &pair[1]))
+        .collect::<Result<_, _>>()?)
+}
+
+fn encode_row(index: usize, row: &Row) -> String {
+    format!(
+        "{{\"index\": {index}, \"depth\": {}, \"wp1_cycles\": {}, \"wp2_cycles\": {}, \
+         \"n_wp1\": {}, \"n_wp2\": {}}}",
+        row.depth,
+        row.wp1_cycles,
+        row.wp2_cycles,
+        json_opt_usize(row.n_wp1),
+        json_opt_usize(row.n_wp2),
+    )
+}
+
+/// Decodes the worker record of depth row `index`, rejecting a record for
+/// another depth.
+fn decode_row(index: usize, record: &Json) -> Result<Row, String> {
+    let depth = record.require_usize("depth")?;
+    if depth != DEPTHS[index] {
+        return Err(format!(
+            "carries depth {depth}, but row {index} is depth {}: mismatched worker binary?",
+            DEPTHS[index]
+        ));
+    }
+    Ok(Row {
+        depth,
+        wp1_cycles: record.require_u64("wp1_cycles")?,
+        wp2_cycles: record.require_u64("wp2_cycles")?,
+        n_wp1: record.require_nullable_usize("n_wp1")?,
+        n_wp2: record.require_nullable_usize("n_wp2")?,
+    })
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let verify = args.iter().any(|a| a == "--verify");
     let sweep = SweepArgs::from_args(&args).unwrap_or_else(|e| e.exit());
     let shard = ShardArgs::from_args(&args).unwrap_or_else(|e| e.exit());
-    let n_rows = DEPTHS.len();
-
-    if shard.emit_ndjson {
-        // Worker mode: row i owns scenarios 2i and 2i+1.
-        let rows = shard.worker_range(n_rows);
-        let outcomes: Vec<SweepOutcome<SocState>> = sweep
-            .runner()
-            .run_range(scenarios(verify), 2 * rows.start..2 * rows.end)
-            .into_iter()
-            .collect::<Result<_, _>>()?;
-        for (offset, index) in rows.enumerate() {
-            let row = row_of(
-                DEPTHS[index],
-                &outcomes[2 * offset],
-                &outcomes[2 * offset + 1],
-            )?;
-            println!(
-                "{{\"index\": {index}, \"depth\": {}, \"wp1_cycles\": {}, \"wp2_cycles\": {}, \
-                 \"n_wp1\": {}, \"n_wp2\": {}}}",
-                row.depth,
-                row.wp1_cycles,
-                row.wp2_cycles,
-                json_opt_usize(row.n_wp1),
-                json_opt_usize(row.n_wp2),
-            );
-        }
+    let Some(rows) = shard.run_rows(
+        DEPTHS.len(),
+        "depth row",
+        Some(verify),
+        |range| sweep_rows(&sweep, verify, range),
+        encode_row,
+        decode_row,
+    )?
+    else {
         return Ok(());
-    }
-
-    let workload = sort_workload();
-    let golden = run_golden_soc(&workload, Organization::Pipelined, MAX_CYCLES)?;
-
-    let rows: Vec<Row> = if shard.is_parent() {
-        let records = shard.run_sharded_rows(n_rows, "depth row", Some(verify))?;
-        records
-            .iter()
-            .enumerate()
-            .map(|(i, record)| -> Result<Row, Box<dyn std::error::Error>> {
-                let context = |e: String| format!("worker record for row {i}: {e}");
-                Ok(Row {
-                    depth: record.require_usize("depth").map_err(context)?,
-                    wp1_cycles: record.require_u64("wp1_cycles").map_err(context)?,
-                    wp2_cycles: record.require_u64("wp2_cycles").map_err(context)?,
-                    n_wp1: record.require_nullable_usize("n_wp1").map_err(context)?,
-                    n_wp2: record.require_nullable_usize("n_wp2").map_err(context)?,
-                })
-            })
-            .collect::<Result<_, _>>()?
-    } else {
-        let outcomes: Vec<SweepOutcome<SocState>> = sweep
-            .runner()
-            .run(scenarios(verify))
-            .into_iter()
-            .collect::<Result<_, _>>()?;
-        DEPTHS
-            .iter()
-            .enumerate()
-            .map(|(i, &depth)| row_of(depth, &outcomes[2 * i], &outcomes[2 * i + 1]))
-            .collect::<Result<_, _>>()?
     };
+    let golden = run_golden_soc(&sort_workload(), Organization::Pipelined, MAX_CYCLES)?;
     print_table(golden.cycles, &rows);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_record_for_another_depth_is_rejected() {
+        let row = |depth| Row {
+            depth,
+            wp1_cycles: 300,
+            wp2_cycles: 200,
+            n_wp1: Some(5),
+            n_wp2: None,
+        };
+        let record = |depth| Json::parse(&encode_row(1, &row(depth))).expect("parses");
+        assert_eq!(decode_row(1, &record(DEPTHS[1])), Ok(row(DEPTHS[1])));
+        let err = decode_row(1, &record(DEPTHS[2])).unwrap_err();
+        assert!(
+            err.contains(&format!("row 1 is depth {}", DEPTHS[1]))
+                && err.contains("mismatched worker binary"),
+            "{err}"
+        );
+    }
 }

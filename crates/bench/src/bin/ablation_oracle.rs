@@ -14,46 +14,56 @@
 //! machines with `--hosts hosts.conf` (worker mode: `--shard i/N` /
 //! `--emit-ndjson`), merging to byte-identical output.
 
+use std::ops::Range;
+
 use wp_bench::{
     build_degraded_ring, degraded_ring_scenario, json_f64, json_opt_usize, json_string,
     ScenarioWiring, ShardArgs, SweepArgs,
 };
 use wp_core::SyncPolicy;
+use wp_dist::Json;
 use wp_sim::{Scenario, SweepOutcome};
 
 const FIRINGS: u64 = 2_000;
 const PERIODS: [u64; 6] = [1, 2, 4, 8, 16, 64];
 
-/// One merged result row: the scenario label with its measured throughput
-/// and — under `--verify` — the proven equivalence prefix.
+/// One merged result row: the measured throughput and — under `--verify`
+/// — the proven equivalence prefix.
+#[derive(Debug, PartialEq)]
 struct Row {
     throughput: f64,
     proven_n: Option<usize>,
 }
 
-/// The full scenario list in submission order: WP1, the degradation sweep,
-/// then the exact oracle (the global row numbering shared by the sharding
-/// parent and its workers).
-fn scenarios(verify: bool) -> Vec<Scenario<u64>> {
-    let wiring = ScenarioWiring::new().verified(verify);
-    let scenario = move |label: String, period: Option<u64>, policy: SyncPolicy| -> Scenario<u64> {
-        let s = degraded_ring_scenario(label, period, policy, FIRINGS);
-        wiring.wire_verified(s, move || build_degraded_ring(period))
-    };
-    let mut scenarios = vec![scenario("wp1".into(), None, SyncPolicy::Strict)];
-    for period in PERIODS {
-        scenarios.push(scenario(
-            format!("wp2_degraded_{period}"),
-            Some(period),
-            SyncPolicy::Oracle,
-        ));
+/// The label and oracle degradation period of row `index`, in submission
+/// order: WP1 (no oracle), the degradation sweep, then the exact oracle
+/// (the global row numbering shared by the sharding parent and its
+/// workers).
+fn row_label_period(index: usize) -> (String, Option<u64>) {
+    match index {
+        0 => ("wp1".into(), None),
+        i if i <= PERIODS.len() => (
+            format!("wp2_degraded_{}", PERIODS[i - 1]),
+            Some(PERIODS[i - 1]),
+        ),
+        _ => ("wp2_exact".into(), Some(u64::MAX)),
     }
-    scenarios.push(scenario(
-        "wp2_exact".into(),
-        Some(u64::MAX),
-        SyncPolicy::Oracle,
-    ));
-    scenarios
+}
+
+/// The scenarios of the rows in `range`, in submission order.
+fn scenarios(verify: bool, range: Range<usize>) -> Vec<Scenario<u64>> {
+    let wiring = ScenarioWiring::new().verified(verify);
+    range
+        .map(|index| {
+            let (label, period) = row_label_period(index);
+            let policy = match period {
+                None => SyncPolicy::Strict,
+                Some(_) => SyncPolicy::Oracle,
+            };
+            let scenario = degraded_ring_scenario(label, period, policy, FIRINGS);
+            wiring.wire_verified(scenario, move || build_degraded_ring(period))
+        })
+        .collect()
 }
 
 /// Fails on a non-equivalent outcome, folds a result row otherwise.
@@ -64,6 +74,44 @@ fn row_of(outcome: &SweepOutcome) -> Result<Row, String> {
     Ok(Row {
         throughput: outcome.report.throughput_of(0),
         proven_n: outcome.equivalence.as_ref().map(|r| r.proven_n()),
+    })
+}
+
+/// Sweeps the rows in `range`.
+fn sweep_rows(
+    sweep: &SweepArgs,
+    verify: bool,
+    range: Range<usize>,
+) -> Result<Vec<Row>, Box<dyn std::error::Error>> {
+    let mut rows = Vec::with_capacity(range.len());
+    for outcome in sweep.runner().run(scenarios(verify, range)) {
+        rows.push(row_of(&outcome?)?);
+    }
+    Ok(rows)
+}
+
+fn encode_row(index: usize, row: &Row) -> String {
+    format!(
+        "{{\"index\": {index}, \"label\": {}, \"throughput\": {}, \"proven_n\": {}}}",
+        json_string(&row_label_period(index).0),
+        json_f64(row.throughput),
+        json_opt_usize(row.proven_n),
+    )
+}
+
+/// Decodes the worker record of row `index`, rejecting a record labelled
+/// as another row.
+fn decode_row(index: usize, record: &Json) -> Result<Row, String> {
+    let label = record.require_str("label")?;
+    let (expected, _) = row_label_period(index);
+    if label != expected {
+        return Err(format!(
+            "is labelled {label}, but row {index} is {expected}: mismatched worker binary?"
+        ));
+    }
+    Ok(Row {
+        throughput: record.require_f64("throughput")?,
+        proven_n: record.require_nullable_usize("proven_n")?,
     })
 }
 
@@ -99,48 +147,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let verify = args.iter().any(|a| a == "--verify");
     let sweep = SweepArgs::from_args(&args).unwrap_or_else(|e| e.exit());
     let shard = ShardArgs::from_args(&args).unwrap_or_else(|e| e.exit());
-    let n = 2 + PERIODS.len();
-
-    if shard.emit_ndjson {
-        let range = shard.worker_range(n);
-        let outcomes: Vec<SweepOutcome> = sweep
-            .runner()
-            .run_range(scenarios(verify), range.clone())
-            .into_iter()
-            .collect::<Result<_, _>>()?;
-        for (index, outcome) in range.zip(&outcomes) {
-            let row = row_of(outcome)?;
-            println!(
-                "{{\"index\": {index}, \"label\": {}, \"throughput\": {}, \"proven_n\": {}}}",
-                json_string(&outcome.label),
-                json_f64(row.throughput),
-                json_opt_usize(row.proven_n),
-            );
-        }
+    let Some(rows) = shard.run_rows(
+        PERIODS.len() + 2,
+        "ablation row",
+        Some(verify),
+        |range| sweep_rows(&sweep, verify, range),
+        encode_row,
+        decode_row,
+    )?
+    else {
         return Ok(());
-    }
-
-    let rows: Vec<Row> = if shard.is_parent() {
-        let records = shard.run_sharded_rows(n, "ablation row", Some(verify))?;
-        records
-            .iter()
-            .enumerate()
-            .map(|(i, record)| -> Result<Row, Box<dyn std::error::Error>> {
-                let context = |e: String| format!("worker record for row {i}: {e}");
-                Ok(Row {
-                    throughput: record.require_f64("throughput").map_err(context)?,
-                    proven_n: record.require_nullable_usize("proven_n").map_err(context)?,
-                })
-            })
-            .collect::<Result<_, _>>()?
-    } else {
-        let outcomes: Vec<SweepOutcome> = sweep
-            .runner()
-            .run(scenarios(verify))
-            .into_iter()
-            .collect::<Result<_, _>>()?;
-        outcomes.iter().map(row_of).collect::<Result<_, _>>()?
     };
     print_table(&rows);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_record_labelled_as_another_row_is_rejected() {
+        let row = || Row {
+            throughput: 0.75,
+            proven_n: Some(11),
+        };
+        // A record encoded for row `index` but decoded as row 2.
+        let record = |index| Json::parse(&encode_row(index, &row())).expect("parses");
+        assert_eq!(decode_row(2, &record(2)), Ok(row()));
+        let err = decode_row(2, &record(3)).unwrap_err();
+        assert!(
+            err.contains("row 2 is wp2_degraded_2") && err.contains("mismatched worker binary"),
+            "{err}"
+        );
+    }
 }

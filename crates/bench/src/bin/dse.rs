@@ -35,7 +35,7 @@ use wp_bench::{
     ArgError, ShardArgs, SweepArgs,
 };
 use wp_dse::{
-    merge_outcomes, plan_units, run_unit, run_units, DseConfig, DseOutcome, Evaluator, SearchMode,
+    merge_outcomes, plan_units, run_units, DseConfig, DseOutcome, Evaluator, SearchMode,
     SearchSpace, WorkUnit, DEFAULT_EXHAUSTIVE_LIMIT, DEFAULT_STEPS, DEFAULT_WALKS,
 };
 use wp_gen::{generate, GenConfig};
@@ -198,8 +198,8 @@ fn load_spec(args: &Args) -> Result<(String, NetlistSpec), String> {
 }
 
 /// Prints the frontier report (deterministic stdout) and spot-verifies
-/// when asked — exactly the same way for the in-process and the
-/// sharded-parent paths.
+/// when asked — exactly the same way for the in-process run and the
+/// sharding parent.
 fn publish(
     args: &Args,
     label: &str,
@@ -273,89 +273,6 @@ fn publish(
     Ok(())
 }
 
-/// The in-process path: plan, search across worker threads, publish.
-fn run_local(
-    args: &Args,
-    label: &str,
-    spec: &NetlistSpec,
-    space: &SearchSpace,
-    cfg: &DseConfig,
-    units: &[WorkUnit],
-) -> Result<(), Box<dyn std::error::Error>> {
-    let workers = args.sweep.runner().workers();
-    eprintln!(
-        "searching {} configuration space of {label} across {workers} worker thread(s)",
-        space.size()
-    );
-    let start = Instant::now();
-    let outcomes = run_units(space, cfg, units, workers);
-    let outcome = merge_outcomes(
-        outcomes,
-        matches!(units.first(), Some(WorkUnit::Range { .. })),
-    );
-    publish(
-        args,
-        label,
-        spec,
-        space,
-        &outcome,
-        start.elapsed().as_secs_f64(),
-    )
-}
-
-/// The worker path (`--shard i/N` / `--emit-ndjson`): run only this
-/// shard's contiguous unit range and emit one NDJSON record per unit.
-fn run_worker(
-    args: &Args,
-    space: &SearchSpace,
-    cfg: &DseConfig,
-    units: &[WorkUnit],
-) -> Result<(), Box<dyn std::error::Error>> {
-    let range = args.shard.worker_range(units.len());
-    let mut eval = Evaluator::new(space);
-    for index in range {
-        let outcome = run_unit(space, cfg, &units[index], &mut eval);
-        println!("{}", dse_unit_ndjson(index, &outcome));
-    }
-    Ok(())
-}
-
-/// The parent path (`--shards N` / `--hosts`): fork one worker per
-/// contiguous unit range, re-score every returned survivor to cross-check
-/// bit identity, merge in submission order and publish exactly what the
-/// in-process path publishes.
-fn run_parent(
-    args: &Args,
-    label: &str,
-    spec: &NetlistSpec,
-    space: &SearchSpace,
-    units: &[WorkUnit],
-) -> Result<(), Box<dyn std::error::Error>> {
-    let start = Instant::now();
-    let records = args
-        .shard
-        .run_sharded_rows(units.len(), "work unit", None)?;
-    let mut eval = Evaluator::new(space);
-    let mut outcomes = Vec::with_capacity(records.len());
-    for (index, record) in records.iter().enumerate() {
-        let outcome = dse_unit_from_json(record, space, &mut eval)
-            .map_err(|e| format!("worker record for unit {index}: {e}"))?;
-        outcomes.push(outcome);
-    }
-    let outcome = merge_outcomes(
-        outcomes,
-        matches!(units.first(), Some(WorkUnit::Range { .. })),
-    );
-    publish(
-        args,
-        label,
-        spec,
-        space,
-        &outcome,
-        start.elapsed().as_secs_f64(),
-    )
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = parse_args(&argv).unwrap_or_else(|e| e.exit());
@@ -367,11 +284,41 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         units: args.units,
     };
     let units = plan_units(&space, &cfg);
-    if args.shard.is_parent() {
-        run_parent(&args, &label, &spec, &space, &units)
-    } else if args.shard.emit_ndjson {
-        run_worker(&args, &space, &cfg, &units)
-    } else {
-        run_local(&args, &label, &spec, &space, &cfg, &units)
-    }
+    let start = Instant::now();
+    // The parent re-scores every survivor a worker returns on its own
+    // evaluator, cross-checking bit identity.
+    let mut eval = Evaluator::new(&space);
+    let Some(outcomes) = args.shard.run_rows(
+        units.len(),
+        "work unit",
+        None,
+        |range| {
+            let workers = args.sweep.runner().workers();
+            eprintln!(
+                "searching {} of {} work unit(s) over the {} configuration space of {label} \
+                 across {workers} worker thread(s)",
+                range.len(),
+                units.len(),
+                space.size()
+            );
+            Ok(run_units(&space, &cfg, &units[range], workers))
+        },
+        dse_unit_ndjson,
+        |_, record| dse_unit_from_json(record, &space, &mut eval),
+    )?
+    else {
+        return Ok(());
+    };
+    let outcome = merge_outcomes(
+        outcomes,
+        matches!(units.first(), Some(WorkUnit::Range { .. })),
+    );
+    publish(
+        &args,
+        &label,
+        &spec,
+        &space,
+        &outcome,
+        start.elapsed().as_secs_f64(),
+    )
 }

@@ -10,20 +10,24 @@
 //! machines with `--hosts hosts.conf` (worker mode: `--shard i/N` /
 //! `--emit-ndjson`), merging to byte-identical output.
 
+use std::ops::Range;
+
 use wp_bench::{
-    predict_wp1_throughput, soc_oracle_scenario, soc_scenario, sort_workload, LaneMode,
-    ScenarioWiring, ShardArgs, SweepArgs, MAX_CYCLES,
+    json_string, predict_wp1_throughput, soc_oracle_scenario, soc_scenario, sort_workload,
+    LaneMode, ScenarioWiring, ShardArgs, SweepArgs, MAX_CYCLES,
 };
 use wp_core::SyncPolicy;
+use wp_dist::Json;
 use wp_netlist::{loop_inventory, to_dot, ThroughputModel, DEFAULT_MAX_LOOPS};
 use wp_proc::{build_soc, run_golden_soc, Link, Organization, RsConfig, Workload};
 use wp_sim::Scenario;
 
-/// The per-link WP1 scenarios, in `Link::ALL` submission order (the global
-/// row numbering shared by the sharding parent and its workers).  With
-/// `--lanes on|auto` every scenario carries a lane key; plainly-simulated
-/// scenarios read the memory back after the run, so the sweep demotes them
-/// to the scalar kernel and the printed table is mode-independent.
+/// The per-link WP1 scenarios of the links in `range`, in `Link::ALL`
+/// submission order (the global row numbering shared by the sharding
+/// parent and its workers).  With `--lanes on|auto` every scenario carries
+/// a lane key; plainly-simulated scenarios read the memory back after the
+/// run, so the sweep demotes them to the scalar kernel and the printed
+/// table is mode-independent.
 ///
 /// `oracle_target` is `Some(golden_cycles)` under `--oracle on|auto`: each
 /// run is then built as its extrapolating twin (`soc_oracle_scenario`,
@@ -33,9 +37,10 @@ fn link_scenarios(
     workload: &Workload,
     lanes: LaneMode,
     oracle_target: Option<u64>,
+    range: Range<usize>,
 ) -> Vec<Scenario<wp_proc::Msg, wp_proc::SocState>> {
     let wiring = ScenarioWiring::new().lane_key(lanes, "figure1/wp1");
-    Link::ALL
+    Link::ALL[range]
         .iter()
         .map(|&link| {
             let rs = RsConfig::single(link, 1);
@@ -108,73 +113,83 @@ fn print_link_table(workload: &Workload, golden_cycles: u64, cycles_to_goal: &[u
     }
 }
 
+/// Measures the cycles to the goal of the links in `range`, reporting the
+/// period-oracle saving on stderr under `--oracle`.
+fn measure_links(
+    workload: &Workload,
+    sweep: &SweepArgs,
+    oracle_target: Option<u64>,
+    range: Range<usize>,
+) -> Result<Vec<u64>, Box<dyn std::error::Error>> {
+    let (outcomes, stats) =
+        sweep
+            .runner()
+            .run_with_stats(link_scenarios(workload, sweep.lanes, oracle_target, range));
+    sweep.oracle.report_saving([&stats]);
+    Ok(outcomes
+        .into_iter()
+        .map(|outcome| outcome.map(|o| o.cycles_to_goal))
+        .collect::<Result<_, _>>()?)
+}
+
+fn encode_cycles(index: usize, cycles: &u64) -> String {
+    format!(
+        "{{\"index\": {index}, \"link\": {}, \"cycles_to_goal\": {cycles}}}",
+        json_string(Link::ALL[index].label())
+    )
+}
+
+/// Decodes the worker record of link row `index`, rejecting a record that
+/// names another link.
+fn decode_cycles(index: usize, record: &Json) -> Result<u64, String> {
+    let link = record.require_str("link")?;
+    let expected = Link::ALL[index].label();
+    if link != expected {
+        return Err(format!(
+            "names link {link}, but row {index} is link {expected}: mismatched worker binary?"
+        ));
+    }
+    record.require_u64("cycles_to_goal")
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = sort_workload();
     let sweep = SweepArgs::from_env().unwrap_or_else(|e| e.exit());
     let shard = ShardArgs::from_env().unwrap_or_else(|e| e.exit());
-    let n = Link::ALL.len();
-
-    if shard.emit_ndjson {
-        // Worker mode: run only this shard's link range, one NDJSON record
-        // per link.  Under --oracle the worker computes the golden
-        // denominator itself (it is the firing target of every converted
-        // scenario, and workers never receive the parent's).
-        let oracle_target = sweep
-            .oracle
-            .converts_rows()
-            .then(|| run_golden_soc(&workload, Organization::Pipelined, MAX_CYCLES))
-            .transpose()?
-            .map(|golden| golden.cycles);
-        let range = shard.worker_range(n);
-        let outcomes = sweep.runner().run_range(
-            link_scenarios(&workload, sweep.lanes, oracle_target),
-            range.clone(),
-        );
-        for (index, outcome) in range.zip(outcomes) {
-            let outcome = outcome?;
-            println!(
-                "{{\"index\": {index}, \"link\": {}, \"cycles_to_goal\": {}}}",
-                wp_bench::json_string(Link::ALL[index].label()),
-                outcome.cycles_to_goal
-            );
-        }
-        return Ok(());
-    }
-
-    print_analytics(&workload);
+    // The golden cycle count is the throughput denominator and, under
+    // --oracle, the firing target of every converted scenario.
     let golden = run_golden_soc(&workload, Organization::Pipelined, MAX_CYCLES)?;
     let oracle_target = sweep.oracle.converts_rows().then_some(golden.cycles);
-
-    let cycles: Vec<u64> = if shard.is_parent() {
-        let records = shard.run_sharded_rows(n, "per-link run", None)?;
-        records
-            .iter()
-            .enumerate()
-            .map(|(i, record)| {
-                record
-                    .require_u64("cycles_to_goal")
-                    .map_err(|e| format!("worker record for link {i}: {e}").into())
-            })
-            .collect::<Result<_, Box<dyn std::error::Error>>>()?
-    } else {
-        let (outcomes, stats) =
-            sweep
-                .runner()
-                .run_with_stats(link_scenarios(&workload, sweep.lanes, oracle_target));
-        if oracle_target.is_some() {
-            let simulated = stats.oracle_simulated_cycles;
-            let total = simulated + stats.oracle_extrapolated_cycles;
-            eprintln!(
-                "oracle: simulated {simulated} of {total} WP1 cycles, {} extrapolation(s), \
-                 {} fallback(s)",
-                stats.oracle_extrapolations, stats.oracle_fallbacks,
-            );
-        }
-        outcomes
-            .into_iter()
-            .map(|outcome| outcome.map(|o| o.cycles_to_goal))
-            .collect::<Result<_, _>>()?
+    let Some(cycles) = shard.run_rows(
+        Link::ALL.len(),
+        "per-link run",
+        None,
+        |range| measure_links(&workload, &sweep, oracle_target, range),
+        encode_cycles,
+        decode_cycles,
+    )?
+    else {
+        return Ok(());
     };
+    print_analytics(&workload);
     print_link_table(&workload, golden.cycles, &cycles);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_record_naming_another_link_is_rejected() {
+        // A record encoded for row `index` but decoded as row 2.
+        let record = |index| Json::parse(&encode_cycles(index, &99)).expect("parses");
+        assert_eq!(decode_cycles(2, &record(2)), Ok(99));
+        let err = decode_cycles(2, &record(3)).unwrap_err();
+        assert!(
+            err.contains(&format!("row 2 is link {}", Link::ALL[2].label()))
+                && err.contains("mismatched worker binary"),
+            "{err}"
+        );
+    }
 }

@@ -29,22 +29,19 @@ fn sweep(
     runner: &SweepRunner,
     oracle: OracleMode,
     scenarios: Vec<Scenario<u64>>,
-    stats: &mut SweepStats,
+    stats: &mut Vec<SweepStats>,
 ) -> Result<Vec<SweepOutcome>, SweepError> {
     let wiring = ScenarioWiring::new().oracle(oracle);
     let scenarios = scenarios.into_iter().map(|s| wiring.wire(s)).collect();
     let (outcomes, sweep_stats) = runner.run_with_stats(scenarios);
-    stats.oracle_simulated_cycles += sweep_stats.oracle_simulated_cycles;
-    stats.oracle_extrapolated_cycles += sweep_stats.oracle_extrapolated_cycles;
-    stats.oracle_extrapolations += sweep_stats.oracle_extrapolations;
-    stats.oracle_fallbacks += sweep_stats.oracle_fallbacks;
+    stats.push(sweep_stats);
     outcomes.into_iter().collect()
 }
 
 fn main() -> Result<(), SweepError> {
     let args = SweepArgs::from_env().unwrap_or_else(|e| e.exit());
     let runner = args.runner();
-    let mut stats = SweepStats::default();
+    let mut stats = Vec::new();
 
     // The m × n grid: one scenario per (m, n) pair.
     let grid: Vec<(usize, usize)> = (1..=6usize)
@@ -106,14 +103,6 @@ fn main() -> Result<(), SweepError> {
         let wp2 = &outcomes[2 * i + 1];
         println!("{k:>4} {:>10.3} {:>10.3}", throughput(wp1), throughput(wp2));
     }
-    if args.oracle.converts_rows() {
-        let simulated = stats.oracle_simulated_cycles;
-        let total = simulated + stats.oracle_extrapolated_cycles;
-        eprintln!(
-            "oracle: simulated {simulated} of {total} cycles, {} extrapolation(s), \
-             {} fallback(s)",
-            stats.oracle_extrapolations, stats.oracle_fallbacks,
-        );
-    }
+    args.oracle.report_saving(&stats);
     Ok(())
 }

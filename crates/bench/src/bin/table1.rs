@@ -46,6 +46,7 @@
 //! policy is appended to the printed table and the JSON rows, and any
 //! non-equivalent scenario fails the whole run.
 
+use std::ops::Range;
 use std::time::Instant;
 
 use wp_bench::{
@@ -53,8 +54,8 @@ use wp_bench::{
     table1_base_configs, table1_two_rs_configs, table_row_from_json, table_row_ndjson, ArgError,
     BenchTable, ShardArgs, SweepArgs, TableRow,
 };
-use wp_proc::{extraction_sort, matrix_multiply, Organization, RsConfig, SocError, Workload};
-use wp_sim::{SweepRunner, SweepStats};
+use wp_dist::Json;
+use wp_proc::{extraction_sort, matrix_multiply, Organization, RsConfig, Workload};
 
 struct Args {
     program: String,
@@ -177,49 +178,6 @@ fn table_specs(args: &Args) -> Vec<TableSpec> {
     specs
 }
 
-/// Dispatches a contiguous config slice of one table to the table runner
-/// with this invocation's equivalence-gate, lane-packing and period-oracle
-/// modes, accumulating the sweep counters into `stats`.
-fn run(
-    args: &Args,
-    runner: &SweepRunner,
-    workload: &Workload,
-    configs: &[(String, RsConfig)],
-    stats: &mut SweepStats,
-) -> Result<Vec<TableRow>, SocError> {
-    let (rows, sweep_stats) = run_table_oracle(
-        runner,
-        workload,
-        Organization::Pipelined,
-        configs,
-        args.verify,
-        args.sweep.lanes,
-        args.sweep.oracle,
-    )?;
-    stats.oracle_simulated_cycles += sweep_stats.oracle_simulated_cycles;
-    stats.oracle_extrapolated_cycles += sweep_stats.oracle_extrapolated_cycles;
-    stats.oracle_extrapolations += sweep_stats.oracle_extrapolations;
-    stats.oracle_fallbacks += sweep_stats.oracle_fallbacks;
-    Ok(rows)
-}
-
-/// Reports the period-oracle saving on stderr (never on stdout: the table
-/// output must stay byte-identical across `--oracle` modes).
-fn report_oracle_stats(args: &Args, stats: &SweepStats) {
-    if !args.sweep.oracle.converts_rows() {
-        return;
-    }
-    let simulated = stats.oracle_simulated_cycles;
-    let total = simulated + stats.oracle_extrapolated_cycles;
-    eprintln!(
-        "oracle: simulated {simulated} of {total} WP1 cycles ({}x saving), \
-         {} extrapolation(s), {} fallback(s)",
-        total.checked_div(simulated).unwrap_or(0),
-        stats.oracle_extrapolations,
-        stats.oracle_fallbacks,
-    );
-}
-
 /// Prints the tables and writes the machine-readable report, exactly the
 /// same way for the in-process and the sharded-parent paths.
 fn publish(args: &Args, tables: Vec<BenchTable>, wall_seconds: f64) -> std::io::Result<()> {
@@ -241,8 +199,15 @@ fn publish(args: &Args, tables: Vec<BenchTable>, wall_seconds: f64) -> std::io::
     Ok(())
 }
 
-/// The in-process path (`--shards` absent or 1): sweep everything here.
-fn run_local(args: &Args, specs: Vec<TableSpec>) -> Result<(), Box<dyn std::error::Error>> {
+/// Sweeps the rows of one submission-order `range` (rows are numbered
+/// across the tables in order) through the table runner with this
+/// invocation's equivalence-gate, lane-packing and period-oracle modes,
+/// reporting the sweep setup and the period-oracle saving on stderr.
+fn sweep_rows(
+    args: &Args,
+    specs: &[TableSpec],
+    range: Range<usize>,
+) -> Result<Vec<TableRow>, Box<dyn std::error::Error>> {
     let runner = args.sweep.runner();
     eprintln!(
         "sweeping wire-pipelined runs across {} worker thread(s), batch {}, equivalence gate {}, \
@@ -257,110 +222,113 @@ fn run_local(args: &Args, specs: Vec<TableSpec>) -> Result<(), Box<dyn std::erro
         args.sweep.lanes.label(),
         args.sweep.oracle.label(),
     );
-    let start = Instant::now();
-    let mut tables = Vec::new();
-    let mut stats = SweepStats::default();
+    let mut rows = Vec::with_capacity(range.len());
+    let mut sweeps = Vec::new();
+    let mut offset = 0;
     for spec in specs {
-        let rows = run(args, &runner, &spec.workload, &spec.configs, &mut stats)?;
-        tables.push(BenchTable {
-            title: spec.title,
-            rows,
-        });
-    }
-    report_oracle_stats(args, &stats);
-    publish(args, tables, start.elapsed().as_secs_f64())?;
-    Ok(())
-}
-
-/// The worker path (`--shard i/N` / `--emit-ndjson`): run only this shard's
-/// contiguous global row range and emit one NDJSON record per row.
-fn run_worker(args: &Args, specs: Vec<TableSpec>) -> Result<(), Box<dyn std::error::Error>> {
-    let total: usize = specs.iter().map(|s| s.configs.len()).sum();
-    let range = args.shard.worker_range(total);
-    let runner = args.sweep.runner();
-    let mut offset = 0usize;
-    let mut stats = SweepStats::default();
-    for (table, spec) in specs.iter().enumerate() {
         let span = offset..offset + spec.configs.len();
-        let start = range.start.max(span.start);
-        let end = range.end.min(span.end);
+        let (start, end) = (range.start.max(span.start), range.end.min(span.end));
         if start < end {
-            let rows = run(
-                args,
+            let (spec_rows, stats) = run_table_oracle(
                 &runner,
                 &spec.workload,
+                Organization::Pipelined,
                 &spec.configs[start - offset..end - offset],
-                &mut stats,
+                args.verify,
+                args.sweep.lanes,
+                args.sweep.oracle,
             )?;
-            for (i, row) in rows.iter().enumerate() {
-                println!("{}", table_row_ndjson(start + i, table, row));
-            }
+            rows.extend(spec_rows);
+            sweeps.push(stats);
         }
         offset = span.end;
     }
-    report_oracle_stats(args, &stats);
-    Ok(())
+    args.sweep.oracle.report_saving(&sweeps);
+    Ok(rows)
 }
 
-/// The parent path (`--shards N`): fork one worker per contiguous row
-/// range, merge their NDJSON records and publish exactly what the
-/// in-process path publishes.
-fn run_parent(args: &Args, specs: Vec<TableSpec>) -> Result<(), Box<dyn std::error::Error>> {
-    let total: usize = specs.iter().map(|s| s.configs.len()).sum();
-    let start = Instant::now();
-    let records = args
-        .shard
-        .run_sharded_rows(total, "table row", Some(args.verify))?;
-
-    // The table of a row is a function of its protocol-validated global
-    // index (the specs are concatenated in order), so derive it from the
-    // index and treat the record's own "table" member purely as a
-    // cross-check: a worker with skewed table numbering fails loudly
-    // instead of corrupting the merged tables.
-    let row_counts: Vec<usize> = specs.iter().map(|s| s.configs.len()).collect();
-    let table_of = |index: usize| {
-        let mut offset = 0;
-        for (table, count) in row_counts.iter().enumerate() {
-            if index < offset + count {
-                return table;
-            }
-            offset += count;
+/// The table of global row `index`, given each table's row count (the
+/// tables are numbered in order).
+fn table_of(row_counts: &[usize], index: usize) -> usize {
+    let mut offset = 0;
+    for (table, count) in row_counts.iter().enumerate() {
+        offset += count;
+        if index < offset {
+            return table;
         }
-        unreachable!("the protocol validated index < total");
-    };
-    let mut tables: Vec<BenchTable> = specs
-        .into_iter()
-        .map(|spec| BenchTable {
-            title: spec.title,
-            rows: Vec::with_capacity(spec.configs.len()),
-        })
-        .collect();
-    for (index, record) in records.iter().enumerate() {
-        let (table, row) = table_row_from_json(record)
-            .map_err(|e| format!("worker record for row {index}: {e}"))?;
-        let expected_table = table_of(index);
-        if table != expected_table {
-            return Err(format!(
-                "worker record for row {index} is tagged table {table}, \
-                 but the row numbering places it in table {expected_table}: \
-                 mismatched worker binary?"
-            )
-            .into());
-        }
-        tables[expected_table].rows.push(row);
     }
-    publish(args, tables, start.elapsed().as_secs_f64())?;
-    Ok(())
+    unreachable!("the protocol validated index < total");
+}
+
+/// Decodes the worker record of global row `index`.  The row's table is a
+/// function of its index, so the record's own `"table"` member is only a
+/// cross-check: a worker with skewed table numbering fails loudly instead
+/// of corrupting the merged tables.
+fn decode_row(row_counts: &[usize], index: usize, record: &Json) -> Result<TableRow, String> {
+    let (table, row) = table_row_from_json(record)?;
+    let expected = table_of(row_counts, index);
+    if table != expected {
+        return Err(format!(
+            "tagged table {table}, but the row numbering places row {index} in table \
+             {expected}: mismatched worker binary?"
+        ));
+    }
+    Ok(row)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = parse_args();
     let specs = table_specs(&args);
-    if args.shard.is_parent() {
-        run_parent(&args, specs)
-    } else if args.shard.emit_ndjson {
-        run_worker(&args, specs)
-    } else {
-        run_local(&args, specs)
+    let row_counts: Vec<usize> = specs.iter().map(|s| s.configs.len()).collect();
+    let start = Instant::now();
+    let Some(rows) = args.shard.run_rows(
+        row_counts.iter().sum(),
+        "table row",
+        Some(args.verify),
+        |range| sweep_rows(&args, &specs, range),
+        |index, row| table_row_ndjson(index, table_of(&row_counts, index), row),
+        |index, record| decode_row(&row_counts, index, record),
+    )?
+    else {
+        return Ok(());
+    };
+    let mut rows = rows.into_iter();
+    let tables = specs
+        .into_iter()
+        .map(|spec| BenchTable {
+            rows: rows.by_ref().take(spec.configs.len()).collect(),
+            title: spec.title,
+        })
+        .collect();
+    publish(&args, tables, start.elapsed().as_secs_f64())?;
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_record_tagged_with_another_table_is_rejected() {
+        let row = TableRow {
+            label: "All 1".to_string(),
+            golden_cycles: 100,
+            wp1_cycles: 200,
+            wp2_cycles: 150,
+            th_wp1: 0.5,
+            th_wp2: 2.0 / 3.0,
+            th_wp1_predicted: 0.5,
+            improvement_percent: 100.0 / 3.0,
+            proven_n_wp1: None,
+            proven_n_wp2: Some(7),
+        };
+        let row_counts = [12, 12];
+        let record = |table| Json::parse(&table_row_ndjson(13, table, &row)).expect("parses");
+        assert_eq!(decode_row(&row_counts, 13, &record(1)), Ok(row.clone()));
+        let err = decode_row(&row_counts, 13, &record(0)).unwrap_err();
+        assert!(
+            err.contains("row 13 in table 1") && err.contains("mismatched worker binary"),
+            "{err}"
+        );
     }
 }

@@ -7,7 +7,7 @@ mod common;
 
 use std::process::Command;
 
-use common::{assert_every_binary_matches_in_process, TABLE1};
+use common::{assert_every_binary_matches_in_process, SHARDING_CASES, TABLE1};
 
 #[test]
 fn two_shards_reproduce_the_single_process_run_byte_for_byte() {
@@ -20,6 +20,22 @@ fn two_shards_reproduce_the_single_process_run_byte_for_byte() {
     assert!(
         table1.contains("N WP1"),
         "--verify surfaces the proven-N columns:\n{table1}"
+    );
+}
+
+/// Every mode prints the period-oracle saving: under `--shards 2` each
+/// `figure1 --oracle on` worker reports its share on the inherited stderr.
+#[test]
+fn sharded_figure1_workers_report_the_oracle_saving() {
+    let case = SHARDING_CASES
+        .iter()
+        .find(|case| case.name == "figure1" && case.args == ["--oracle", "on"])
+        .expect("figure1 --oracle on is pinned");
+    let stderr = case.run(&["--shards", "2"], "oracle_stderr").stderr;
+    assert_eq!(
+        stderr.matches("oracle: simulated").count(),
+        2,
+        "one oracle summary per worker:\n{stderr}"
     );
 }
 
