@@ -468,8 +468,8 @@ impl ShardArgs {
         if (shards > 1 || hosts.is_some()) && emit_ndjson {
             // The parent merges and prints the human-readable report; a
             // forked NDJSON stream is not defined.  Rejecting here keeps
-            // every binary's dispatch (`is_parent()` vs `emit_ndjson`)
-            // unambiguous.
+            // `run_rows`'s mode choice unambiguous: it checks for the parent
+            // before the worker.
             return conflict(
                 "--emit-ndjson",
                 "".to_string(),
@@ -500,10 +500,10 @@ impl ShardArgs {
     ///
     /// `compute` returns the rows of a range in order; `encode` writes one
     /// single-line record whose `"index"` member is the row's global
-    /// index; `decode` reads a record back for the row its index names and
-    /// must reject one whose identity member (a label, a table number)
-    /// names another row, so a mismatched worker binary fails loudly
-    /// instead of corrupting the merged output.  `noun` names a row in the
+    /// index; `decode` reads a record back for the row its index names and,
+    /// when the record carries an identity member (a label, a table
+    /// number), must reject one that names another row, so a mismatched
+    /// worker binary fails loudly instead of corrupting the merged output.  `noun` names a row in the
     /// dispatch log and in decode errors; `gate` reports the equivalence
     /// gate there (`None` for binaries without one).  Callers print the
     /// returned rows themselves, so one publishing path serves the

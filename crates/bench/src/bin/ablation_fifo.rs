@@ -38,14 +38,14 @@ struct Row {
     n_wp2: Option<usize>,
 }
 
-/// The 2 × depths scenario list, WP1/WP2-interleaved in depth order (the
-/// submission order shared by the sharding parent and its workers: row `i`
-/// owns scenarios `2i` and `2i + 1`).
-fn scenarios(verify: bool) -> Vec<Scenario<wp_proc::Msg, SocState>> {
+/// The scenarios of the depth rows in `range`, WP1/WP2-interleaved in
+/// depth order (the submission order shared by the sharding parent and its
+/// workers: each row owns two consecutive scenarios).
+fn scenarios(verify: bool, range: Range<usize>) -> Vec<Scenario<wp_proc::Msg, SocState>> {
     let workload = sort_workload();
     let rs = RsConfig::uniform(1, &[Link::CuIc]);
     let wiring = ScenarioWiring::new().verified(verify);
-    DEPTHS
+    DEPTHS[range]
         .iter()
         .flat_map(|&depth| {
             [
@@ -114,8 +114,7 @@ fn print_table(golden_cycles: u64, rows: &[Row]) {
     }
 }
 
-/// Sweeps the depth rows in `range` (row `i` owns scenarios `2i` and
-/// `2i + 1`).
+/// Sweeps the depth rows in `range`.
 fn sweep_rows(
     sweep: &SweepArgs,
     verify: bool,
@@ -123,7 +122,7 @@ fn sweep_rows(
 ) -> Result<Vec<Row>, Box<dyn std::error::Error>> {
     let outcomes: Vec<SweepOutcome<SocState>> = sweep
         .runner()
-        .run_range(scenarios(verify), 2 * range.start..2 * range.end)
+        .run(scenarios(verify, range.clone()))
         .into_iter()
         .collect::<Result<_, _>>()?;
     Ok(DEPTHS[range]

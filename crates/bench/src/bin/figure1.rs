@@ -157,9 +157,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sweep = SweepArgs::from_env().unwrap_or_else(|e| e.exit());
     let shard = ShardArgs::from_env().unwrap_or_else(|e| e.exit());
     // The golden cycle count is the throughput denominator and, under
-    // --oracle, the firing target of every converted scenario.
-    let golden = run_golden_soc(&workload, Organization::Pipelined, MAX_CYCLES)?;
-    let oracle_target = sweep.oracle.converts_rows().then_some(golden.cycles);
+    // --oracle, the firing target of every converted scenario, which each
+    // worker then computes itself; otherwise only the publishing run needs it.
+    let run_golden =
+        || run_golden_soc(&workload, Organization::Pipelined, MAX_CYCLES).map(|g| g.cycles);
+    let oracle_target = sweep.oracle.converts_rows().then(run_golden).transpose()?;
     let Some(cycles) = shard.run_rows(
         Link::ALL.len(),
         "per-link run",
@@ -171,8 +173,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     else {
         return Ok(());
     };
+    let golden_cycles = match oracle_target {
+        Some(cycles) => cycles,
+        None => run_golden()?,
+    };
     print_analytics(&workload);
-    print_link_table(&workload, golden.cycles, &cycles);
+    print_link_table(&workload, golden_cycles, &cycles);
     Ok(())
 }
 

@@ -98,6 +98,7 @@ impl Case {
         let report = self.report.then(|| {
             let report = std::fs::read_to_string(&json).expect("report was written");
             let _ = std::fs::remove_file(&json);
+            assert!(!report.is_empty(), "{} wrote an empty report", self.name);
             report
         });
         Run {
