@@ -4,9 +4,13 @@
 //! (area-cost, effective-throughput) Pareto frontier and spot-verify the
 //! frontier by lane simulation.
 //!
-//! The search never simulates: each candidate costs one incremental
-//! maximum-cycle-ratio re-solve plus the clock law (see the `wp_dse` crate
-//! docs), so millions of relay configurations are scored per run.
+//! The search never simulates: an exhaustive search scores each block of
+//! candidates that differ only in channel 0 with one maximum-cycle-ratio
+//! sweep plus a clock-law table lookup per candidate, and a walk step costs
+//! one incremental re-solve (see the `wp_dse` crate docs), so millions of
+//! relay configurations are scored per run.  `--cap` is at most
+//! `wp_spec::MAX_RELAY_STATIONS` (4096); a spec without a channel is an
+//! error.
 //! Simulation is demoted to `--verify`: only the reported frontier points
 //! are re-run through the sweep scheduler (lane-packed when eligible), and
 //! any analytic-vs-measured divergence beyond 2% fails the run.
@@ -39,7 +43,7 @@ use wp_dse::{
     SearchSpace, WorkUnit, DEFAULT_EXHAUSTIVE_LIMIT, DEFAULT_STEPS, DEFAULT_WALKS,
 };
 use wp_gen::{generate, GenConfig};
-use wp_spec::{spec_to_dot, NetlistSpec};
+use wp_spec::{spec_to_dot, NetlistSpec, MAX_RELAY_STATIONS};
 
 struct Args {
     spec: Option<String>,
@@ -118,9 +122,22 @@ fn parse_args(args: &[String]) -> Result<Args, ArgError> {
         },
     };
     // --quick shrinks the space (cap 2) and the spot-verify target so the
-    // smoke run takes seconds; explicit flags still win.
-    let cap = parse_num("--cap", "a non-negative integer")?
-        .map_or(if quick { 2 } else { 3 }, |v| v as usize);
+    // smoke run takes seconds; explicit flags still win.  A cap above
+    // MAX_RELAY_STATIONS would put channels past what a spec may lower.
+    const CAP_EXPECTED: &str = "a relay-station cap from 0 to 4096";
+    const _: () = assert!(MAX_RELAY_STATIONS == 4096, "CAP_EXPECTED names the limit");
+    let default_cap = if quick { 2 } else { 3 };
+    let cap = match parse_num("--cap", CAP_EXPECTED)? {
+        None => default_cap,
+        Some(v) if v <= MAX_RELAY_STATIONS as u64 => v as usize,
+        Some(v) => {
+            return Err(ArgError::InvalidValue {
+                flag: "--cap".to_string(),
+                value: v.to_string(),
+                expected: CAP_EXPECTED,
+            })
+        }
+    };
     let firings = parse_num("--firings", "a positive firing target")?.unwrap_or(if quick {
         2_000
     } else {
@@ -277,7 +294,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = parse_args(&argv).unwrap_or_else(|e| e.exit());
     let (label, spec) = load_spec(&args)?;
-    let space = SearchSpace::from_spec(&spec, args.cap, args.clock);
+    let space =
+        SearchSpace::new(&spec, args.cap, args.clock).map_err(|e| format!("{label}: {e}"))?;
     let cfg = DseConfig {
         mode: args.mode,
         seed: args.seed,

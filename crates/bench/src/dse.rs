@@ -40,7 +40,9 @@ pub const SPOT_TOLERANCE: f64 = 0.02;
 ///
 /// # Errors
 ///
-/// Returns a message naming the diverging point (or the failed run).
+/// Returns a message naming the diverging point, the failed run, or the
+/// point whose spec does not lower (with its `SpecError`, for example a
+/// channel past `wp_spec::MAX_RELAY_STATIONS`).
 pub fn spot_verify_frontier(
     spec: &NetlistSpec,
     reference_period: f64,
@@ -50,37 +52,35 @@ pub fn spot_verify_frontier(
     lanes: LaneMode,
     oracle: OracleMode,
 ) -> Result<Vec<f64>, String> {
-    // Validate the lowering once up front so factory closures may expect().
-    lower::<u64>(spec, &synthetic_registry()).map_err(|e| e.to_string())?;
     let wiring = ScenarioWiring::new()
         .lane_key(lanes, "dse/frontier")
         .oracle(oracle);
-    let scenarios: Vec<Scenario<u64>> = frontier
-        .iter()
-        .enumerate()
-        .map(|(i, point)| {
-            let mut point_spec = spec.clone();
-            // The assignment replaces every declared relay count (and any
-            // latency-derived one), and is free to exceed the spec's
-            // declared budget — the budget bounds the *seed* netlist, not
-            // the search.
-            point_spec.insert_relays(reference_period);
-            point_spec.apply_relay_assignment(&point.assignment);
-            point_spec.budget = None;
-            let factory =
-                move || lower(&point_spec, &synthetic_registry()).expect("validated spec lowers");
-            wiring.wire(Scenario::<u64>::new(
-                format!("frontier[{i}] cost {}", point.cost),
-                ShellConfig::strict(),
-                RunGoal::UntilFirings {
-                    process: 0,
-                    target: firings,
-                    max_cycles: firings.saturating_mul(100).max(10_000),
-                },
-                factory,
-            ))
-        })
-        .collect();
+    let mut scenarios: Vec<Scenario<u64>> = Vec::with_capacity(frontier.len());
+    for (i, point) in frontier.iter().enumerate() {
+        let mut point_spec = spec.clone();
+        // The assignment replaces every declared relay count (and any
+        // latency-derived one), and is free to exceed the spec's declared
+        // budget — the budget bounds the *seed* netlist, not the search.
+        point_spec.insert_relays(reference_period);
+        point_spec.apply_relay_assignment(&point.assignment);
+        point_spec.budget = None;
+        // Lower each point once here, so the factory's lowering cannot
+        // fail.
+        lower::<u64>(&point_spec, &synthetic_registry())
+            .map_err(|e| format!("frontier[{i}] (cost {}): {e}", point.cost))?;
+        let factory =
+            move || lower(&point_spec, &synthetic_registry()).expect("validated spec lowers");
+        scenarios.push(wiring.wire(Scenario::<u64>::new(
+            format!("frontier[{i}] cost {}", point.cost),
+            ShellConfig::strict(),
+            RunGoal::UntilFirings {
+                process: 0,
+                target: firings,
+                max_cycles: firings.saturating_mul(100).max(10_000),
+            },
+            factory,
+        )));
+    }
     let outcomes = runner.run(scenarios);
     let mut measured = Vec::with_capacity(frontier.len());
     for (i, (point, outcome)) in frontier.iter().zip(outcomes).enumerate() {
@@ -213,7 +213,7 @@ pub fn dse_unit_from_json(
                 score.cycle_throughput, score.period
             ));
         }
-        map.offer(ParetoPoint::new(assignment, score));
+        map.offer(&assignment, score);
     }
     Ok(UnitOutcome { scored, map })
 }
@@ -312,6 +312,26 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("diverges from the analytic score"), "{err}");
+    }
+
+    #[test]
+    fn a_point_that_does_not_lower_is_an_error_not_a_panic() {
+        let (spec, space) = small_space();
+        let outcome = wp_dse::search(&space, &DseConfig::default(), 1);
+        let mut frontier = outcome.frontier.clone();
+        frontier[0].assignment[0] = wp_spec::MAX_RELAY_STATIONS + 1;
+        let err = spot_verify_frontier(
+            &spec,
+            1.0,
+            &frontier,
+            2_000,
+            &SweepRunner::default(),
+            LaneMode::Auto,
+            OracleMode::On,
+        )
+        .unwrap_err();
+        assert!(err.starts_with("frontier[0]"), "{err}");
+        assert!(err.contains("4096"), "{err}");
     }
 
     #[test]

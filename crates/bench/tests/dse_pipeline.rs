@@ -2,6 +2,7 @@
 //! generated netlists, every point of the analytic Pareto frontier must
 //! reproduce its cycle throughput in lane simulation within the 2%
 //! acceptance bar — the same check the `dse --verify` flag runs in CI.
+//! Bad `dse` inputs are pinned to clean exits.
 
 use wp_bench::{spot_verify_frontier, LaneMode, OracleMode, SPOT_TOLERANCE};
 use wp_dse::{search, DseConfig, SearchMode, SearchSpace};
@@ -110,4 +111,32 @@ fn a_quick_dse_run_writes_no_file() {
         String::from_utf8_lossy(&output.stderr)
     );
     assert!(written.is_empty(), "dse --quick wrote {written:?}");
+}
+
+/// Bad `dse` inputs end with an exit code and a message, never a panic: a
+/// cap past the per-channel relay-station limit is an argument error
+/// (exit 2), and a spec with no channel frames no design space (exit 1).
+#[test]
+fn bad_dse_inputs_exit_without_a_panic() {
+    let spec = std::env::temp_dir().join(format!("wp_bench_dse_nochan_{}.nl", std::process::id()));
+    std::fs::write(&spec, "block a kind=fan\n").expect("temp spec");
+    let spec_path = spec.to_str().expect("utf-8 temp path");
+    let cases: [(&[&str], i32); 3] = [
+        (&["--seed", "9", "--cap", "100000", "--verify"], 2),
+        (&["--cap", "18446744073709551615"], 2),
+        (&["--spec", spec_path], 1),
+    ];
+    for (args, code) in cases {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_dse"))
+            .args(args)
+            .output()
+            .expect("dse runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(code), "dse {args:?}: {stderr}");
+        assert!(
+            !stderr.contains("panicked"),
+            "dse {args:?} panicked: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(&spec);
 }

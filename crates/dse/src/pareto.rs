@@ -40,11 +40,17 @@ impl ParetoPoint {
     /// into a [`CostMap`] yields the same survivor — the property the
     /// worker-count/shard-count independence tests pin.
     pub fn beats(&self, other: &ParetoPoint) -> bool {
-        match self.effective.total_cmp(&other.effective) {
-            std::cmp::Ordering::Greater => true,
-            std::cmp::Ordering::Less => false,
-            std::cmp::Ordering::Equal => self.assignment < other.assignment,
-        }
+        beats(self.effective, &self.assignment, other)
+    }
+}
+
+/// [`ParetoPoint::beats`] for a candidate given by its effective
+/// throughput and a borrowed assignment.
+fn beats(effective: f64, assignment: &[usize], other: &ParetoPoint) -> bool {
+    match effective.total_cmp(&other.effective) {
+        std::cmp::Ordering::Greater => true,
+        std::cmp::Ordering::Less => false,
+        std::cmp::Ordering::Equal => assignment < other.assignment.as_slice(),
     }
 }
 
@@ -65,16 +71,23 @@ impl CostMap {
         Self::default()
     }
 
-    /// Offers one candidate; it survives if no better candidate of the
-    /// same cost has been seen.
-    pub fn offer(&mut self, point: ParetoPoint) {
-        match self.best.entry(point.cost) {
+    /// Offers one candidate by reference; it survives if no better
+    /// candidate of the same cost has been seen.  The assignment is copied
+    /// only when it wins its cost, into the loser's buffer when there is
+    /// one, so a long search allocates once per cost.
+    pub fn offer(&mut self, assignment: &[usize], score: Score) {
+        match self.best.entry(assignment.iter().sum()) {
             Entry::Vacant(slot) => {
-                slot.insert(point);
+                slot.insert(ParetoPoint::new(assignment.to_vec(), score));
             }
             Entry::Occupied(mut slot) => {
-                if point.beats(slot.get()) {
-                    slot.insert(point);
+                let kept = slot.get_mut();
+                if beats(score.effective, assignment, kept) {
+                    kept.cycle_throughput = score.cycle_throughput;
+                    kept.period = score.period;
+                    kept.effective = score.effective;
+                    kept.assignment.clear();
+                    kept.assignment.extend_from_slice(assignment);
                 }
             }
         }
@@ -82,8 +95,17 @@ impl CostMap {
 
     /// Merges another map into this one (commutative and associative).
     pub fn merge(&mut self, other: CostMap) {
-        for (_, point) in other.best {
-            self.offer(point);
+        for (cost, point) in other.best {
+            match self.best.entry(cost) {
+                Entry::Vacant(slot) => {
+                    slot.insert(point);
+                }
+                Entry::Occupied(mut slot) => {
+                    if point.beats(slot.get()) {
+                        slot.insert(point);
+                    }
+                }
+            }
         }
     }
 
@@ -126,15 +148,16 @@ mod tests {
     use super::*;
     use crate::space::Score;
 
+    fn score(effective: f64) -> Score {
+        Score {
+            cycle_throughput: effective,
+            period: 1.0,
+            effective,
+        }
+    }
+
     fn point(assignment: &[usize], effective: f64) -> ParetoPoint {
-        ParetoPoint::new(
-            assignment.to_vec(),
-            Score {
-                cycle_throughput: effective,
-                period: 1.0,
-                effective,
-            },
-        )
+        ParetoPoint::new(assignment.to_vec(), score(effective))
     }
 
     #[test]
@@ -145,9 +168,9 @@ mod tests {
     #[test]
     fn offers_keep_the_best_per_cost() {
         let mut map = CostMap::new();
-        map.offer(point(&[1, 1], 0.5));
-        map.offer(point(&[2, 0], 0.75)); // same cost, better
-        map.offer(point(&[0, 2], 0.25)); // same cost, worse
+        map.offer(&[1, 1], score(0.5));
+        map.offer(&[2, 0], score(0.75)); // same cost, better
+        map.offer(&[0, 2], score(0.25)); // same cost, worse
         assert_eq!(map.len(), 1);
         assert_eq!(map.iter().next().unwrap().assignment, vec![2, 0]);
     }
@@ -155,39 +178,34 @@ mod tests {
     #[test]
     fn ties_fall_back_to_the_lexicographically_smaller_assignment() {
         let mut a = CostMap::new();
-        a.offer(point(&[2, 0], 0.5));
-        a.offer(point(&[0, 2], 0.5));
+        a.offer(&[2, 0], score(0.5));
+        a.offer(&[0, 2], score(0.5));
         let mut b = CostMap::new();
-        b.offer(point(&[0, 2], 0.5));
-        b.offer(point(&[2, 0], 0.5));
+        b.offer(&[0, 2], score(0.5));
+        b.offer(&[2, 0], score(0.5));
         assert_eq!(a, b);
         assert_eq!(a.iter().next().unwrap().assignment, vec![0, 2]);
     }
 
     #[test]
     fn merge_is_order_independent() {
-        let points = [
-            point(&[0], 0.2),
-            point(&[1], 0.5),
-            point(&[2], 0.4),
-            point(&[1], 0.6),
-        ];
+        let offers: [(&[usize], f64); 4] = [(&[0], 0.2), (&[1], 0.5), (&[2], 0.4), (&[1], 0.6)];
         let mut forward = CostMap::new();
-        for p in &points {
-            forward.offer(p.clone());
+        for &(assignment, effective) in &offers {
+            forward.offer(assignment, score(effective));
         }
         let mut reverse = CostMap::new();
-        for p in points.iter().rev() {
-            reverse.offer(p.clone());
+        for &(assignment, effective) in offers.iter().rev() {
+            reverse.offer(assignment, score(effective));
         }
         assert_eq!(forward, reverse);
         let mut split = CostMap::new();
         let mut left = CostMap::new();
-        left.offer(points[0].clone());
-        left.offer(points[3].clone());
+        left.offer(offers[0].0, score(offers[0].1));
+        left.offer(offers[3].0, score(offers[3].1));
         let mut right = CostMap::new();
-        right.offer(points[1].clone());
-        right.offer(points[2].clone());
+        right.offer(offers[1].0, score(offers[1].1));
+        right.offer(offers[2].0, score(offers[2].1));
         split.merge(right);
         split.merge(left);
         assert_eq!(split, forward);
@@ -196,11 +214,11 @@ mod tests {
     #[test]
     fn frontier_drops_dominated_costs() {
         let mut map = CostMap::new();
-        map.offer(point(&[0], 0.25));
-        map.offer(point(&[1], 0.5));
-        map.offer(point(&[2], 0.5)); // equal throughput, higher cost: dominated
-        map.offer(point(&[3], 0.4)); // worse throughput, higher cost: dominated
-        map.offer(point(&[4], 0.8));
+        map.offer(&[0], score(0.25));
+        map.offer(&[1], score(0.5));
+        map.offer(&[2], score(0.5)); // equal throughput, higher cost: dominated
+        map.offer(&[3], score(0.4)); // worse throughput, higher cost: dominated
+        map.offer(&[4], score(0.8));
         let frontier = map.frontier();
         let costs: Vec<usize> = frontier.iter().map(|p| p.cost).collect();
         assert_eq!(costs, vec![0, 1, 4]);

@@ -165,6 +165,10 @@ pub fn plan_units(space: &SearchSpace, cfg: &DseConfig) -> Vec<WorkUnit> {
 
 /// Runs one work unit on a caller-provided evaluator (so a worker thread
 /// re-uses its scratch netlist and solver across every unit it claims).
+///
+/// A range decodes its first index once, then steps an odometer over
+/// channels 1.. and scores each block of channel-0 counts with one
+/// [`Evaluator::score_block`], clipping the partial blocks at both ends.
 pub fn run_unit(
     space: &SearchSpace,
     cfg: &DseConfig,
@@ -176,10 +180,24 @@ pub fn run_unit(
     let mut assignment = vec![0usize; space.channels()];
     match *unit {
         WorkUnit::Range { lo, hi } => {
-            for flat in lo..hi {
-                space.decode(flat, &mut assignment);
-                let score = eval.score(space, &assignment);
-                map.offer(ParetoPoint::new(assignment.clone(), score));
+            space.decode(lo, &mut assignment);
+            let radix = space.cap() as u128 + 1;
+            let mut flat = lo;
+            while flat < hi {
+                let first = assignment[0];
+                let end = (first as u128 + (hi - flat)).min(radix) as usize;
+                eval.score_block(space, &mut assignment, first..end, |a, score| {
+                    map.offer(a, score)
+                });
+                flat += (end - first) as u128;
+                assignment[0] = 0;
+                for digit in &mut assignment[1..] {
+                    if *digit < space.cap() {
+                        *digit += 1;
+                        break;
+                    }
+                    *digit = 0;
+                }
             }
         }
         WorkUnit::Walk { walk } => {
@@ -195,7 +213,7 @@ pub fn run_unit(
                 *slot = rng.below(radix) as usize;
             }
             let mut current = eval.score(space, &assignment);
-            map.offer(ParetoPoint::new(assignment.clone(), current));
+            map.offer(&assignment, current);
             for _ in 1..steps.max(1) {
                 // Mutate one channel's relay budget and re-solve
                 // incrementally; the cost map records every candidate, so
@@ -204,7 +222,7 @@ pub fn run_unit(
                 let previous = assignment[channel];
                 assignment[channel] = rng.below(radix) as usize;
                 let score = eval.score(space, &assignment);
-                map.offer(ParetoPoint::new(assignment.clone(), score));
+                map.offer(&assignment, score);
                 // Hill-climb on effective throughput with sideways moves;
                 // a deterministic 1-in-4 draw escapes local optima.
                 let accept = score.effective >= current.effective || rng.below(4) == 0;

@@ -1,7 +1,8 @@
 //! Exhaustive-oracle and determinism tests for the design-space search.
 //!
 //! The oracle test brute-forces *every* relay assignment of tiny generated
-//! netlists with an independent scoring path (the public throughput model
+//! netlists with an independent scoring path (the enumerated loop
+//! inventory, which shares no code with the Karp solver the search uses,
 //! plus the clock law recomputed from the declared wire latencies) and an
 //! independent O(N²) dominance check, then asserts [`wp_dse::search`]
 //! returns exactly that frontier — points, tie-breaks and order included.
@@ -10,7 +11,7 @@
 
 use wp_dse::{search, DseConfig, Evaluator, SearchMode, SearchSpace};
 use wp_gen::{generate, GenConfig};
-use wp_netlist::ThroughputModel;
+use wp_netlist::{ThroughputModel, DEFAULT_MAX_LOOPS};
 use wp_spec::NetlistSpec;
 
 /// A tiny generated netlist with relays inserted at reference period 1.0.
@@ -32,9 +33,9 @@ struct Candidate {
 
 /// Scores every assignment in `[0, cap]^channels` through a path that
 /// shares nothing with the search kernels: the spec is re-lowered per
-/// candidate, the cycle throughput comes from the public
-/// [`ThroughputModel::Exact`], and the clock period is recomputed from the
-/// declared wire latencies.
+/// candidate, the cycle throughput is the worst loop of the full
+/// [`ThroughputModel::Enumerated`] inventory (asserted not truncated), and
+/// the clock period is recomputed from the declared wire latencies.
 fn brute_force(spec: &NetlistSpec, cap: usize, reference_period: f64) -> Vec<Candidate> {
     let latencies = spec.wire_latencies(reference_period);
     let channels = latencies.len();
@@ -50,7 +51,15 @@ fn brute_force(spec: &NetlistSpec, cap: usize, reference_period: f64) -> Vec<Can
         }
         let mut candidate = spec.clone();
         candidate.apply_relay_assignment(&assignment);
-        let cycle_throughput = ThroughputModel::Exact.predict(&candidate.to_netlist());
+        let loops = ThroughputModel::Enumerated {
+            max_loops: DEFAULT_MAX_LOOPS,
+        }
+        .analyze(&candidate.to_netlist());
+        assert!(
+            loops.is_exhaustive(),
+            "the loop inventory of {assignment:?} was truncated"
+        );
+        let cycle_throughput = loops.system_throughput();
         let period = assignment
             .iter()
             .zip(&latencies)

@@ -37,6 +37,18 @@ fn law(m: usize, n: usize) -> f64 {
     m as f64 / (m + n) as f64
 }
 
+/// The Karp-table weight of a walk that does not exist.  Real walk weights
+/// are sums of relay-station counts, so at least 0; a walk extended from
+/// this entry stays below 0 without overflowing, so the relaxation runs
+/// without branching on reachability.
+const UNREACHED: i64 = i64::MIN / 4;
+
+/// Whether the rational `a.0 / a.1` exceeds `b.0 / b.1` (positive
+/// denominators), by exact cross-multiplication.
+fn exceeds(a: (i64, i64), b: (i64, i64)) -> bool {
+    (a.0 as i128) * (b.1 as i128) > (b.0 as i128) * (a.1 as i128)
+}
+
 /// Throughput of a single loop with `m` processes and `n` relay stations
 /// under strict (WP1) synchronisation.
 #[deprecated(note = "use `ThroughputModel::law` instead")]
@@ -227,116 +239,113 @@ struct SccGraph {
     /// Per hop: relay stations of the heaviest parallel edge (refreshed on
     /// every solve — only the weights change between solves).
     weights: Vec<i64>,
-    /// Per hop: the heaviest parallel edge itself.
-    best_edge: Vec<EdgeId>,
     /// Karp table `D[l][v]`, flattened as `dist[l * k + v]`: the maximum
-    /// weight of an `l`-edge walk from the source (local node 0) to `v`,
-    /// or `i64::MIN` when no such walk exists.
+    /// weight of an `l`-edge walk from the source of the last
+    /// [`SccGraph::relax`] (local node 0 for a solve) to `v`, or below 0
+    /// when no such walk exists.
     dist: Vec<i64>,
-    /// Predecessor of `dist[l][v]`: (previous local node, hop index).
-    parent: Vec<(u32, u32)>,
     /// The vertex attaining the maximum mean in the last solve.
     critical: usize,
 }
 
 impl SccGraph {
-    fn refresh_weights(&mut self, net: &Netlist) {
-        for (i, hop) in self.hops.iter().enumerate() {
-            let mut best = hop.edges[0];
-            let mut w = net.edge(best).relay_stations();
-            for &e in &hop.edges[1..] {
-                let rs = net.edge(e).relay_stations();
-                if rs > w {
-                    w = rs;
-                    best = e;
+    /// Re-reads the hop weights from `net`, counting edge `zeroed` (if
+    /// any) as carrying no station.
+    fn refresh_weights(&mut self, net: &Netlist, zeroed: Option<EdgeId>) {
+        for (weight, hop) in self.weights.iter_mut().zip(&self.hops) {
+            let stations = hop.edges.iter().map(|&e| {
+                if Some(e) == zeroed {
+                    0
+                } else {
+                    net.edge(e).relay_stations()
                 }
+            });
+            *weight = stations.max().expect("a hop has an edge") as i64;
+        }
+    }
+
+    /// Fills the Karp table `D[l][v]` for `l` in `1..=k` from the initial
+    /// row that starts every walk at `source`, with weight 0.
+    fn relax(&mut self, source: usize) {
+        let k = self.nodes.len();
+        self.dist.fill(UNREACHED);
+        self.dist[source] = 0;
+        for l in 1..=k {
+            let (prev, row) = self.dist[(l - 1) * k..(l + 1) * k].split_at_mut(k);
+            for (hop, &w) in self.hops.iter().zip(&self.weights) {
+                let dst = hop.dst as usize;
+                row[dst] = row[dst].max(prev[hop.src as usize] + w);
             }
-            self.weights[i] = w as i64;
-            self.best_edge[i] = best;
         }
     }
 
     /// Karp's algorithm: the maximum cycle mean (relay stations per
-    /// process) of this component as an exact rational `(num, den)`.
-    fn max_cycle_mean(&mut self, net: &Netlist) -> (i64, i64) {
-        self.refresh_weights(net);
+    /// process) of this component as an exact rational `(num, den)`, with
+    /// edge `zeroed` (if any) counted as carrying no station.
+    fn max_cycle_mean(&mut self, net: &Netlist, zeroed: Option<EdgeId>) -> (i64, i64) {
+        self.refresh_weights(net, zeroed);
+        self.relax(0); // source = local node 0
         let k = self.nodes.len();
-        self.dist.fill(i64::MIN);
-        self.dist[0] = 0; // D[0][source], source = local node 0
-        for l in 1..=k {
-            for (h, hop) in self.hops.iter().enumerate() {
-                let du = self.dist[(l - 1) * k + hop.src as usize];
-                if du == i64::MIN {
-                    continue;
-                }
-                let cand = du + self.weights[h];
-                let slot = l * k + hop.dst as usize;
-                if cand > self.dist[slot] {
-                    self.dist[slot] = cand;
-                    self.parent[slot] = (hop.src, h as u32);
-                }
-            }
-        }
         // Karp's theorem: the maximum cycle mean is
         //   max_v min_l (D[k][v] - D[l][v]) / (k - l)
         // over vertices with a k-edge walk.  All comparisons are exact
         // cross-multiplications; no float touches the search.
-        let mut best: Option<(i64, i64, usize)> = None;
+        let mut best: Option<(i64, i64)> = None;
         for v in 0..k {
             let dk = self.dist[k * k + v];
-            if dk == i64::MIN {
+            if dk < 0 {
                 continue;
             }
             let mut vmin: Option<(i64, i64)> = None;
             for l in 0..k {
                 let dl = self.dist[l * k + v];
-                if dl == i64::MIN {
+                if dl < 0 {
                     continue;
                 }
-                let (num, den) = (dk - dl, (k - l) as i64);
-                let smaller = match vmin {
-                    None => true,
-                    Some((n0, d0)) => (num as i128) * (d0 as i128) < (n0 as i128) * (den as i128),
-                };
-                if smaller {
-                    vmin = Some((num, den));
+                let mean = (dk - dl, (k - l) as i64);
+                if vmin.is_none_or(|m| exceeds(m, mean)) {
+                    vmin = Some(mean);
                 }
             }
-            if let Some((num, den)) = vmin {
-                let larger = match best {
-                    None => true,
-                    Some((n0, d0, _)) => {
-                        (num as i128) * (d0 as i128) > (n0 as i128) * (den as i128)
-                    }
-                };
-                if larger {
-                    best = Some((num, den, v));
+            if let Some(mean) = vmin {
+                if best.is_none_or(|b| exceeds(mean, b)) {
+                    best = Some(mean);
+                    self.critical = v;
                 }
             }
         }
         // Every node of a cyclic SCC has an out-edge inside the component,
         // so a k-edge walk from the source always exists.
-        let (num, den, v) = best.expect("cyclic SCC must admit a k-edge walk");
-        self.critical = v;
-        (num, den)
+        best.expect("cyclic SCC must admit a k-edge walk")
     }
 
     /// Extracts a critical cycle from the tables of the last
     /// [`SccGraph::max_cycle_mean`]: the optimal k-edge walk ending at the
     /// critical vertex must contain a cycle, and every cycle it contains
     /// attains the maximum mean.
-    fn critical_cycle(&self) -> (Vec<NodeId>, Vec<EdgeId>) {
+    fn critical_cycle(&self, net: &Netlist) -> (Vec<NodeId>, Vec<EdgeId>) {
         let k = self.nodes.len();
-        // Walk the parents back from level k; walk_nodes[i] is the node at
-        // level k - i, walk_hops[i] the hop that *entered* walk_nodes[i].
+        // Walk the optimal walk back from level k; walk_nodes[i] is the
+        // node at level k - i, walk_hops[i] the hop that *entered*
+        // walk_nodes[i]: the first hop, in hop order, whose walk attains
+        // `D[l][cur]`.
         let mut walk_nodes = Vec::with_capacity(k + 1);
         let mut walk_hops = Vec::with_capacity(k);
         let mut cur = self.critical;
         for l in (1..=k).rev() {
             walk_nodes.push(cur);
-            let (prev, hop) = self.parent[l * k + cur];
-            walk_hops.push(hop as usize);
-            cur = prev as usize;
+            let reached = self.dist[l * k + cur];
+            let hop = self
+                .hops
+                .iter()
+                .zip(&self.weights)
+                .position(|(hop, &w)| {
+                    hop.dst as usize == cur
+                        && self.dist[(l - 1) * k + hop.src as usize] + w == reached
+                })
+                .expect("a reached table entry has a predecessor");
+            walk_hops.push(hop);
+            cur = self.hops[hop].src as usize;
         }
         walk_nodes.push(cur);
         // k + 1 nodes over k distinct values: a repetition exists.
@@ -361,7 +370,18 @@ impl SccGraph {
         let edges: Vec<EdgeId> = walk_hops[lo..hi]
             .iter()
             .rev()
-            .map(|&h| self.best_edge[h])
+            .map(|&h| {
+                // The first of the heaviest parallel edges binds the hop.
+                let edges = &self.hops[h].edges;
+                let stations = |e: EdgeId| net.edge(e).relay_stations();
+                edges[1..].iter().fold(edges[0], |best, &e| {
+                    if stations(e) > stations(best) {
+                        e
+                    } else {
+                        best
+                    }
+                })
+            })
             .collect();
         // Rotate edges so edges[i] leaves nodes[i]: reversed walk edges
         // enter nodes one step behind, i.e. the edge entering nodes[0]
@@ -378,7 +398,9 @@ impl SccGraph {
 /// of the topology; [`McrSolver::solve`] then re-reads only the
 /// relay-station weights.  A placement search that mutates stations on a
 /// fixed topology (as [`crate::optimize_assignment`] does) therefore scores
-/// each candidate with one allocation-free Karp pass.
+/// each candidate with one allocation-free Karp pass, and
+/// [`McrSolver::solve_sweep`] scores every station count of one edge with
+/// two.
 ///
 /// # Examples
 ///
@@ -429,7 +451,8 @@ impl McrSolver {
                         hops.push(Hop {
                             src: s,
                             dst: d as u32,
-                            edges: Vec::new(),
+                            // Parallel edges are rare: size for one.
+                            edges: Vec::with_capacity(1),
                         });
                         hops.len() - 1
                     });
@@ -440,10 +463,8 @@ impl McrSolver {
             comps.push(SccGraph {
                 nodes: comp_nodes.clone(),
                 weights: vec![0; hops.len()],
-                best_edge: vec![EdgeId(0); hops.len()],
                 hops,
-                dist: vec![i64::MIN; (k + 1) * k],
-                parent: vec![(0, 0); (k + 1) * k],
+                dist: vec![UNREACHED; (k + 1) * k],
                 critical: 0,
             });
             // Reset the scratch map for the next component (components are
@@ -479,13 +500,9 @@ impl McrSolver {
         self.check_topology(net);
         let mut worst: Option<(i64, i64)> = None;
         for comp in &mut self.comps {
-            let (num, den) = comp.max_cycle_mean(net);
-            let larger = match worst {
-                None => true,
-                Some((n0, d0)) => (num as i128) * (d0 as i128) > (n0 as i128) * (den as i128),
-            };
-            if larger {
-                worst = Some((num, den));
+            let mean = comp.max_cycle_mean(net, None);
+            if worst.is_none_or(|w| exceeds(mean, w)) {
+                worst = Some(mean);
             }
         }
         // The mean is n/m of the worst loop, so the law gives m/(m+n);
@@ -494,6 +511,70 @@ impl McrSolver {
         match worst {
             None => 1.0,
             Some((num, den)) => law(den as usize, num as usize),
+        }
+    }
+
+    /// Exact system throughput of `net` for every relay-station count of
+    /// one edge: `out[r]` is what [`McrSolver::solve`] returns, bit for bit,
+    /// once `edge` carries `r` stations (its count in `net` is ignored).
+    ///
+    /// Two passes serve the whole sweep: a plain solve with `edge` at 0
+    /// stations gives the worst mean `λ(0)`, and one walk pass from the
+    /// edge's head gives `W_m`, the heaviest (m−1)-hop walk back to its
+    /// tail (with `edge` still at 0).  Then, compared as exact rationals,
+    ///   `λ(r) = max(λ(0), maxₘ (W_m + r)/m)`.
+    /// Each term `(W_m + r)/m` is the mean of a closed walk through `edge`
+    /// that is at least that heavy, and a closed walk splits into simple
+    /// loops, so no term exceeds `λ(r)`.  A simple loop through `edge` is
+    /// the edge plus a walk that avoids it, which its term counts exactly,
+    /// and a loop that avoids `edge` has a mean of at most `λ(0)`, itself
+    /// at most `λ(r)`.  The worst loop at `r` stations is one of the two.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node or edge count of `net` differs from the netlist
+    /// the solver was built from.
+    pub fn solve_sweep(&mut self, net: &Netlist, edge: EdgeId, out: &mut [f64]) {
+        self.check_topology(net);
+        let mut floor: Option<(i64, i64)> = None;
+        // The component whose table holds the walks from the edge's head,
+        // and the edge's tail in it.
+        let mut through = None;
+        for (c, comp) in self.comps.iter_mut().enumerate() {
+            let mean = comp.max_cycle_mean(net, Some(edge));
+            if floor.is_none_or(|w| exceeds(mean, w)) {
+                floor = Some(mean);
+            }
+            let ends = comp
+                .hops
+                .iter()
+                .find(|hop| hop.edges.contains(&edge))
+                .map(|hop| (hop.dst as usize, hop.src as usize));
+            if let Some((head, tail)) = ends {
+                comp.relax(head);
+                through = Some((c, tail));
+            }
+        }
+        for (r, slot) in out.iter_mut().enumerate() {
+            let mut worst = floor;
+            if let Some((c, tail)) = through {
+                let comp = &self.comps[c];
+                let k = comp.nodes.len();
+                for m in 1..=k {
+                    let walk = comp.dist[(m - 1) * k + tail];
+                    if walk < 0 {
+                        continue;
+                    }
+                    let mean = (walk + r as i64, m as i64);
+                    if worst.is_none_or(|w| exceeds(mean, w)) {
+                        worst = Some(mean);
+                    }
+                }
+            }
+            *slot = match worst {
+                None => 1.0,
+                Some((num, den)) => law(den as usize, num as usize),
+            };
         }
     }
 
@@ -508,8 +589,8 @@ impl McrSolver {
         self.check_topology(net);
         let mut loops = Vec::with_capacity(self.comps.len());
         for comp in &mut self.comps {
-            let (num, den) = comp.max_cycle_mean(net);
-            let (nodes, edges) = comp.critical_cycle();
+            let (num, den) = comp.max_cycle_mean(net, None);
+            let (nodes, edges) = comp.critical_cycle(net);
             let processes = nodes.len();
             let relay_stations: usize = edges.iter().map(|&e| net.edge(e).relay_stations()).sum();
             debug_assert_eq!(
