@@ -32,20 +32,15 @@
 //! ([`ShardArgs`], backed by `wp_dist`):
 //!
 //! * `--shards N` — the parent mode: fork up to `N` worker processes (one
-//!   contiguous submission-order range each, re-invoking the current
-//!   executable), merge their NDJSON results and print exactly what a
-//!   single-process run prints.  This is a `--hosts` dispatch over `N`
-//!   capacity-1 `local` hosts (at most one per row), failover included;
-//! * `--hosts hosts.conf` — the cross-machine parent mode: dispatch one
-//!   worker per hostfile entry through its declared transport
-//!   (`local`/`ssh`/`container`/`shell`), each sized by the host's
-//!   `capacity` weight, with failover to another host on a failed shard
-//!   (see the README's *Cross-machine sweeps*);
+//!   contiguous submission-order range each, at most one per row,
+//!   re-invoking the current executable), retry a failed worker, merge
+//!   their NDJSON results and print exactly what a single-process run
+//!   prints;
 //! * `--shard i/N` — the worker mode: run only shard `i`'s range and emit
 //!   NDJSON records (implies `--emit-ndjson`);
 //! * `--shard-range A..B` — an explicit submission-order range overriding
-//!   the uniform `i/N` split; the dispatching parent appends it so a
-//!   capacity-weighted worker runs exactly the rows its host was assigned;
+//!   the uniform `i/N` split; the dispatching parent appends it, so a
+//!   worker runs exactly the rows the parent planned for it;
 //! * `--emit-ndjson` — emit one machine-readable JSON record per result
 //!   row on stdout instead of the human-readable report.
 //!
@@ -58,12 +53,14 @@
 //!
 //! Both the `--flag value` and the `--flag=value` spellings are accepted.
 //! Parsing returns [`ArgError`] instead of exiting, so it is unit-testable;
-//! the binaries keep exiting with status 2 through [`ArgError::exit`].
+//! the binaries keep exiting with status 2 through [`ArgError::exit`], and
+//! report runtime errors the same way with status 1 through
+//! [`exit_on_error`].
 
 use std::fmt;
 use std::ops::Range;
 
-use wp_dist::{load_hostfile, run_dispatched, Host, Json, LocalProcess, ShardPlan, ShardSpec};
+use wp_dist::{run_dispatched, Json, ShardPlan, ShardSpec};
 use wp_sim::{SweepRunner, SweepStats};
 
 /// A malformed command line, as reported by [`flag_value`] and
@@ -110,6 +107,17 @@ impl ArgError {
     pub fn exit(&self) -> ! {
         eprintln!("error: {self}");
         std::process::exit(2);
+    }
+}
+
+/// Ends a binary whose fallible body failed: prints `error: ` and the
+/// error's `Display` text on stderr, like [`ArgError::exit`], and exits
+/// with status 1, the runtime-failure code (2 is reserved for argument
+/// errors).  A binary's `main` is `exit_on_error(run())`.
+pub fn exit_on_error<E: fmt::Display>(result: Result<(), E>) {
+    if let Err(e) = result {
+        eprintln!("error: {e}");
+        std::process::exit(1);
     }
 }
 
@@ -352,7 +360,7 @@ impl SweepArgs {
     }
 }
 
-/// Parsed `--shards` / `--hosts` / `--shard` / `--shard-range` /
+/// Parsed `--shards` / `--shard` / `--shard-range` /
 /// `--emit-ndjson` process-sharding flags (see the module docs for the
 /// protocol).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -360,15 +368,11 @@ pub struct ShardArgs {
     /// Worker-process count requested with `--shards N` (`0` and `1` both
     /// mean "run in this process").
     pub shards: usize,
-    /// Hostfile path requested with `--hosts PATH`: dispatch one worker
-    /// per declared host through its transport (cross-machine parent
-    /// mode).
-    pub hosts: Option<String>,
     /// This process's worker identity, when `--shard i/N` was given.
     pub shard: Option<ShardSpec>,
     /// The explicit submission-order range from `--shard-range A..B`,
-    /// overriding the uniform `i/N` split (appended by a capacity-weighted
-    /// dispatching parent).
+    /// overriding the uniform `i/N` split (appended by the dispatching
+    /// parent).
     pub range: Option<Range<usize>>,
     /// Whether to emit NDJSON records instead of the human-readable report
     /// (`--emit-ndjson`, implied by `--shard`).
@@ -395,8 +399,8 @@ impl ShardArgs {
     /// # Errors
     ///
     /// Returns [`ArgError`] on a malformed value or a conflicting
-    /// combination (`--shards`/`--hosts`/`--shard` are mutually exclusive,
-    /// parent modes reject `--emit-ndjson`, and `--shard-range` is only
+    /// combination (`--shards` and `--shard` are mutually exclusive, the
+    /// parent mode rejects `--emit-ndjson`, and `--shard-range` is only
     /// meaningful next to `--shard`).
     pub fn from_args(args: &[String]) -> Result<Self, ArgError> {
         let shards = match flag_value(args, "--shards")? {
@@ -409,7 +413,6 @@ impl ShardArgs {
                 }
             })?,
         };
-        let hosts = flag_value(args, "--hosts")?;
         let shard = match flag_value(args, "--shard")? {
             None => None,
             Some(v) => Some(ShardSpec::parse(&v).map_err(|_| ArgError::InvalidValue {
@@ -440,23 +443,6 @@ impl ShardArgs {
                 "to not be combined with --shard (workers are spawned by the parent)",
             );
         }
-        if let Some(path) = &hosts {
-            if shards > 0 {
-                return conflict(
-                    "--hosts",
-                    path.clone(),
-                    "to not be combined with --shards (the hostfile sizes the fleet)",
-                );
-            }
-            if shard.is_some() {
-                return conflict(
-                    "--hosts",
-                    path.clone(),
-                    "to not be combined with --shard (the parent strips --hosts from worker \
-                     command lines)",
-                );
-            }
-        }
         if range.is_some() && shard.is_none() {
             return conflict(
                 "--shard-range",
@@ -465,7 +451,7 @@ impl ShardArgs {
             );
         }
         let emit_ndjson = args.iter().any(|a| a == "--emit-ndjson");
-        if (shards > 1 || hosts.is_some()) && emit_ndjson {
+        if shards > 1 && emit_ndjson {
             // The parent merges and prints the human-readable report; a
             // forked NDJSON stream is not defined.  Rejecting here keeps
             // `run_rows`'s mode choice unambiguous: it checks for the parent
@@ -473,12 +459,11 @@ impl ShardArgs {
             return conflict(
                 "--emit-ndjson",
                 "".to_string(),
-                "to not be combined with a parent mode (drop --shards/--hosts for NDJSON output)",
+                "to not be combined with --shards (drop --shards for NDJSON output)",
             );
         }
         Ok(Self {
             shards,
-            hosts,
             shard,
             range,
             emit_ndjson: emit_ndjson || shard.is_some(),
@@ -492,11 +477,10 @@ impl ShardArgs {
     /// * Worker (`--shard i/N` / `--emit-ndjson`) — computes only this
     ///   worker's range, prints `encode(index, row)` as one NDJSON record
     ///   per row and returns `None`: a worker has nothing to publish.
-    /// * Parent (`--shards N` / `--hosts`) — dispatches the rows to one
-    ///   worker per populated shard of the fleet through
-    ///   [`wp_dist::run_dispatched`] (capacity-weighted ranges, failover,
-    ///   the machine's cores shared among co-located workers) and returns
-    ///   their records decoded in index order.
+    /// * Parent (`--shards N`) — dispatches the rows to one worker process
+    ///   per populated shard through [`wp_dist::run_dispatched`] (retries,
+    ///   the machine's cores shared among the workers) and returns their
+    ///   records decoded in index order.
     ///
     /// `compute` returns the rows of a range in order; `encode` writes one
     /// single-line record whose `"index"` member is the row's global
@@ -546,11 +530,10 @@ impl ShardArgs {
         Ok(None)
     }
 
-    /// Whether this invocation is the sharding parent (it should spawn
-    /// workers instead of sweeping itself) — either the local `--shards N`
-    /// fork or the cross-machine `--hosts` dispatch.
+    /// Whether this invocation is the `--shards N` parent (it should spawn
+    /// workers instead of sweeping itself).
     fn is_parent(&self) -> bool {
-        self.shards > 1 || self.hosts.is_some()
+        self.shards > 1
     }
 
     /// The submission-order range this worker runs, out of `n_items` total:
@@ -567,14 +550,13 @@ impl ShardArgs {
     }
 
     /// The argv for worker `shard`: this process's own arguments with the
-    /// parent-side flags (`--shards`, `--hosts`, stale `--shard` /
-    /// `--shard-range` / `--emit-ndjson`) removed and `--shard i/N
-    /// --shard-range A..B --emit-ndjson` appended.  The explicit range
-    /// makes the worker independent of how the parent planned the split
-    /// (uniform or capacity-weighted), and stripping `--hosts` guarantees
-    /// a dispatched worker never re-dispatches.
+    /// parent-side flags (`--shards`, stale `--shard` / `--shard-range` /
+    /// `--emit-ndjson`) removed and `--shard i/N --shard-range A..B
+    /// --emit-ndjson` appended.  The explicit range makes the worker
+    /// independent of how the parent planned the split, and stripping
+    /// `--shards` guarantees a worker never re-dispatches.
     fn worker_args(args: &[String], shard: ShardSpec, range: &Range<usize>) -> Vec<String> {
-        const PARENT_FLAGS: [&str; 4] = ["--shards", "--shard", "--shard-range", "--hosts"];
+        const PARENT_FLAGS: [&str; 3] = ["--shards", "--shard", "--shard-range"];
         let mut out = Vec::with_capacity(args.len() + 5);
         let mut skip_value = false;
         for arg in args {
@@ -607,33 +589,24 @@ impl ShardArgs {
     }
 
     /// The parent side of [`ShardArgs::run_rows`]: plans `n_items` result
-    /// rows over a fleet of hosts, logs the dispatch to stderr (`noun`
-    /// names a row, e.g. "table row"; `gate` reports the equivalence gate,
-    /// or `None` for binaries without one), spawns one worker per
-    /// populated shard through [`wp_dist::run_dispatched`] and returns the
-    /// merged NDJSON records in submission order.
+    /// rows over the `--shards N` worker processes (`local_plan`), logs
+    /// the dispatch to stderr (`noun` names a row, e.g. "table row"; `gate`
+    /// reports the equivalence gate, or `None` for binaries without one),
+    /// spawns one worker per populated shard — a re-invocation of the
+    /// current executable — through [`wp_dist::run_dispatched`] and
+    /// returns the merged NDJSON records in submission order.
     ///
-    /// The fleet is the hostfile's with `--hosts hosts.conf`, and with
-    /// `--shards N` it is `N` capacity-1 `local` hosts (`local_fleet`), each
-    /// worker a re-invocation of the current executable on this machine.
-    /// Either way the split is weighted by the host capacities, and a shard
-    /// whose host fails is re-dispatched to each other host in turn.
-    ///
-    /// When the command line did not pin `--workers`, every worker that
-    /// executes on *this* machine — the `local`/`shell` hosts
-    /// ([`wp_dist::Transport::runs_on_dispatcher`]), so all of them under
-    /// `--shards` — is handed an equal share of the machine's cores
-    /// (`available_parallelism` divided by the number of co-located
-    /// workers, at least 1) so that a forked sweep does not oversubscribe
-    /// the CPU with `shards × cores` threads.  Workers on remote hosts
-    /// (ssh, container) get no override: each sizes its own sweep from its
-    /// own machine's `available_parallelism`.  Results are unaffected
-    /// either way — sweep outcomes are worker-count-independent.
+    /// When the command line did not pin `--workers`, every worker is
+    /// handed an equal share of the machine's cores: at least one, and
+    /// otherwise `available_parallelism` divided by the number of workers.
+    /// A forked sweep therefore does not oversubscribe the CPU with
+    /// `shards × cores` threads.  Results are unaffected either way —
+    /// sweep outcomes are worker-count-independent.
     ///
     /// # Errors
     ///
-    /// Propagates [`std::env::current_exe`] failures, hostfile errors and
-    /// any [`wp_dist::DistError`] from the worker protocol.
+    /// Propagates [`std::env::current_exe`] failures and any
+    /// [`wp_dist::DistError`] from the worker protocol.
     fn run_sharded_rows(
         &self,
         n_items: usize,
@@ -647,46 +620,22 @@ impl ShardArgs {
         };
         let exe = std::env::current_exe()?;
         let args: Vec<String> = std::env::args().skip(1).collect();
-
-        // DistErrors are surfaced as their Display text: a binary's `main`
-        // prints `Err` via Debug, which would bury the line-numbered
-        // hostfile messages in struct syntax.
-        let (hosts, source) = match &self.hosts {
-            Some(path) => (
-                load_hostfile(path).map_err(|e| e.to_string())?,
-                path.clone(),
-            ),
-            None => (
-                local_fleet(self.shards, n_items),
-                format!("--shards {}", self.shards),
-            ),
-        };
-        let capacities: Vec<usize> = hosts.iter().map(|h| h.capacity).collect();
-        let plan = ShardPlan::split_weighted(n_items, &capacities);
+        let plan = local_plan(self.shards, n_items);
+        let workers = plan.populated_shards().count();
         eprintln!(
-            "dispatching {n_items} {noun}(s) across {} of {} host(s) from {source}{gate_note}",
-            plan.populated_shards().count(),
-            hosts.len(),
+            "dispatching {n_items} {noun}(s) across {workers} worker process(es) from --shards {}{gate_note}",
+            self.shards,
         );
-        let default_binary = exe.to_str().ok_or(
-            "the current executable path is not UTF-8; set binary= per host in a hostfile",
-        )?;
-        // Divide this machine's cores across the workers that run on it;
-        // remote hosts size their own sweeps.  The share is keyed to the
-        // shard's *assigned* host: a failed-over shard keeps its argv, which
-        // at worst under- or over-threads one retry without affecting
-        // results.
-        let co_located = plan
-            .populated_shards()
-            .filter(|&s| hosts[s].transport.runs_on_dispatcher())
-            .count();
-        let workers_share = if flag_value(&args, "--workers")?.is_none() && co_located > 0 {
+        let program = exe
+            .to_str()
+            .ok_or("the current executable path is not UTF-8")?;
+        let workers_share = if flag_value(&args, "--workers")?.is_none() && workers > 0 {
             let cores = std::thread::available_parallelism().map_or(1, usize::from);
-            Some((cores / co_located).max(1))
+            Some((cores / workers).max(1))
         } else {
             None
         };
-        let records = run_dispatched(&plan, &hosts, default_binary, |shard| {
+        let records = run_dispatched(&plan, program, |shard| {
             let mut worker_args = Self::worker_args(
                 &args,
                 ShardSpec {
@@ -695,32 +644,21 @@ impl ShardArgs {
                 },
                 &plan.range(shard),
             );
-            if let (Some(share), true) =
-                (workers_share, hosts[shard].transport.runs_on_dispatcher())
-            {
+            if let Some(share) = workers_share {
                 worker_args.push(format!("--workers={share}"));
             }
             worker_args
-        })
-        .map_err(|e| e.to_string())?;
+        })?;
         Ok(records)
     }
 }
 
-/// The fleet a local `--shards N` run dispatches to: `N` capacity-1 `local`
-/// hosts running the dispatcher's own executable, clamped to
-/// `min(N, n_items).max(1)` hosts.  With more shards than rows every
+/// The plan of a `--shards N` run over `n_items` rows: the uniform split
+/// into `min(N, n_items).max(1)` shards.  With more shards than rows every
 /// populated shard holds one row either way, so the clamp changes no
 /// output — it only keeps a huge `N` from planning `N` empty shards.
-fn local_fleet(shards: usize, n_items: usize) -> Vec<Host> {
-    (0..shards.min(n_items).max(1))
-        .map(|i| Host {
-            name: format!("local{i}"),
-            capacity: 1,
-            binary: None,
-            transport: Box::new(LocalProcess),
-        })
-        .collect()
+fn local_plan(shards: usize, n_items: usize) -> ShardPlan {
+    ShardPlan::split(n_items, shards.min(n_items).max(1))
 }
 
 /// Parses the `A..B` spelling of `--shard-range` (`A <= B`).
@@ -917,10 +855,6 @@ mod tests {
             vec!["--shard", "2"],
             vec!["--shards", "2", "--shard", "0/2"],
             vec!["--shards", "2", "--emit-ndjson"],
-            vec!["--hosts", "hosts.conf", "--shards", "2"],
-            vec!["--hosts", "hosts.conf", "--shards", "1"],
-            vec!["--hosts", "hosts.conf", "--shard", "0/2"],
-            vec!["--hosts", "hosts.conf", "--emit-ndjson"],
             vec!["--shard-range", "0..4"],
             vec!["--shard", "0/2", "--shard-range", "4..0"],
             vec!["--shard", "0/2", "--shard-range", "wide"],
@@ -930,16 +864,6 @@ mod tests {
                 "accepted {bad:?}"
             );
         }
-    }
-
-    #[test]
-    fn hosts_flag_selects_the_dispatch_parent_mode() {
-        let args =
-            ShardArgs::from_args(&strings(&["--hosts", "fleet.conf", "--quick"])).expect("parses");
-        assert_eq!(args.hosts.as_deref(), Some("fleet.conf"));
-        assert!(args.is_parent());
-        assert!(!args.emit_ndjson);
-        assert_eq!(args.shards, 0);
     }
 
     #[test]
@@ -983,16 +907,14 @@ mod tests {
                 "--emit-ndjson"
             ])
         );
-        // The equals spellings and stale worker flags are stripped too,
-        // including --hosts (a dispatched worker must never re-dispatch).
+        // The equals spellings and stale worker flags are stripped too (a
+        // worker must never re-dispatch).
         let argv = strings(&[
             "--shards=3",
             "--shard=0/9",
-            "--shard-range=0..2",
-            "--hosts=fleet.conf",
             "--quick",
-            "--hosts",
-            "other.conf",
+            "--shard-range",
+            "0..2",
         ]);
         assert_eq!(
             ShardArgs::worker_args(&argv, spec, &(4..8)),
@@ -1007,9 +929,8 @@ mod tests {
         );
     }
 
-    /// `--shards N` is a hostfile of `min(N, n).max(1)` capacity-1 `local`
-    /// hosts, and its weighted plan is the uniform split on every
-    /// populated range — however large `N` is.
+    /// `--shards N` forks `min(N, n).max(1)` local workers, planned with
+    /// the uniform split — however large `N` is.
     #[test]
     fn shards_n_is_a_fleet_of_local_hosts() {
         for (shards, n_items) in [
@@ -1021,21 +942,10 @@ mod tests {
             (100_000_000_000, 12),
             (usize::MAX, 12),
         ] {
-            let fleet = local_fleet(shards, n_items);
+            let plan = local_plan(shards, n_items);
             let slots = shards.min(n_items).max(1);
-            assert_eq!(fleet.len(), slots, "--shards {shards} over {n_items}");
-            for host in &fleet {
-                assert_eq!(host.transport.describe(), "local");
-                assert_eq!(host.capacity, 1);
-                assert_eq!(host.binary, None);
-                assert!(host.transport.runs_on_dispatcher());
-            }
-            let capacities: Vec<usize> = fleet.iter().map(|h| h.capacity).collect();
-            let plan = ShardPlan::split_weighted(n_items, &capacities);
-            let uniform = ShardPlan::split(n_items, shards.min(n_items));
-            for shard in plan.populated_shards() {
-                assert_eq!(plan.range(shard), uniform.range(shard), "shard {shard}");
-            }
+            assert_eq!(plan.shards(), slots, "--shards {shards} over {n_items}");
+            assert_eq!(plan, ShardPlan::split(n_items, slots));
             assert_eq!(plan.populated_shards().count(), shards.min(n_items));
         }
     }

@@ -9,15 +9,14 @@
 //! `--workers N` and `--batch N`.  Pass `--verify` to stream every run
 //! against its golden twin while it executes and print the proven
 //! equivalence prefix (N) per depth and policy.  The depth rows can be
-//! sharded across worker processes with `--shards N` — or across machines
-//! with `--hosts hosts.conf` (worker mode: `--shard i/N` /
-//! `--emit-ndjson`), merging to byte-identical output.
+//! sharded across worker processes with `--shards N` (worker mode:
+//! `--shard i/N` / `--emit-ndjson`), merging to byte-identical output.
 
 use std::ops::Range;
 
 use wp_bench::{
-    json_opt_usize, soc_factory, soc_scenario_with_config, sort_workload, ScenarioWiring,
-    ShardArgs, SweepArgs, MAX_CYCLES,
+    exit_on_error, json_opt_usize, soc_factory, soc_scenario_with_config, sort_workload,
+    ScenarioWiring, ShardArgs, SweepArgs, MAX_CYCLES,
 };
 use wp_core::ShellConfig;
 use wp_dist::Json;
@@ -163,7 +162,7 @@ fn decode_row(index: usize, record: &Json) -> Result<Row, String> {
     })
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let verify = args.iter().any(|a| a == "--verify");
     let sweep = SweepArgs::from_args(&args).unwrap_or_else(|e| e.exit());
@@ -182,6 +181,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let golden = run_golden_soc(&sort_workload(), Organization::Pipelined, MAX_CYCLES)?;
     print_table(golden.cycles, &rows);
     Ok(())
+}
+
+fn main() {
+    exit_on_error(run());
 }
 
 #[cfg(test)]

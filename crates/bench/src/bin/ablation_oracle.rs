@@ -10,15 +10,14 @@
 //! `--workers N` and `--batch N`.  Pass `--verify` to stream every run
 //! against its golden twin (`wp_bench::build_degraded_ring` with shells
 //! stripped) and print the proven equivalence prefix (N) per row.  The rows
-//! can be sharded across worker processes with `--shards N` — or across
-//! machines with `--hosts hosts.conf` (worker mode: `--shard i/N` /
-//! `--emit-ndjson`), merging to byte-identical output.
+//! can be sharded across worker processes with `--shards N` (worker mode:
+//! `--shard i/N` / `--emit-ndjson`), merging to byte-identical output.
 
 use std::ops::Range;
 
 use wp_bench::{
-    build_degraded_ring, degraded_ring_scenario, json_f64, json_opt_usize, json_string,
-    ScenarioWiring, ShardArgs, SweepArgs,
+    build_degraded_ring, degraded_ring_scenario, exit_on_error, json_f64, json_opt_usize,
+    json_string, ScenarioWiring, ShardArgs, SweepArgs,
 };
 use wp_core::SyncPolicy;
 use wp_dist::Json;
@@ -142,7 +141,7 @@ fn print_table(rows: &[Row]) {
     );
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let verify = args.iter().any(|a| a == "--verify");
     let sweep = SweepArgs::from_args(&args).unwrap_or_else(|e| e.exit());
@@ -160,6 +159,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     print_table(&rows);
     Ok(())
+}
+
+fn main() {
+    exit_on_error(run());
 }
 
 #[cfg(test)]

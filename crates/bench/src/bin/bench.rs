@@ -26,8 +26,9 @@
 use std::time::Instant;
 
 use wp_bench::{
-    flag_value, matmul_workload, metric_report_json, run_soc_lanes_packed, run_soc_lanes_scalar,
-    sort_workload, spot_verify_frontier, MetricRecord, SweepArgs, MAX_CYCLES, WORKLOAD_SEED,
+    exit_on_error, flag_value, matmul_workload, metric_report_json, run_soc_lanes_packed,
+    run_soc_lanes_scalar, sort_workload, spot_verify_frontier, MetricRecord, SweepArgs, MAX_CYCLES,
+    WORKLOAD_SEED,
 };
 use wp_core::ShellConfig;
 use wp_dse::{merge_outcomes, plan_units, run_units, DseConfig, SearchSpace, WorkUnit};
@@ -219,7 +220,7 @@ fn design_space(seed: u64, iters: u32) -> Result<Vec<MetricRecord>, String> {
     ))
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flag = |name| flag_value(&args, name).unwrap_or_else(|e| e.exit());
     let iters: u32 = match flag("--iters") {
@@ -257,4 +258,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     std::fs::write(&json, metric_report_json(&records))?;
     eprintln!("wrote machine-readable report to {json}");
     Ok(())
+}
+
+fn main() {
+    exit_on_error(run());
 }

@@ -11,7 +11,7 @@
 //! `BENCH_baseline.json` and commit it (see the README's *Refreshing the
 //! perf baseline*).
 
-use wp_bench::{compare_reports, flag_value, parse_metric_records, MetricRecord};
+use wp_bench::{compare_reports, exit_on_error, flag_value, parse_metric_records, MetricRecord};
 use wp_dist::Json;
 
 fn load(path: &str) -> Result<Vec<MetricRecord>, Box<dyn std::error::Error>> {
@@ -21,7 +21,7 @@ fn load(path: &str) -> Result<Vec<MetricRecord>, Box<dyn std::error::Error>> {
     Ok(parse_metric_records(&doc).map_err(|e| format!("report '{path}' is malformed: {e}"))?)
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flag = |name| flag_value(&args, name).unwrap_or_else(|e| e.exit());
     let baseline_path = flag("--baseline").unwrap_or_else(|| "BENCH_baseline.json".to_string());
@@ -48,4 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          cp {fresh_path} {baseline_path} && git add {baseline_path}"
     );
     std::process::exit(1);
+}
+
+fn main() {
+    exit_on_error(run());
 }

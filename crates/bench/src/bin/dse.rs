@@ -20,12 +20,12 @@
 //! [--mode auto|exhaustive|walk] [--walks N] [--steps N] [--units N]
 //! [--limit N] [--firings N] [--quick] [--verify] [--dot]
 //! [--workers N] [--batch N] [--lanes on|off|auto] [--oracle on|off|auto]
-//! [--shards N | --hosts hosts.conf | --shard i/N] [--emit-ndjson]`
+//! [--shards N | --shard i/N] [--emit-ndjson]`
 //!
 //! The work-unit plan is deterministic and worker-count-independent, the
 //! per-cost merge is commutative, and all candidate ties break by a total
-//! order — so stdout is byte-identical across `--workers`, `--shards` and
-//! `--hosts` (CI diffs them).  Wall-clock figures (configurations/second)
+//! order — so stdout is byte-identical across `--workers` and `--shards`
+//! (CI diffs them).  Wall-clock figures (configurations/second)
 //! go to stderr only.
 //!
 //! `--quick` shrinks the cap and firing target for the CI smoke.  `--dot`
@@ -35,8 +35,8 @@
 use std::time::Instant;
 
 use wp_bench::{
-    dse_unit_from_json, dse_unit_ndjson, flag_value, format_frontier, spot_verify_frontier,
-    ArgError, ShardArgs, SweepArgs,
+    dse_unit_from_json, dse_unit_ndjson, exit_on_error, flag_value, format_frontier,
+    spot_verify_frontier, ArgError, ShardArgs, SweepArgs,
 };
 use wp_dse::{
     merge_outcomes, plan_units, run_units, DseConfig, DseOutcome, Evaluator, SearchMode,
@@ -290,7 +290,7 @@ fn publish(
     Ok(())
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn run() -> Result<(), Box<dyn std::error::Error>> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = parse_args(&argv).unwrap_or_else(|e| e.exit());
     let (label, spec) = load_spec(&args)?;
@@ -339,4 +339,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &outcome,
         start.elapsed().as_secs_f64(),
     )
+}
+
+fn main() {
+    exit_on_error(run());
 }

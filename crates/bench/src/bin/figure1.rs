@@ -6,15 +6,14 @@
 //! throughput of every single-link configuration — a 10-scenario
 //! `wp_sim::SweepRunner` sweep of the full processor.  The scheduler is
 //! controlled with `--workers N` and `--batch N`, and the measured sweep
-//! can be sharded across worker processes with `--shards N` — or across
-//! machines with `--hosts hosts.conf` (worker mode: `--shard i/N` /
-//! `--emit-ndjson`), merging to byte-identical output.
+//! can be sharded across worker processes with `--shards N` (worker mode:
+//! `--shard i/N` / `--emit-ndjson`), merging to byte-identical output.
 
 use std::ops::Range;
 
 use wp_bench::{
-    json_string, predict_wp1_throughput, soc_oracle_scenario, soc_scenario, sort_workload,
-    LaneMode, ScenarioWiring, ShardArgs, SweepArgs, MAX_CYCLES,
+    exit_on_error, json_string, predict_wp1_throughput, soc_oracle_scenario, soc_scenario,
+    sort_workload, LaneMode, ScenarioWiring, ShardArgs, SweepArgs, MAX_CYCLES,
 };
 use wp_core::SyncPolicy;
 use wp_dist::Json;
@@ -152,7 +151,7 @@ fn decode_cycles(index: usize, record: &Json) -> Result<u64, String> {
     record.require_u64("cycles_to_goal")
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn run() -> Result<(), Box<dyn std::error::Error>> {
     let workload = sort_workload();
     let sweep = SweepArgs::from_env().unwrap_or_else(|e| e.exit());
     let shard = ShardArgs::from_env().unwrap_or_else(|e| e.exit());
@@ -180,6 +179,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print_analytics(&workload);
     print_link_table(&workload, golden_cycles, &cycles);
     Ok(())
+}
+
+fn main() {
+    exit_on_error(run());
 }
 
 #[cfg(test)]

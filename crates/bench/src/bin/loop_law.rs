@@ -12,7 +12,7 @@
 //! `wp_sim` tests — and the saving is reported on stderr), while
 //! oracle-policy rings fall back to plain simulation and are counted.
 
-use wp_bench::{ring_scenario, OracleMode, ScenarioWiring, SweepArgs};
+use wp_bench::{exit_on_error, ring_scenario, OracleMode, ScenarioWiring, SweepArgs};
 use wp_core::SyncPolicy;
 use wp_netlist::ThroughputModel;
 use wp_sim::{Scenario, SweepError, SweepOutcome, SweepRunner, SweepStats};
@@ -38,7 +38,7 @@ fn sweep(
     outcomes.into_iter().collect()
 }
 
-fn main() -> Result<(), SweepError> {
+fn run() -> Result<(), SweepError> {
     let args = SweepArgs::from_env().unwrap_or_else(|e| e.exit());
     let runner = args.runner();
     let mut stats = Vec::new();
@@ -105,4 +105,8 @@ fn main() -> Result<(), SweepError> {
     }
     args.oracle.report_saving(&stats);
     Ok(())
+}
+
+fn main() {
+    exit_on_error(run());
 }

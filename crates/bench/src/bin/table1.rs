@@ -6,16 +6,12 @@
 //! worker threads by `wp_sim::SweepRunner`'s work-stealing scheduler, and
 //! the table rows can additionally be sharded across worker *processes*
 //! (`wp_dist`): `--shards N` re-invokes this executable once per contiguous
-//! row range (a fleet of `N` local hosts), merges the NDJSON results and
-//! prints byte-identical output to a single-process run, and `--hosts
-//! hosts.conf` dispatches the same
-//! workers across machines (ssh/container/shell transports,
-//! capacity-weighted ranges, failover — see the README's *Cross-machine
-//! sweeps*).
+//! row range, merges the NDJSON results and prints byte-identical output
+//! to a single-process run.
 //!
 //! Usage: `table1 [--program sort|matmul|both] [--quick] [--verify]
 //! [--workers N] [--batch N] [--lanes on|off|auto] [--oracle on|off|auto]
-//! [--json PATH] [--shards N | --hosts hosts.conf | --shard i/N]
+//! [--json PATH] [--shards N | --shard i/N]
 //! [--emit-ndjson]`
 //!
 //! `--lanes on` (and the default `auto`) tags every scenario for the
@@ -50,9 +46,9 @@ use std::ops::Range;
 use std::time::Instant;
 
 use wp_bench::{
-    bench_report_json, flag_value, format_table, matmul_workload, run_table_oracle, sort_workload,
-    table1_base_configs, table1_two_rs_configs, table_row_from_json, table_row_ndjson, ArgError,
-    BenchTable, ShardArgs, SweepArgs, TableRow,
+    bench_report_json, exit_on_error, flag_value, format_table, matmul_workload, run_table_oracle,
+    sort_workload, table1_base_configs, table1_two_rs_configs, table_row_from_json,
+    table_row_ndjson, ArgError, BenchTable, ShardArgs, SweepArgs, TableRow,
 };
 use wp_dist::Json;
 use wp_proc::{extraction_sort, matrix_multiply, Organization, RsConfig, Workload};
@@ -276,7 +272,7 @@ fn decode_row(row_counts: &[usize], index: usize, record: &Json) -> Result<Table
     Ok(row)
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args = parse_args();
     let specs = table_specs(&args);
     let row_counts: Vec<usize> = specs.iter().map(|s| s.configs.len()).collect();
@@ -302,6 +298,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     publish(&args, tables, start.elapsed().as_secs_f64())?;
     Ok(())
+}
+
+fn main() {
+    exit_on_error(run());
 }
 
 #[cfg(test)]

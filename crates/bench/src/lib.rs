@@ -13,7 +13,7 @@ mod dse;
 mod json;
 mod wiring;
 
-pub use args::{flag_value, ArgError, LaneMode, OracleMode, ShardArgs, SweepArgs};
+pub use args::{exit_on_error, flag_value, ArgError, LaneMode, OracleMode, ShardArgs, SweepArgs};
 pub use compare::{
     compare_reports, metric_report_json, parse_metric_records, BenchComparison, MetricRecord,
     RecordError,

@@ -1,7 +1,7 @@
-//! Shared by the sharded and dispatched end-to-end tests
-//! (`sharded_table1.rs`, `dispatched_table1.rs`): every sharding binary
-//! with the arguments it is pinned under, and the byte-identity check of a
-//! distributed mode against the in-process run.
+//! Shared by the end-to-end byte-identity pins (`sharded_table1.rs`):
+//! every sharding binary with the arguments it is pinned under, and the
+//! check of a run with extra flags (`--shards 2`, `--workers 1`) against
+//! the reference run.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -19,7 +19,7 @@ pub struct Case {
     pub name: &'static str,
     /// Path of the built binary.
     pub exe: &'static str,
-    /// Arguments of the in-process reference run.
+    /// Arguments of the reference run (in process, default worker count).
     pub args: &'static [&'static str],
     /// Whether the binary writes a `--json` report, compared modulo its
     /// wall-time field.
@@ -109,23 +109,53 @@ impl Case {
     }
 }
 
-/// Runs every case in process and with `extra` (a distributed mode), and
-/// asserts that the distributed run really dispatched, printed
-/// byte-identical stdout and wrote a report identical modulo wall time.
-/// Returns the in-process runs, in case order.
-pub fn assert_every_binary_matches_in_process(extra: &[&str], tag: &str) -> Vec<Run> {
+/// Runs every case as is and with `extra` appended, and asserts that both
+/// printed the same non-empty stdout byte for byte and wrote reports that
+/// are identical after `mask`.  Returns the (reference, extra) run pairs,
+/// in case order.
+pub fn assert_every_binary_reproduces(
+    extra: &[&str],
+    tag: &str,
+    mask: fn(&str) -> String,
+) -> Vec<(Run, Run)> {
     SHARDING_CASES
         .iter()
         .enumerate()
         .map(|(i, case)| {
             let reference = case.run(&[], &format!("{tag}_ref{i}"));
-            let distributed = case.run(extra, &format!("{tag}_{i}"));
+            let variant = case.run(extra, &format!("{tag}_{i}"));
             assert!(
                 !reference.stdout.is_empty(),
                 "{} {:?} printed nothing",
                 case.name,
                 case.args
             );
+            assert_eq!(
+                reference.stdout, variant.stdout,
+                "{} {:?} {extra:?}: stdout must be byte-identical to the reference run",
+                case.name, case.args
+            );
+            assert_eq!(
+                reference.report.as_deref().map(mask),
+                variant.report.as_deref().map(mask),
+                "{} {:?} {extra:?}: reports must be identical modulo the masked lines",
+                case.name,
+                case.args
+            );
+            (reference, variant)
+        })
+        .collect()
+}
+
+/// Runs every case in process and with `extra` (a distributed mode), and
+/// asserts that the distributed run really dispatched, printed
+/// byte-identical stdout and wrote a report identical modulo wall time.
+/// Returns the in-process runs, in case order.
+pub fn assert_every_binary_matches_in_process(extra: &[&str], tag: &str) -> Vec<Run> {
+    assert_every_binary_reproduces(extra, tag, without_wall_time)
+        .into_iter()
+        .zip(SHARDING_CASES)
+        .map(|((reference, distributed), case)| {
             assert!(
                 distributed.stderr.contains("dispatching"),
                 "{} {:?} {extra:?} ran in process:\n{}",
@@ -133,20 +163,19 @@ pub fn assert_every_binary_matches_in_process(extra: &[&str], tag: &str) -> Vec<
                 case.args,
                 distributed.stderr
             );
-            assert_eq!(
-                reference.stdout, distributed.stdout,
-                "{} {:?} {extra:?}: stdout must be byte-identical to the in-process run",
-                case.name, case.args
-            );
-            assert_eq!(
-                reference.report.as_deref().map(without_wall_time),
-                distributed.report.as_deref().map(without_wall_time),
-                "{} {:?} {extra:?}: reports must be identical modulo wall time",
-                case.name,
-                case.args
-            );
             reference
         })
+        .collect()
+}
+
+/// Runs every case under the default worker count and under `--workers
+/// 1`, and asserts that both printed the same stdout byte for byte and
+/// wrote reports identical modulo the wall time and the worker count they
+/// record.  Returns the default-worker-count runs, in case order.
+pub fn assert_every_binary_is_worker_count_independent() -> Vec<Run> {
+    assert_every_binary_reproduces(&["--workers", "1"], "w1", results_only)
+        .into_iter()
+        .map(|(reference, _)| reference)
         .collect()
 }
 
@@ -156,6 +185,16 @@ pub fn without_wall_time(report: &str) -> String {
     report
         .lines()
         .filter(|line| !line.contains("\"wall_seconds\""))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// The report without the lines describing how the run went rather than
+/// what it computed: the wall-clock time and the worker-thread count.
+pub fn results_only(report: &str) -> String {
+    report
+        .lines()
+        .filter(|line| !line.contains("\"wall_seconds\"") && !line.contains("\"workers\""))
         .collect::<Vec<_>>()
         .join("\n")
 }

@@ -115,7 +115,8 @@ fn a_quick_dse_run_writes_no_file() {
 
 /// Bad `dse` inputs end with an exit code and a message, never a panic: a
 /// cap past the per-channel relay-station limit is an argument error
-/// (exit 2), and a spec with no channel frames no design space (exit 1).
+/// (exit 2), and a spec with no channel frames no design space (exit 1,
+/// reported as `error: ` and the message).
 #[test]
 fn bad_dse_inputs_exit_without_a_panic() {
     let spec = std::env::temp_dir().join(format!("wp_bench_dse_nochan_{}.nl", std::process::id()));
@@ -137,6 +138,14 @@ fn bad_dse_inputs_exit_without_a_panic() {
             !stderr.contains("panicked"),
             "dse {args:?} panicked: {stderr}"
         );
+        if code == 1 {
+            // A runtime error reads like an argument error: its Display
+            // text behind `error: `, not the Debug form `Error: "…"`.
+            assert!(
+                stderr.starts_with("error: ") && !stderr.contains("Error: \""),
+                "dse {args:?}: {stderr}"
+            );
+        }
     }
     let _ = std::fs::remove_file(&spec);
 }

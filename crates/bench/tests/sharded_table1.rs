@@ -1,13 +1,19 @@
-//! End-to-end proof of the sharding acceptance criterion: every sharding
-//! binary under `--shards 2` (real forked worker processes) produces
-//! byte-identical stdout — and `table1` a `BENCH_table1.json` identical
-//! modulo the wall-time field — to its in-process run.
+//! End-to-end proof that the experiment binaries' results depend neither
+//! on process sharding nor on the worker-thread count: every sharding
+//! binary under `--shards 2` (real forked worker processes) and under
+//! `--workers 1` prints byte-identical stdout — and `table1` a
+//! `BENCH_table1.json` identical modulo the wall-time field (and, across
+//! worker counts, the worker count it records) — to its in-process run
+//! under the default worker count.
 
 mod common;
 
 use std::process::Command;
 
-use common::{assert_every_binary_matches_in_process, SHARDING_CASES, TABLE1};
+use common::{
+    assert_every_binary_is_worker_count_independent, assert_every_binary_matches_in_process,
+    SHARDING_CASES, TABLE1,
+};
 
 #[test]
 fn two_shards_reproduce_the_single_process_run_byte_for_byte() {
@@ -20,6 +26,16 @@ fn two_shards_reproduce_the_single_process_run_byte_for_byte() {
     assert!(
         table1.contains("N WP1"),
         "--verify surfaces the proven-N columns:\n{table1}"
+    );
+}
+
+#[test]
+fn one_worker_reproduces_the_default_worker_count_byte_for_byte() {
+    let runs = assert_every_binary_is_worker_count_independent();
+    assert!(
+        runs[0].stdout.contains("Table 1 (upper, quick)"),
+        "the quick run prints Table 1:\n{}",
+        runs[0].stdout
     );
 }
 

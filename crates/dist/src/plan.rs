@@ -8,13 +8,10 @@ use std::ops::Range;
 /// [`ShardPlan::split`] uses the same proportional formula that seeds the
 /// in-process work-stealing deques of `wp_sim::SweepRunner`
 /// (`s·n/k .. (s+1)·n/k`), so shard sizes differ by at most one and the
-/// concatenation of all ranges is exactly `0..n_items` in order.
-/// [`ShardPlan::split_weighted`] generalises the formula to per-shard
-/// weights (host capacities in a cross-machine dispatch): boundaries fall
-/// at `prefix_weight·n/total_weight`, which degenerates to the uniform
-/// split when all weights are equal.  With more shards than items some
-/// ranges are empty — callers simply skip spawning workers for those — and
-/// an empty plan (`n_items == 0`) has only empty ranges.
+/// concatenation of all ranges is exactly `0..n_items` in order.  With
+/// more shards than items some ranges are empty — callers simply skip
+/// spawning workers for those — and an empty plan (`n_items == 0`) has
+/// only empty ranges.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
     items: usize,
@@ -32,31 +29,6 @@ impl ShardPlan {
         Self {
             items: n_items,
             bounds: (0..=shards).map(|s| s * n_items / shards).collect(),
-        }
-    }
-
-    /// Splits `n_items` submission-order indices into `weights.len()`
-    /// contiguous ranges whose sizes are proportional to the weights
-    /// (rounded so the concatenation is still exactly `0..n_items`).  Used
-    /// by the cross-machine dispatcher to hand each host a share of the
-    /// sweep matching its declared capacity; a zero-weight shard gets an
-    /// empty range.  An empty or all-zero weight list degenerates to the
-    /// uniform [`ShardPlan::split`] so a plan always covers all items.
-    pub fn split_weighted(n_items: usize, weights: &[usize]) -> Self {
-        let total: u128 = weights.iter().map(|&w| w as u128).sum();
-        if total == 0 {
-            return Self::split(n_items, weights.len());
-        }
-        let mut bounds = Vec::with_capacity(weights.len() + 1);
-        bounds.push(0);
-        let mut prefix: u128 = 0;
-        for &w in weights {
-            prefix += w as u128;
-            bounds.push((prefix * n_items as u128 / total) as usize);
-        }
-        Self {
-            items: n_items,
-            bounds,
         }
     }
 
@@ -166,77 +138,5 @@ mod tests {
         for w in 0..k {
             assert_eq!(plan.range(w), w * n / k..(w + 1) * n / k);
         }
-    }
-
-    /// Equal weights reduce the weighted split to the uniform one, for
-    /// every (items, shards, weight) combination in a broad grid.
-    #[test]
-    fn equal_weights_match_the_uniform_split() {
-        for items in 0..30usize {
-            for shards in 1..8usize {
-                for weight in 1..4usize {
-                    let weights = vec![weight; shards];
-                    assert_eq!(
-                        ShardPlan::split_weighted(items, &weights),
-                        ShardPlan::split(items, shards),
-                        "items {items}, shards {shards}, weight {weight}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Weighted ranges are still contiguous, ordered and covering, and
-    /// their sizes track the weights proportionally (within rounding).
-    #[test]
-    fn weighted_ranges_partition_and_track_the_weights() {
-        for (items, weights) in [
-            (8, vec![1usize, 3]),
-            (20, vec![2, 1, 1]),
-            (7, vec![5, 0, 2]),
-            (100, vec![1, 1, 1, 97]),
-            (3, vec![10, 10]),
-        ] {
-            let plan = ShardPlan::split_weighted(items, &weights);
-            assert_eq!(plan.shards(), weights.len());
-            let mut next = 0usize;
-            for (s, range) in plan.ranges().enumerate() {
-                assert_eq!(range.start, next, "{weights:?} shard {s}");
-                next = range.end;
-            }
-            assert_eq!(next, items, "{weights:?}");
-            let total: usize = weights.iter().sum();
-            for (s, range) in plan.ranges().enumerate() {
-                let ideal = weights[s] as f64 * items as f64 / total as f64;
-                assert!(
-                    (range.len() as f64 - ideal).abs() < 2.0,
-                    "{weights:?} shard {s}: {} items vs ideal {ideal}",
-                    range.len()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn weighted_split_gives_zero_weight_shards_empty_ranges() {
-        let plan = ShardPlan::split_weighted(10, &[1, 0, 1]);
-        assert!(plan.range(1).is_empty());
-        assert_eq!(plan.populated_shards().collect::<Vec<_>>(), vec![0, 2]);
-    }
-
-    #[test]
-    fn degenerate_weight_lists_fall_back_to_the_uniform_split() {
-        assert_eq!(ShardPlan::split_weighted(5, &[]), ShardPlan::split(5, 0));
-        assert_eq!(
-            ShardPlan::split_weighted(5, &[0, 0]),
-            ShardPlan::split(5, 2)
-        );
-    }
-
-    #[test]
-    fn weighted_bounds_do_not_overflow_on_large_weights() {
-        let plan = ShardPlan::split_weighted(1_000, &[usize::MAX / 2, usize::MAX / 2]);
-        assert_eq!(plan.range(0), 0..500);
-        assert_eq!(plan.range(1), 500..1_000);
     }
 }

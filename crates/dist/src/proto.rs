@@ -7,22 +7,20 @@
 //! record carries the item's global submission index in an `"index"`
 //! member; everything else is payload the caller interprets.
 //!
-//! The parent ([`run_dispatched`]) spawns all populated shards concurrently,
-//! one per host of a fleet, validates each child's output (exit status,
+//! The parent ([`run_dispatched`]) spawns all populated shards concurrently
+//! as local child processes, validates each child's output (exit status,
 //! well-formed records, and *exactly* the planned index set — no holes, no
 //! duplicates, no trespassing into another shard's range) and merges the
-//! payloads in submission order.  A shard that fails validation is
-//! re-dispatched to each other host in turn; only when every host has
-//! failed it does the run abort with a [`DistError`] naming the shard, so a
-//! lost worker can never silently drop rows.  A local `--shards N` run is
-//! simply a fleet of `N` `local` hosts.
+//! payloads in submission order.  A shard that fails validation is re-run;
+//! only when its retries are used up does the run abort with a
+//! [`DistError`] naming the shard, so a lost worker can never silently drop
+//! rows.
 
 use std::fmt;
 use std::io;
 use std::ops::Range;
-use std::process::{Child, Output, Stdio};
+use std::process::{Child, Command, Output, Stdio};
 
-use crate::hostfile::Host;
 use crate::json::{Json, JsonError};
 use crate::plan::ShardPlan;
 
@@ -125,28 +123,12 @@ pub enum DistError {
         /// The indices it actually reported, in output order.
         got: Vec<usize>,
     },
-    /// A malformed hostfile (`--hosts`).
-    Hostfile {
-        /// The 1-based offending line (0 when the file as a whole is the
-        /// problem, e.g. it declares no hosts).
-        line: usize,
-        /// What was wrong with it.
-        message: String,
-    },
-    /// The hostfile could not be read.
-    HostfileIo {
-        /// The path given.
-        path: String,
-        /// The underlying I/O error.
-        source: io::Error,
-    },
-    /// A dispatched shard failed on its assigned host *and* on every
-    /// failover host ([`run_dispatched`]).
-    HostsExhausted {
+    /// A dispatched shard failed on every attempt ([`run_dispatched`]).
+    RetriesExhausted {
         /// The failing shard.
         shard: usize,
-        /// How many distinct hosts were tried.
-        hosts: usize,
+        /// How many times the shard's worker was run.
+        attempts: usize,
         /// The error of the last attempt.
         last: Box<DistError>,
     },
@@ -181,19 +163,13 @@ impl fmt::Display for DistError {
                 "shard {shard}: expected exactly indices {}..{}, got {got:?}",
                 expected.start, expected.end
             ),
-            DistError::Hostfile { line, message } => {
-                if *line == 0 {
-                    write!(f, "hostfile: {message}")
-                } else {
-                    write!(f, "hostfile line {line}: {message}")
-                }
-            }
-            DistError::HostfileIo { path, source } => {
-                write!(f, "hostfile '{path}': {source}")
-            }
-            DistError::HostsExhausted { shard, hosts, last } => write!(
+            DistError::RetriesExhausted {
+                shard,
+                attempts,
+                last,
+            } => write!(
                 f,
-                "shard {shard}: all {hosts} host(s) exhausted; last error: {last}"
+                "shard {shard}: all {attempts} attempt(s) failed; last error: {last}"
             ),
         }
     }
@@ -203,8 +179,7 @@ impl std::error::Error for DistError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             DistError::Spawn { source, .. } => Some(source),
-            DistError::HostfileIo { source, .. } => Some(source),
-            DistError::HostsExhausted { last, .. } => Some(last.as_ref()),
+            DistError::RetriesExhausted { last, .. } => Some(last.as_ref()),
             _ => None,
         }
     }
@@ -292,29 +267,17 @@ fn validate_shard(
     Ok(records)
 }
 
-/// Spawns one worker per populated shard of `plan` across `hosts` —
-/// shard `s` on host `s` — with **failover on retry**: a shard that fails
-/// on its assigned host is re-dispatched to each *other* host in turn
-/// (wrapping round-robin from the failed one) before the run is declared
-/// dead, so one sick machine cannot kill a sweep that another could
-/// finish.  Only when every host has been tried does the shard's
-/// [`DistError::HostsExhausted`] abort the run, so a shard costs at most
-/// `hosts.len()` attempts.  With a single host there is no alternative:
-/// the shard is retried once on the same host.
+/// Spawns one local worker process per populated shard of `plan` —
+/// `program` with the argument list `make_args(shard)` — and merges their
+/// records in submission order.
 ///
-/// This is the one dispatch protocol: a local `--shards N` run is a fleet
-/// of `N` capacity-1 [`crate::LocalProcess`] hosts, a `--hosts` run the
-/// fleet its hostfile declares.
-///
-/// `plan` must have exactly one shard per host (build it with
-/// [`ShardPlan::split_weighted`] over the host capacities so each
-/// machine's share matches its declared weight).  `make_args` builds the
-/// worker's *argument list* for a shard — the program path is the host's
-/// own (`Host::worker_command`, falling back to `default_binary`), because
-/// a remote machine or container image keeps the binary at its own path.
-/// The argument list depends only on the shard, never on the host, so a
-/// failed-over shard re-runs identical work and the merge stays
-/// bit-identical to a single-process run.
+/// A shard whose worker fails (spawn error, crash, non-zero exit,
+/// malformed or missing records) is re-run, up to one attempt per shard of
+/// the plan and at least twice, so one flaky worker cannot kill a sweep.
+/// Only when every attempt has failed does the shard's
+/// [`DistError::RetriesExhausted`] abort the run.  The argument list
+/// depends only on the shard, so a retried shard re-runs identical work
+/// and the merge stays bit-identical to a single-process run.
 ///
 /// Every worker's stdout is piped (stderr inherited, so worker progress
 /// messages still reach the terminal).  On success the returned vector has
@@ -323,38 +286,27 @@ fn validate_shard(
 ///
 /// # Errors
 ///
-/// Returns [`DistError::HostsExhausted`] (wrapping the last attempt's
-/// error) for the first shard that failed on every host.
-///
-/// # Panics
-///
-/// Panics if `plan.shards() != hosts.len()` or `hosts` is empty — the
-/// caller builds the plan from the host list, so a mismatch is a bug.
+/// Returns [`DistError::RetriesExhausted`] (wrapping the last attempt's
+/// error) for the first shard that failed on every attempt.
 pub fn run_dispatched(
     plan: &ShardPlan,
-    hosts: &[Host],
-    default_binary: &str,
+    program: &str,
     make_args: impl Fn(usize) -> Vec<String>,
 ) -> Result<Vec<Json>, DistError> {
-    assert!(
-        plan.shards() == hosts.len() && !hosts.is_empty(),
-        "the plan must have exactly one shard per host ({} shards, {} hosts)",
-        plan.shards(),
-        hosts.len()
-    );
-    let spawn_on = |shard: usize, host: &Host| {
-        let mut command = host.worker_command(default_binary, &make_args(shard));
-        command.stdout(Stdio::piped());
-        command.spawn()
+    let spawn = |shard: usize| {
+        Command::new(program)
+            .args(make_args(shard))
+            .stdout(Stdio::piped())
+            .spawn()
     };
 
-    // First wave, concurrently: every populated shard on its own host, each
-    // child's stdout drained on its own thread — draining them one after
-    // the other would let a not-yet-waited worker fill its OS pipe buffer
-    // and block mid-sweep, serialising the wave.
+    // First wave, concurrently: every populated shard in its own process,
+    // each child's stdout drained on its own thread — draining them one
+    // after the other would let a not-yet-waited worker fill its OS pipe
+    // buffer and block mid-sweep, serialising the wave.
     let children: Vec<(usize, Result<Child, io::Error>)> = plan
         .populated_shards()
-        .map(|shard| (shard, spawn_on(shard, &hosts[shard])))
+        .map(|shard| (shard, spawn(shard)))
         .collect();
     let outputs: Vec<(usize, Result<Output, DistError>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = children
@@ -367,25 +319,18 @@ pub fn run_dispatched(
             .collect()
     });
 
-    // Failover, sequentially in shard order: each failed shard is
-    // re-dispatched to the other hosts in wrapping order (never back to the
-    // one that just failed unless it is the only host).  A lone child's
-    // pipe is drained to EOF by `wait_with_output`, so no second thread is
-    // needed here.
+    // Retries, sequentially in shard order.  A lone child's pipe is
+    // drained to EOF by `wait_with_output`, so no second thread is needed
+    // here.
+    let attempts = plan.shards().max(2);
     let mut slots: Vec<Option<Json>> = (0..plan.items()).map(|_| None).collect();
     for (shard, output) in outputs {
         let expected = plan.range(shard);
         let mut result = output.and_then(|output| validate_shard(shard, &expected, output));
-        let failover = (1..hosts.len().max(2)).map(|k| (shard + k) % hosts.len());
-        for candidate in failover {
+        for _ in 1..attempts {
             let Err(error) = &result else { break };
-            let host = &hosts[candidate];
-            eprintln!(
-                "wp_dist: {error}; re-dispatching shard {shard} to host '{}' ({})",
-                host.name,
-                host.transport.describe()
-            );
-            result = collect_output(shard, spawn_on(shard, host))
+            eprintln!("wp_dist: {error}; re-running shard {shard}");
+            result = collect_output(shard, spawn(shard))
                 .and_then(|output| validate_shard(shard, &expected, output));
         }
         match result {
@@ -395,9 +340,9 @@ pub fn run_dispatched(
                 }
             }
             Err(last) => {
-                return Err(DistError::HostsExhausted {
+                return Err(DistError::RetriesExhausted {
                     shard,
-                    hosts: hosts.len(),
+                    attempts,
                     last: Box::new(last),
                 })
             }

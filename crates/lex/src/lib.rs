@@ -1,12 +1,11 @@
-//! Shared lexer for the workspace's hand-rolled line-oriented text formats.
+//! The lexer of the workspace's hand-rolled line-oriented text format.
 //!
-//! Both the hostfile of `wp_dist` (`--hosts hosts.conf`) and the netlist
-//! description language of `wp_spec` (`*.nl`) are plain-text formats in the
-//! same house style: one directive per line, blank lines and `#` comments
-//! ignored, whitespace-separated fields with double-quoted values, and
-//! trailing `key=value` attribute lists.  The workspace builds without
+//! The netlist description language of `wp_spec` (`*.nl`) is a plain-text
+//! format in this house style: one directive per line, blank lines and `#`
+//! comments ignored, whitespace-separated fields with double-quoted values,
+//! and trailing `key=value` attribute lists.  The workspace builds without
 //! registry access (no serde, no lexer generators), so this crate holds the
-//! one hand-rolled tokenizer both parsers share:
+//! hand-rolled tokenizer:
 //!
 //! * [`directive_lines`] — the line iterator (1-based numbers, comments and
 //!   blanks skipped);
@@ -15,8 +14,8 @@
 //!   detection and `take`-style consumption.
 //!
 //! Errors are plain `String` messages without positions: the caller owns the
-//! line numbers (every consumer wraps messages into its own line-numbered
-//! error type, e.g. `DistError::Hostfile` or `SpecError::Parse`).
+//! line numbers (`wp_spec` wraps messages into its line-numbered
+//! `SpecError::Parse`).
 
 #![warn(missing_docs)]
 

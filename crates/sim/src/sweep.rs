@@ -575,36 +575,6 @@ impl SweepRunner {
         self.run_with_stats(scenarios).0
     }
 
-    /// Runs only the contiguous submission-order `range` of `scenarios`,
-    /// returning that range's outcomes in submission order.
-    ///
-    /// This is the in-process half of *process-level sharding*
-    /// (`wp_dist`): a worker process builds the full, deterministic
-    /// scenario list exactly like a single-process run would, then
-    /// executes only its assigned range.  Because sweep results are
-    /// scheduling-independent, concatenating the `run_range` outcomes of
-    /// ranges that partition `0..scenarios.len()` is identical to a single
-    /// [`SweepRunner::run`] over the whole list (pinned by
-    /// `tests/sweep_sharding.rs`).
-    ///
-    /// The range is clamped to the scenario count, so a plan computed for
-    /// a larger sweep degrades to running nothing instead of panicking.
-    pub fn run_range<V, T>(
-        &self,
-        mut scenarios: Vec<Scenario<V, T>>,
-        range: std::ops::Range<usize>,
-    ) -> Vec<Result<SweepOutcome<T>, SweepError>>
-    where
-        V: Clone + PartialEq,
-        T: Send,
-    {
-        let end = range.end.min(scenarios.len());
-        let start = range.start.min(end);
-        scenarios.truncate(end);
-        scenarios.drain(..start);
-        self.run(scenarios)
-    }
-
     /// [`SweepRunner::run`], additionally returning the scheduler counters
     /// of the sweep.
     pub fn run_with_stats<V, T>(
@@ -1130,16 +1100,24 @@ mod tests {
     }
 
     fn ring_scenarios() -> Vec<Scenario<u64>> {
+        ring_sweep(false)
+    }
+
+    /// Nine ring scenarios (2–4 stages, 0–2 relay stations).  With
+    /// `partly_failing`, the one-station rings get a 3-cycle budget, which
+    /// they exceed: a sweep mixing failing and passing scenarios.
+    fn ring_sweep(partly_failing: bool) -> Vec<Scenario<u64>> {
         let mut scenarios = Vec::new();
         for stages in 2..=4usize {
             for rs in 0..=2usize {
+                let max_cycles = if partly_failing && rs == 1 { 3 } else { 50_000 };
                 scenarios.push(Scenario::new(
                     format!("ring_m{stages}_n{rs}"),
                     ShellConfig::strict(),
                     RunGoal::UntilFirings {
                         process: 0,
                         target: 60,
-                        max_cycles: 50_000,
+                        max_cycles,
                     },
                     move || ring(stages, rs),
                 ));
@@ -1159,14 +1137,26 @@ mod tests {
 
     #[test]
     fn results_are_independent_of_worker_count_and_match_sequential() {
-        let reference = sequential_outcomes();
-        for workers in [1, 2, 3, 8] {
-            let outcomes = SweepRunner::new(workers).run(ring_scenarios());
-            let outcomes: Vec<SweepOutcome> = outcomes
-                .into_iter()
-                .map(|o| o.expect("ring scenario completes"))
+        // `SweepError` is not `PartialEq`: compare failures by their text.
+        let key = |outcome: Result<SweepOutcome, SweepError>| outcome.map_err(|e| e.to_string());
+        for partly_failing in [false, true] {
+            let reference: Vec<_> = ring_sweep(partly_failing)
+                .iter()
+                .map(|s| key(execute(s)))
                 .collect();
-            assert_eq!(outcomes, reference, "workers = {workers}");
+            let failures = reference.iter().filter(|o| o.is_err()).count();
+            assert_eq!(failures, if partly_failing { 3 } else { 0 });
+            for workers in [1, 2, 3, 8] {
+                let outcomes: Vec<_> = SweepRunner::new(workers)
+                    .run(ring_sweep(partly_failing))
+                    .into_iter()
+                    .map(key)
+                    .collect();
+                assert_eq!(
+                    outcomes, reference,
+                    "partly failing = {partly_failing}, workers = {workers}"
+                );
+            }
         }
     }
 
@@ -1198,31 +1188,6 @@ mod tests {
         assert_eq!(stats.batch, 4);
         assert_eq!(stats.leases, n, "every scenario is leased exactly once");
         assert_eq!(stats.steals, 0, "a single worker has nobody to steal from");
-    }
-
-    #[test]
-    fn run_range_matches_the_corresponding_slice_of_a_full_run() {
-        let reference = sequential_outcomes();
-        let n = reference.len();
-        for (start, end) in [(0, n), (0, 3), (3, 7), (7, n), (4, 4)] {
-            let outcomes = SweepRunner::new(2).run_range(ring_scenarios(), start..end);
-            let outcomes: Vec<SweepOutcome> = outcomes
-                .into_iter()
-                .map(|o| o.expect("ring scenario completes"))
-                .collect();
-            assert_eq!(outcomes, reference[start..end], "range {start}..{end}");
-        }
-    }
-
-    #[test]
-    fn run_range_clamps_out_of_bounds_ranges() {
-        let n = ring_scenarios().len();
-        assert!(SweepRunner::new(2)
-            .run_range(ring_scenarios(), n + 5..n + 9)
-            .is_empty());
-        let clamped = SweepRunner::new(2).run_range(ring_scenarios(), n - 1..n + 9);
-        assert_eq!(clamped.len(), 1);
-        assert!(clamped[0].is_ok());
     }
 
     #[test]

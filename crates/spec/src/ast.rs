@@ -21,8 +21,7 @@ pub const MAX_RELAY_STATIONS: usize = 4096;
 #[non_exhaustive]
 pub enum SpecError {
     /// The spec text violates the format; `line` is 1-based (0 for
-    /// whole-spec violations detected after the last line, following the
-    /// hostfile convention of `wp_dist`).
+    /// whole-spec violations detected after the last line).
     Parse {
         /// 1-based offending line (0 for end-of-spec checks).
         line: usize,

@@ -8,9 +8,8 @@
 //! `LaneLidSimulator` batches (all via the lowered `SystemBuilder`), and
 //! the `wp_netlist` throughput graph for the exact max-cycle-ratio solver.
 //!
-//! The format is line-oriented in the house style of `wp_dist`'s hostfile
-//! (shared tokenizer: [`wp_lex`]; no serde — the workspace builds without
-//! registry access), with line-numbered errors:
+//! The format is line-oriented (tokenizer: [`wp_lex`]; no serde — the
+//! workspace builds without registry access), with line-numbered errors:
 //!
 //! ```text
 //! # A two-stage loop with one relay station.

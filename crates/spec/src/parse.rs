@@ -1,5 +1,5 @@
-//! The `.nl` parser: one directive per line in the house style of
-//! `wp_dist`'s hostfile, every violation a line-numbered [`SpecError`].
+//! The `.nl` parser: one directive per line (tokenized by `wp_lex`), every
+//! violation a line-numbered [`SpecError`].
 
 use wp_lex::{directive_lines, split_fields, Pairs};
 

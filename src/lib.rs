@@ -4,8 +4,8 @@
 //! *"A New System Design Methodology for Wire Pipelined SoC"*
 //! (Casu & Macchiarulo, DATE 2005):
 //!
-//! * [`lex`] (`wp_lex`) — shared tokenizer of the hand-rolled line-oriented
-//!   text formats (hostfiles, netlist specs);
+//! * [`lex`] (`wp_lex`) — tokenizer of the hand-rolled line-oriented
+//!   netlist spec format;
 //! * [`core`] (`wp_core`) — latency-insensitive protocol: tokens, relay
 //!   stations, WP1/WP2 shells, oracles, equivalence checking;
 //! * [`netlist`] (`wp_netlist`) — netlist graph, loop enumeration and the
@@ -26,7 +26,7 @@
 //!   relay-station budgeting;
 //! * [`area`] (`wp_area`) — wrapper area overhead model;
 //! * [`dist`] (`wp_dist`) — process-level shard planner, NDJSON worker
-//!   protocol and result merger for distributed sweeps.
+//!   protocol and result merger for sharded sweeps.
 //!
 //! See the `examples/` directory for runnable entry points and the
 //! `wp-bench` crate for the experiment harness that regenerates every table
