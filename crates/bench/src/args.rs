@@ -1,4 +1,5 @@
-//! Sweep-scheduler and sharding flags shared by every experiment binary.
+//! Sweep-scheduler flags shared by every experiment binary, and the
+//! flag-declaration helpers every binary parses its command line with.
 //!
 //! All experiment binaries (and the `matmul_sweep` example) drive their
 //! wire-pipelined runs through `wp_sim::SweepRunner`; this module gives them
@@ -27,29 +28,10 @@
 //!   simulated cycles); `auto` additionally re-runs one converted row by
 //!   full simulation and fails on any mismatch.
 //!
-//! The sharding binaries (`table1`, `figure1`, `ablation_fifo`,
-//! `ablation_oracle`, `dse`) additionally accept the process-sharding flags
-//! ([`ShardArgs`], backed by `wp_dist`):
-//!
-//! * `--shards N` — the parent mode: fork up to `N` worker processes (one
-//!   contiguous submission-order range each, at most one per row,
-//!   re-invoking the current executable), retry a failed worker, merge
-//!   their NDJSON results and print exactly what a single-process run
-//!   prints;
-//! * `--shard i/N` — the worker mode: run only shard `i`'s range and emit
-//!   NDJSON records (implies `--emit-ndjson`);
-//! * `--shard-range A..B` — an explicit submission-order range overriding
-//!   the uniform `i/N` split; the dispatching parent appends it, so a
-//!   worker runs exactly the rows the parent planned for it;
-//! * `--emit-ndjson` — emit one machine-readable JSON record per result
-//!   row on stdout instead of the human-readable report.
-//!
-//! None of the sharding binaries branches on these modes: each describes
-//! its rows once (a row count, a closure computing the rows of a
-//! submission-order range, the row's NDJSON encoder and decoder) and calls
-//! the one row driver, [`ShardArgs::run_rows`], which runs the mode and
-//! hands back the rows to publish — all of them in process and in the
-//! parent, none in a worker.
+//! Every binary declares the flags it accepts ([`accept_flags`]); any
+//! other `--flag` — a typo, or a flag that no longer exists — is an
+//! [`ArgError::UnknownFlag`].  The binaries' own flags are parsed in
+//! [`crate::cli`].
 //!
 //! Both the `--flag value` and the `--flag=value` spellings are accepted.
 //! Parsing returns [`ArgError`] instead of exiting, so it is unit-testable;
@@ -58,13 +40,11 @@
 //! [`exit_on_error`].
 
 use std::fmt;
-use std::ops::Range;
 
-use wp_dist::{run_dispatched, Json, ShardPlan, ShardSpec};
 use wp_sim::{SweepRunner, SweepStats};
 
-/// A malformed command line, as reported by [`flag_value`] and
-/// [`SweepArgs::from_args`].
+/// A malformed command line, as reported by [`accept_flags`],
+/// [`flag_value`] and the parsers built on them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArgError {
     /// A flag was present but no value followed it (either the command line
@@ -83,6 +63,12 @@ pub enum ArgError {
         /// What the flag expects (e.g. "a non-negative integer").
         expected: &'static str,
     },
+    /// A `--flag` the binary does not declare: a typo, or a flag that no
+    /// longer exists.
+    UnknownFlag {
+        /// The flag's name, without an `=value` part.
+        flag: String,
+    },
 }
 
 impl fmt::Display for ArgError {
@@ -94,6 +80,7 @@ impl fmt::Display for ArgError {
                 value,
                 expected,
             } => write!(f, "{flag} expects {expected}, got '{value}'"),
+            ArgError::UnknownFlag { flag } => write!(f, "unknown flag {flag}"),
         }
     }
 }
@@ -132,11 +119,14 @@ pub fn exit_on_error<E: fmt::Display>(result: Result<(), E>) {
 /// # Errors
 ///
 /// Returns [`ArgError::MissingValue`] when the flag is present without a
-/// usable value (including the empty `--flag=`).
+/// usable value (including the empty `--flag=` and `--flag ""`).
 pub fn flag_value(args: &[String], name: &str) -> Result<Option<String>, ArgError> {
     for (i, arg) in args.iter().enumerate() {
         if arg == name {
-            return match args.get(i + 1).filter(|v| !v.starts_with("--")) {
+            return match args
+                .get(i + 1)
+                .filter(|v| !v.is_empty() && !v.starts_with("--"))
+            {
                 Some(v) => Ok(Some(v.clone())),
                 None => Err(ArgError::MissingValue {
                     flag: name.to_string(),
@@ -157,6 +147,61 @@ pub fn flag_value(args: &[String], name: &str) -> Result<Option<String>, ArgErro
         }
     }
     Ok(None)
+}
+
+/// Checks that every `--flag` token of `args` is one the binary declares.
+///
+/// `declared` lists the accepted flags in groups (say, [`SweepArgs::FLAGS`]
+/// and the binary's own).  A flag spelled with a trailing `=`
+/// (`"--json="`) takes a value, in either spelling; the token after its
+/// bare spelling is its value unless it is itself a `--flag` (then
+/// [`flag_value`] reports the value missing).  A flag without the `=`
+/// (`"--quick"`) is a switch.  Tokens without the `--` prefix —
+/// positional arguments, values such as `-1` — are left to the parser.
+///
+/// # Errors
+///
+/// Returns [`ArgError::UnknownFlag`] for the first undeclared flag, and
+/// [`ArgError::InvalidValue`] for a switch given a value (`--quick=yes`).
+pub fn accept_flags(args: &[String], declared: &[&[&str]]) -> Result<(), ArgError> {
+    let takes_value = |name: &str| {
+        declared
+            .iter()
+            .flat_map(|group| group.iter())
+            .find_map(|flag| match flag.strip_suffix('=') {
+                Some(valued) => (valued == name).then_some(true),
+                None => (*flag == name).then_some(false),
+            })
+    };
+    let mut tokens = args.iter().peekable();
+    while let Some(token) = tokens.next() {
+        if !token.starts_with("--") {
+            continue;
+        }
+        let (name, value) = match token.split_once('=') {
+            Some((name, value)) => (name, Some(value)),
+            None => (token.as_str(), None),
+        };
+        match (takes_value(name), value) {
+            (None, _) => {
+                return Err(ArgError::UnknownFlag {
+                    flag: name.to_string(),
+                })
+            }
+            (Some(false), Some(value)) => {
+                return Err(ArgError::InvalidValue {
+                    flag: name.to_string(),
+                    value: value.to_string(),
+                    expected: "no value (it is a switch)",
+                })
+            }
+            (Some(true), None) if tokens.peek().is_some_and(|next| !next.starts_with("--")) => {
+                tokens.next();
+            }
+            _ => {}
+        }
+    }
+    Ok(())
 }
 
 /// The `--lanes` modes: whether the experiment binaries tag their sweep
@@ -244,8 +289,7 @@ impl OracleMode {
 
     /// Reports the period-oracle saving of `sweeps` on stderr when this
     /// mode converts rows — never on stdout, which stays byte-identical
-    /// across `--oracle` modes.  Each process reports the sweeps it ran, so
-    /// a sharded run prints one line per worker.
+    /// across `--oracle` modes.
     pub fn report_saving<'a>(self, sweeps: impl IntoIterator<Item = &'a SweepStats>) {
         if !self.converts_rows() {
             return;
@@ -288,19 +332,36 @@ pub struct SweepArgs {
 }
 
 impl SweepArgs {
-    /// Parses the scheduler flags out of the process arguments, ignoring
-    /// any flags it does not know.
+    /// The scheduler flags, declared for [`accept_flags`]: every binary
+    /// that sweeps accepts them.
+    pub const FLAGS: &'static [&'static str] = &["--workers=", "--batch=", "--lanes=", "--oracle="];
+
+    /// Parses the command line of a binary whose only flags are the
+    /// scheduler flags (`figure1`, `loop_law`, the `matmul_sweep`
+    /// example).
     ///
     /// # Errors
     ///
-    /// Returns [`ArgError`] on a malformed or missing value; binaries
-    /// report it with [`ArgError::exit`] (status 2).
+    /// Returns [`ArgError`] on an undeclared flag or a malformed or missing
+    /// value; binaries report it with [`ArgError::exit`] (status 2).
     pub fn from_env() -> Result<Self, ArgError> {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::from_args(&args)
+        Self::only(&args)
     }
 
     /// [`SweepArgs::from_env`] over an explicit argument list.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError`] on an undeclared flag or a malformed or missing
+    /// value.
+    pub fn only(args: &[String]) -> Result<Self, ArgError> {
+        accept_flags(args, &[Self::FLAGS])?;
+        Self::from_args(args)
+    }
+
+    /// Parses the scheduler flags out of `args`, leaving every other flag
+    /// to the caller, which declares them all with [`accept_flags`].
     ///
     /// # Errors
     ///
@@ -358,315 +419,6 @@ impl SweepArgs {
     pub fn runner(&self) -> SweepRunner {
         SweepRunner::new(self.workers).with_batch(self.batch)
     }
-}
-
-/// Parsed `--shards` / `--shard` / `--shard-range` /
-/// `--emit-ndjson` process-sharding flags (see the module docs for the
-/// protocol).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardArgs {
-    /// Worker-process count requested with `--shards N` (`0` and `1` both
-    /// mean "run in this process").
-    pub shards: usize,
-    /// This process's worker identity, when `--shard i/N` was given.
-    pub shard: Option<ShardSpec>,
-    /// The explicit submission-order range from `--shard-range A..B`,
-    /// overriding the uniform `i/N` split (appended by the dispatching
-    /// parent).
-    pub range: Option<Range<usize>>,
-    /// Whether to emit NDJSON records instead of the human-readable report
-    /// (`--emit-ndjson`, implied by `--shard`).
-    emit_ndjson: bool,
-}
-
-impl ShardArgs {
-    /// Parses the sharding flags out of the process arguments, ignoring
-    /// any flags it does not know.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArgError`] on a malformed value or when `--shards` and
-    /// `--shard` are combined (the parent strips `--shards` from the argv
-    /// it hands to workers, so seeing both means a mis-assembled command
-    /// line).
-    pub fn from_env() -> Result<Self, ArgError> {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::from_args(&args)
-    }
-
-    /// [`ShardArgs::from_env`] over an explicit argument list.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArgError`] on a malformed value or a conflicting
-    /// combination (`--shards` and `--shard` are mutually exclusive, the
-    /// parent mode rejects `--emit-ndjson`, and `--shard-range` is only
-    /// meaningful next to `--shard`).
-    pub fn from_args(args: &[String]) -> Result<Self, ArgError> {
-        let shards = match flag_value(args, "--shards")? {
-            None => 0,
-            Some(v) => v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                ArgError::InvalidValue {
-                    flag: "--shards".to_string(),
-                    value: v,
-                    expected: "a positive integer",
-                }
-            })?,
-        };
-        let shard = match flag_value(args, "--shard")? {
-            None => None,
-            Some(v) => Some(ShardSpec::parse(&v).map_err(|_| ArgError::InvalidValue {
-                flag: "--shard".to_string(),
-                value: v,
-                expected: "i/N with i < N (e.g. 0/4)",
-            })?),
-        };
-        let range = match flag_value(args, "--shard-range")? {
-            None => None,
-            Some(v) => Some(parse_range(&v).ok_or_else(|| ArgError::InvalidValue {
-                flag: "--shard-range".to_string(),
-                value: v,
-                expected: "A..B with A <= B (e.g. 4..8)",
-            })?),
-        };
-        let conflict = |flag: &str, value: String, expected: &'static str| {
-            Err(ArgError::InvalidValue {
-                flag: flag.to_string(),
-                value,
-                expected,
-            })
-        };
-        if shards > 1 && shard.is_some() {
-            return conflict(
-                "--shards",
-                shards.to_string(),
-                "to not be combined with --shard (workers are spawned by the parent)",
-            );
-        }
-        if range.is_some() && shard.is_none() {
-            return conflict(
-                "--shard-range",
-                "".to_string(),
-                "to be combined with --shard i/N (the dispatching parent appends both)",
-            );
-        }
-        let emit_ndjson = args.iter().any(|a| a == "--emit-ndjson");
-        if shards > 1 && emit_ndjson {
-            // The parent merges and prints the human-readable report; a
-            // forked NDJSON stream is not defined.  Rejecting here keeps
-            // `run_rows`'s mode choice unambiguous: it checks for the parent
-            // before the worker.
-            return conflict(
-                "--emit-ndjson",
-                "".to_string(),
-                "to not be combined with --shards (drop --shards for NDJSON output)",
-            );
-        }
-        Ok(Self {
-            shards,
-            shard,
-            range,
-            emit_ndjson: emit_ndjson || shard.is_some(),
-        })
-    }
-
-    /// The one row driver of every sharding binary: runs `n_rows`
-    /// submission-order result rows in this invocation's mode.
-    ///
-    /// * In process — returns `compute(0..n_rows)`.
-    /// * Worker (`--shard i/N` / `--emit-ndjson`) — computes only this
-    ///   worker's range, prints `encode(index, row)` as one NDJSON record
-    ///   per row and returns `None`: a worker has nothing to publish.
-    /// * Parent (`--shards N`) — dispatches the rows to one worker process
-    ///   per populated shard through [`wp_dist::run_dispatched`] (retries,
-    ///   the machine's cores shared among the workers) and returns their
-    ///   records decoded in index order.
-    ///
-    /// `compute` returns the rows of a range in order; `encode` writes one
-    /// single-line record whose `"index"` member is the row's global
-    /// index; `decode` reads a record back for the row its index names and,
-    /// when the record carries an identity member (a label, a table
-    /// number), must reject one that names another row, so a mismatched
-    /// worker binary fails loudly instead of corrupting the merged output.  `noun` names a row in the
-    /// dispatch log and in decode errors; `gate` reports the equivalence
-    /// gate there (`None` for binaries without one).  Callers print the
-    /// returned rows themselves, so one publishing path serves the
-    /// in-process run and the parent alike.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `compute`'s errors, dispatch failures and the first
-    /// record `decode` rejects, naming its row.
-    pub fn run_rows<R>(
-        &self,
-        n_rows: usize,
-        noun: &str,
-        gate: Option<bool>,
-        compute: impl FnOnce(Range<usize>) -> Result<Vec<R>, Box<dyn std::error::Error>>,
-        encode: impl Fn(usize, &R) -> String,
-        mut decode: impl FnMut(usize, &Json) -> Result<R, String>,
-    ) -> Result<Option<Vec<R>>, Box<dyn std::error::Error>> {
-        if self.is_parent() {
-            let records = self.run_sharded_rows(n_rows, noun, gate)?;
-            let rows = records
-                .iter()
-                .enumerate()
-                .map(|(index, record)| {
-                    decode(index, record)
-                        .map_err(|e| format!("worker record for {noun} {index}: {e}"))
-                })
-                .collect::<Result<_, _>>()?;
-            return Ok(Some(rows));
-        }
-        let range = self.worker_range(n_rows);
-        let rows = compute(range.clone())?;
-        assert_eq!(rows.len(), range.len(), "one {noun} per index of {range:?}");
-        if !self.emit_ndjson {
-            return Ok(Some(rows));
-        }
-        for (index, row) in range.zip(&rows) {
-            println!("{}", encode(index, row));
-        }
-        Ok(None)
-    }
-
-    /// Whether this invocation is the `--shards N` parent (it should spawn
-    /// workers instead of sweeping itself).
-    fn is_parent(&self) -> bool {
-        self.shards > 1
-    }
-
-    /// The submission-order range this worker runs, out of `n_items` total:
-    /// the explicit `--shard-range` when present (clamped to `n_items`),
-    /// else the uniform split of `--shard i/N`, else everything.
-    fn worker_range(&self, n_items: usize) -> Range<usize> {
-        if let Some(range) = &self.range {
-            return range.start.min(n_items)..range.end.min(n_items);
-        }
-        match self.shard {
-            Some(spec) => spec.range(n_items),
-            None => 0..n_items,
-        }
-    }
-
-    /// The argv for worker `shard`: this process's own arguments with the
-    /// parent-side flags (`--shards`, stale `--shard` / `--shard-range` /
-    /// `--emit-ndjson`) removed and `--shard i/N --shard-range A..B
-    /// --emit-ndjson` appended.  The explicit range makes the worker
-    /// independent of how the parent planned the split, and stripping
-    /// `--shards` guarantees a worker never re-dispatches.
-    fn worker_args(args: &[String], shard: ShardSpec, range: &Range<usize>) -> Vec<String> {
-        const PARENT_FLAGS: [&str; 3] = ["--shards", "--shard", "--shard-range"];
-        let mut out = Vec::with_capacity(args.len() + 5);
-        let mut skip_value = false;
-        for arg in args {
-            if skip_value {
-                skip_value = false;
-                continue;
-            }
-            if PARENT_FLAGS.contains(&arg.as_str()) {
-                // The separate-value spelling: also drop the value token
-                // (unless it is the next flag, which `flag_value` would
-                // have rejected anyway).
-                skip_value = true;
-                continue;
-            }
-            if PARENT_FLAGS
-                .iter()
-                .any(|flag| arg.strip_prefix(flag).is_some_and(|r| r.starts_with('=')))
-                || arg == "--emit-ndjson"
-            {
-                continue;
-            }
-            out.push(arg.clone());
-        }
-        out.push("--shard".to_string());
-        out.push(shard.to_string());
-        out.push("--shard-range".to_string());
-        out.push(format!("{}..{}", range.start, range.end));
-        out.push("--emit-ndjson".to_string());
-        out
-    }
-
-    /// The parent side of [`ShardArgs::run_rows`]: plans `n_items` result
-    /// rows over the `--shards N` worker processes (`local_plan`), logs
-    /// the dispatch to stderr (`noun` names a row, e.g. "table row"; `gate`
-    /// reports the equivalence gate, or `None` for binaries without one),
-    /// spawns one worker per populated shard — a re-invocation of the
-    /// current executable — through [`wp_dist::run_dispatched`] and
-    /// returns the merged NDJSON records in submission order.
-    ///
-    /// When the command line did not pin `--workers`, every worker is
-    /// handed an equal share of the machine's cores: at least one, and
-    /// otherwise `available_parallelism` divided by the number of workers.
-    /// A forked sweep therefore does not oversubscribe the CPU with
-    /// `shards × cores` threads.  Results are unaffected either way —
-    /// sweep outcomes are worker-count-independent.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`std::env::current_exe`] failures and any
-    /// [`wp_dist::DistError`] from the worker protocol.
-    fn run_sharded_rows(
-        &self,
-        n_items: usize,
-        noun: &str,
-        gate: Option<bool>,
-    ) -> Result<Vec<Json>, Box<dyn std::error::Error>> {
-        let gate_note = match gate {
-            Some(true) => ", equivalence gate on",
-            Some(false) => ", equivalence gate off",
-            None => "",
-        };
-        let exe = std::env::current_exe()?;
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let plan = local_plan(self.shards, n_items);
-        let workers = plan.populated_shards().count();
-        eprintln!(
-            "dispatching {n_items} {noun}(s) across {workers} worker process(es) from --shards {}{gate_note}",
-            self.shards,
-        );
-        let program = exe
-            .to_str()
-            .ok_or("the current executable path is not UTF-8")?;
-        let workers_share = if flag_value(&args, "--workers")?.is_none() && workers > 0 {
-            let cores = std::thread::available_parallelism().map_or(1, usize::from);
-            Some((cores / workers).max(1))
-        } else {
-            None
-        };
-        let records = run_dispatched(&plan, program, |shard| {
-            let mut worker_args = Self::worker_args(
-                &args,
-                ShardSpec {
-                    index: shard,
-                    total: plan.shards(),
-                },
-                &plan.range(shard),
-            );
-            if let Some(share) = workers_share {
-                worker_args.push(format!("--workers={share}"));
-            }
-            worker_args
-        })?;
-        Ok(records)
-    }
-}
-
-/// The plan of a `--shards N` run over `n_items` rows: the uniform split
-/// into `min(N, n_items).max(1)` shards.  With more shards than rows every
-/// populated shard holds one row either way, so the clamp changes no
-/// output — it only keeps a huge `N` from planning `N` empty shards.
-fn local_plan(shards: usize, n_items: usize) -> ShardPlan {
-    ShardPlan::split(n_items, shards.min(n_items).max(1))
-}
-
-/// Parses the `A..B` spelling of `--shard-range` (`A <= B`).
-fn parse_range(value: &str) -> Option<Range<usize>> {
-    let (start, end) = value.split_once("..")?;
-    let start: usize = start.parse().ok()?;
-    let end: usize = end.parse().ok()?;
-    (start <= end).then_some(start..end)
 }
 
 #[cfg(test)]
@@ -783,6 +535,10 @@ mod tests {
             Err(missing("--json"))
         );
         assert_eq!(
+            flag_value(&strings(&["--json", ""]), "--json"),
+            Err(missing("--json"))
+        );
+        assert_eq!(
             SweepArgs::from_args(&strings(&["--workers"])),
             Err(missing("--workers"))
         );
@@ -816,146 +572,54 @@ mod tests {
     }
 
     #[test]
-    fn shard_args_default_to_in_process() {
-        let args = ShardArgs::from_args(&strings(&["--quick"])).expect("parses");
-        assert_eq!(args, ShardArgs::default());
-        assert!(!args.is_parent());
-        assert!(!args.emit_ndjson);
-    }
-
-    #[test]
-    fn shard_args_parse_the_parent_and_worker_modes() {
-        let parent = ShardArgs::from_args(&strings(&["--shards", "4", "--quick"])).expect("parses");
-        assert_eq!(parent.shards, 4);
-        assert!(parent.is_parent());
-        assert!(!parent.emit_ndjson);
-
-        let worker = ShardArgs::from_args(&strings(&["--shard=2/4", "--quick"])).expect("parses");
-        let spec = worker.shard.expect("worker mode");
-        assert_eq!((spec.index, spec.total), (2, 4));
-        assert!(!worker.is_parent());
-        assert!(worker.emit_ndjson, "--shard implies --emit-ndjson");
-
-        let ndjson = ShardArgs::from_args(&strings(&["--emit-ndjson"])).expect("parses");
-        assert!(ndjson.emit_ndjson);
-        assert!(ndjson.shard.is_none());
-
-        // One shard is the in-process path, not the parent path.
-        assert!(!ShardArgs::from_args(&strings(&["--shards", "1"]))
-            .expect("parses")
-            .is_parent());
-    }
-
-    #[test]
-    fn shard_args_reject_malformed_and_conflicting_flags() {
-        for bad in [
-            vec!["--shards", "0"],
-            vec!["--shards", "x"],
-            vec!["--shard", "4/4"],
-            vec!["--shard", "2"],
-            vec!["--shards", "2", "--shard", "0/2"],
-            vec!["--shards", "2", "--emit-ndjson"],
-            vec!["--shard-range", "0..4"],
-            vec!["--shard", "0/2", "--shard-range", "4..0"],
-            vec!["--shard", "0/2", "--shard-range", "wide"],
+    fn declared_flags_switches_and_positionals_are_accepted() {
+        let declared: &[&[&str]] = &[SweepArgs::FLAGS, &["--json=", "--quick"]];
+        for args in [
+            &["--quick", "--workers", "2", "--json=out.json"][..],
+            &["sort", "--lanes=off", "--json", "x.json", "--oracle", "on"],
+            &["--workers", "-1"],
+            &["--json", "--quick"],
+            &[],
         ] {
-            assert!(
-                ShardArgs::from_args(&strings(&bad)).is_err(),
-                "accepted {bad:?}"
+            assert_eq!(accept_flags(&strings(args), declared), Ok(()), "{args:?}");
+        }
+    }
+
+    #[test]
+    fn undeclared_flags_are_named_without_their_value() {
+        let declared: &[&[&str]] = &[SweepArgs::FLAGS, &["--quick"]];
+        let unknown = |flag: &str| ArgError::UnknownFlag {
+            flag: flag.to_string(),
+        };
+        for (args, flag) in [
+            (&["--quick", "--shards", "2"][..], "--shards"),
+            (&["--shards=2"], "--shards"),
+            (&["--emit-ndjson"], "--emit-ndjson"),
+            (&["--hosts", "x"], "--hosts"),
+            (&["--quik"], "--quik"),
+            (&["--"], "--"),
+            // A value token is skipped, but only after a flag taking one.
+            (&["--quick", "--workers", "2", "--shard", "0/2"], "--shard"),
+        ] {
+            assert_eq!(
+                accept_flags(&strings(args), declared),
+                Err(unknown(flag)),
+                "{args:?}"
             );
         }
+        assert_eq!(unknown("--shards").to_string(), "unknown flag --shards");
+        let err = accept_flags(&strings(&["--quick=yes"]), declared).unwrap_err();
+        assert!(err.to_string().contains("no value"), "{err}");
     }
 
     #[test]
-    fn an_explicit_shard_range_overrides_the_uniform_split() {
-        let args = ShardArgs::from_args(&strings(&["--shard", "1/3", "--shard-range", "4..9"]))
-            .expect("parses");
-        assert_eq!(args.range, Some(4..9));
-        assert!(args.emit_ndjson);
-        // The explicit range wins over 1/3's uniform slice and clamps to
-        // the item count.
-        assert_eq!(args.worker_range(12), 4..9);
-        assert_eq!(args.worker_range(6), 4..6);
-
-        let uniform = ShardArgs::from_args(&strings(&["--shard", "1/3"])).expect("parses");
-        assert_eq!(uniform.worker_range(12), 4..8);
-        let whole = ShardArgs::from_args(&strings(&["--emit-ndjson"])).expect("parses");
-        assert_eq!(whole.worker_range(12), 0..12);
-    }
-
-    #[test]
-    fn worker_args_strip_the_parent_flags_and_append_the_worker_triple() {
-        let spec = wp_dist::ShardSpec::parse("1/3").unwrap();
-        let argv = strings(&[
-            "--quick",
-            "--shards",
-            "3",
-            "--verify",
-            "--workers=2",
-            "--emit-ndjson",
-        ]);
+    fn sweep_only_binaries_reject_every_other_flag() {
         assert_eq!(
-            ShardArgs::worker_args(&argv, spec, &(4..8)),
-            strings(&[
-                "--quick",
-                "--verify",
-                "--workers=2",
-                "--shard",
-                "1/3",
-                "--shard-range",
-                "4..8",
-                "--emit-ndjson"
-            ])
+            SweepArgs::only(&strings(&["--workers=3"])).map(|a| a.workers),
+            Ok(3)
         );
-        // The equals spellings and stale worker flags are stripped too (a
-        // worker must never re-dispatch).
-        let argv = strings(&[
-            "--shards=3",
-            "--shard=0/9",
-            "--quick",
-            "--shard-range",
-            "0..2",
-        ]);
-        assert_eq!(
-            ShardArgs::worker_args(&argv, spec, &(4..8)),
-            strings(&[
-                "--quick",
-                "--shard",
-                "1/3",
-                "--shard-range",
-                "4..8",
-                "--emit-ndjson"
-            ])
-        );
-    }
-
-    /// `--shards N` forks `min(N, n).max(1)` local workers, planned with
-    /// the uniform split — however large `N` is.
-    #[test]
-    fn shards_n_is_a_fleet_of_local_hosts() {
-        for (shards, n_items) in [
-            (1, 0),
-            (2, 0),
-            (2, 26),
-            (3, 7),
-            (40, 12),
-            (100_000_000_000, 12),
-            (usize::MAX, 12),
-        ] {
-            let plan = local_plan(shards, n_items);
-            let slots = shards.min(n_items).max(1);
-            assert_eq!(plan.shards(), slots, "--shards {shards} over {n_items}");
-            assert_eq!(plan, ShardPlan::split(n_items, slots));
-            assert_eq!(plan.populated_shards().count(), shards.min(n_items));
-        }
-    }
-
-    #[test]
-    fn parse_range_accepts_only_well_formed_ascending_ranges() {
-        assert_eq!(parse_range("4..8"), Some(4..8));
-        assert_eq!(parse_range("0..0"), Some(0..0));
-        for bad in ["", "4", "4..", "..8", "8..4", "a..b", "4..8..9"] {
-            assert_eq!(parse_range(bad), None, "{bad}");
-        }
+        assert!(SweepArgs::only(&strings(&["--verify"])).is_err());
+        // `from_args` leaves the other flags to the caller's declaration.
+        assert!(SweepArgs::from_args(&strings(&["--verify"])).is_ok());
     }
 }

@@ -8,27 +8,25 @@
 //! `wp_sim::SweepRunner`'s work-stealing scheduler; control it with
 //! `--workers N` and `--batch N`.  Pass `--verify` to stream every run
 //! against its golden twin while it executes and print the proven
-//! equivalence prefix (N) per depth and policy.  The depth rows can be
-//! sharded across worker processes with `--shards N` (worker mode:
-//! `--shard i/N` / `--emit-ndjson`), merging to byte-identical output.
+//! equivalence prefix (N) per depth and policy.
+//!
+//! Usage: `ablation_fifo [--verify] [--workers N] [--batch N]
+//! [--lanes on|off|auto] [--oracle on|off|auto]`
 
-use std::ops::Range;
-
+use wp_bench::cli::AblationArgs;
 use wp_bench::{
-    exit_on_error, json_opt_usize, soc_factory, soc_scenario_with_config, sort_workload,
-    ScenarioWiring, ShardArgs, SweepArgs, MAX_CYCLES,
+    exit_on_error, soc_factory, soc_scenario_with_config, sort_workload, ScenarioWiring, SweepArgs,
+    MAX_CYCLES,
 };
 use wp_core::ShellConfig;
-use wp_dist::Json;
 use wp_proc::SocState;
 use wp_proc::{run_golden_soc, Link, Organization, RsConfig};
 use wp_sim::{Scenario, SweepOutcome};
 
 const DEPTHS: [usize; 6] = [2, 3, 4, 6, 8, 16];
 
-/// One merged table row: the queue depth, both cycle counts and — under
+/// One table row: the queue depth, both cycle counts and — under
 /// `--verify` — the proven equivalence prefix per policy.
-#[derive(Debug, PartialEq)]
 struct Row {
     depth: usize,
     wp1_cycles: u64,
@@ -37,14 +35,13 @@ struct Row {
     n_wp2: Option<usize>,
 }
 
-/// The scenarios of the depth rows in `range`, WP1/WP2-interleaved in
-/// depth order (the submission order shared by the sharding parent and its
-/// workers: each row owns two consecutive scenarios).
-fn scenarios(verify: bool, range: Range<usize>) -> Vec<Scenario<wp_proc::Msg, SocState>> {
+/// The scenarios of every depth row, WP1/WP2-interleaved in depth order
+/// (each row owns two consecutive scenarios).
+fn scenarios(verify: bool) -> Vec<Scenario<wp_proc::Msg, SocState>> {
     let workload = sort_workload();
     let rs = RsConfig::uniform(1, &[Link::CuIc]);
     let wiring = ScenarioWiring::new().verified(verify);
-    DEPTHS[range]
+    DEPTHS
         .iter()
         .flat_map(|&depth| {
             [
@@ -113,71 +110,24 @@ fn print_table(golden_cycles: u64, rows: &[Row]) {
     }
 }
 
-/// Sweeps the depth rows in `range`.
-fn sweep_rows(
-    sweep: &SweepArgs,
-    verify: bool,
-    range: Range<usize>,
-) -> Result<Vec<Row>, Box<dyn std::error::Error>> {
+/// Sweeps every depth row.
+fn sweep_rows(sweep: &SweepArgs, verify: bool) -> Result<Vec<Row>, Box<dyn std::error::Error>> {
     let outcomes: Vec<SweepOutcome<SocState>> = sweep
         .runner()
-        .run(scenarios(verify, range.clone()))
+        .run(scenarios(verify))
         .into_iter()
         .collect::<Result<_, _>>()?;
-    Ok(DEPTHS[range]
+    Ok(DEPTHS
         .iter()
         .zip(outcomes.chunks(2))
         .map(|(&depth, pair)| row_of(depth, &pair[0], &pair[1]))
         .collect::<Result<_, _>>()?)
 }
 
-fn encode_row(index: usize, row: &Row) -> String {
-    format!(
-        "{{\"index\": {index}, \"depth\": {}, \"wp1_cycles\": {}, \"wp2_cycles\": {}, \
-         \"n_wp1\": {}, \"n_wp2\": {}}}",
-        row.depth,
-        row.wp1_cycles,
-        row.wp2_cycles,
-        json_opt_usize(row.n_wp1),
-        json_opt_usize(row.n_wp2),
-    )
-}
-
-/// Decodes the worker record of depth row `index`, rejecting a record for
-/// another depth.
-fn decode_row(index: usize, record: &Json) -> Result<Row, String> {
-    let depth = record.require_usize("depth")?;
-    if depth != DEPTHS[index] {
-        return Err(format!(
-            "carries depth {depth}, but row {index} is depth {}: mismatched worker binary?",
-            DEPTHS[index]
-        ));
-    }
-    Ok(Row {
-        depth,
-        wp1_cycles: record.require_u64("wp1_cycles")?,
-        wp2_cycles: record.require_u64("wp2_cycles")?,
-        n_wp1: record.require_nullable_usize("n_wp1")?,
-        n_wp2: record.require_nullable_usize("n_wp2")?,
-    })
-}
-
 fn run() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let verify = args.iter().any(|a| a == "--verify");
-    let sweep = SweepArgs::from_args(&args).unwrap_or_else(|e| e.exit());
-    let shard = ShardArgs::from_args(&args).unwrap_or_else(|e| e.exit());
-    let Some(rows) = shard.run_rows(
-        DEPTHS.len(),
-        "depth row",
-        Some(verify),
-        |range| sweep_rows(&sweep, verify, range),
-        encode_row,
-        decode_row,
-    )?
-    else {
-        return Ok(());
-    };
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = AblationArgs::from_args(&argv).unwrap_or_else(|e| e.exit());
+    let rows = sweep_rows(&args.sweep, args.verify)?;
     let golden = run_golden_soc(&sort_workload(), Organization::Pipelined, MAX_CYCLES)?;
     print_table(golden.cycles, &rows);
     Ok(())
@@ -185,28 +135,4 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
 fn main() {
     exit_on_error(run());
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn a_record_for_another_depth_is_rejected() {
-        let row = |depth| Row {
-            depth,
-            wp1_cycles: 300,
-            wp2_cycles: 200,
-            n_wp1: Some(5),
-            n_wp2: None,
-        };
-        let record = |depth| Json::parse(&encode_row(1, &row(depth))).expect("parses");
-        assert_eq!(decode_row(1, &record(DEPTHS[1])), Ok(row(DEPTHS[1])));
-        let err = decode_row(1, &record(DEPTHS[2])).unwrap_err();
-        assert!(
-            err.contains(&format!("row 1 is depth {}", DEPTHS[1]))
-                && err.contains("mismatched worker binary"),
-            "{err}"
-        );
-    }
 }

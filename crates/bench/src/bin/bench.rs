@@ -25,10 +25,10 @@
 
 use std::time::Instant;
 
+use wp_bench::cli::BenchArgs;
 use wp_bench::{
-    exit_on_error, flag_value, matmul_workload, metric_report_json, run_soc_lanes_packed,
-    run_soc_lanes_scalar, sort_workload, spot_verify_frontier, MetricRecord, SweepArgs, MAX_CYCLES,
-    WORKLOAD_SEED,
+    exit_on_error, matmul_workload, metric_report_json, run_soc_lanes_packed, run_soc_lanes_scalar,
+    sort_workload, spot_verify_frontier, MetricRecord, SweepArgs, MAX_CYCLES, WORKLOAD_SEED,
 };
 use wp_core::ShellConfig;
 use wp_dse::{merge_outcomes, plan_units, run_units, DseConfig, SearchSpace, WorkUnit};
@@ -222,18 +222,7 @@ fn design_space(seed: u64, iters: u32) -> Result<Vec<MetricRecord>, String> {
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name| flag_value(&args, name).unwrap_or_else(|e| e.exit());
-    let iters: u32 = match flag("--iters") {
-        None => 3,
-        Some(v) => match v.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("error: --iters expects a positive integer, got '{v}'");
-                std::process::exit(2);
-            }
-        },
-    };
-    let json = flag("--json").unwrap_or_else(|| "BENCH_fresh.json".to_string());
+    let BenchArgs { iters, json } = BenchArgs::from_args(&args).unwrap_or_else(|e| e.exit());
 
     let wp1 = |relays| RsConfig::uniform(relays, &[Link::CuIc]);
     let (sort6, matmul3) = (

@@ -11,7 +11,8 @@
 //! `BENCH_baseline.json` and commit it (see the README's *Refreshing the
 //! perf baseline*).
 
-use wp_bench::{compare_reports, exit_on_error, flag_value, parse_metric_records, MetricRecord};
+use wp_bench::cli::BenchCompareArgs;
+use wp_bench::{compare_reports, exit_on_error, parse_metric_records, MetricRecord};
 use wp_dist::Json;
 
 fn load(path: &str) -> Result<Vec<MetricRecord>, Box<dyn std::error::Error>> {
@@ -23,9 +24,10 @@ fn load(path: &str) -> Result<Vec<MetricRecord>, Box<dyn std::error::Error>> {
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name| flag_value(&args, name).unwrap_or_else(|e| e.exit());
-    let baseline_path = flag("--baseline").unwrap_or_else(|| "BENCH_baseline.json".to_string());
-    let fresh_path = flag("--fresh").unwrap_or_else(|| "BENCH_fresh.json".to_string());
+    let BenchCompareArgs {
+        baseline: baseline_path,
+        fresh: fresh_path,
+    } = BenchCompareArgs::from_args(&args).unwrap_or_else(|e| e.exit());
 
     let result = compare_reports(&load(&baseline_path)?, &load(&fresh_path)?);
     if result.passed() {

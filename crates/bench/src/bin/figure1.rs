@@ -4,29 +4,24 @@
 //!
 //! Besides the analytic law, the per-link table now also *measures* the WP1
 //! throughput of every single-link configuration — a 10-scenario
-//! `wp_sim::SweepRunner` sweep of the full processor.  The scheduler is
-//! controlled with `--workers N` and `--batch N`, and the measured sweep
-//! can be sharded across worker processes with `--shards N` (worker mode:
-//! `--shard i/N` / `--emit-ndjson`), merging to byte-identical output.
-
-use std::ops::Range;
+//! `wp_sim::SweepRunner` sweep of the full processor.
+//!
+//! Usage: `figure1 [--workers N] [--batch N] [--lanes on|off|auto]
+//! [--oracle on|off|auto]`
 
 use wp_bench::{
-    exit_on_error, json_string, predict_wp1_throughput, soc_oracle_scenario, soc_scenario,
-    sort_workload, LaneMode, ScenarioWiring, ShardArgs, SweepArgs, MAX_CYCLES,
+    exit_on_error, predict_wp1_throughput, soc_oracle_scenario, soc_scenario, sort_workload,
+    LaneMode, ScenarioWiring, SweepArgs, MAX_CYCLES,
 };
 use wp_core::SyncPolicy;
-use wp_dist::Json;
 use wp_netlist::{loop_inventory, to_dot, ThroughputModel, DEFAULT_MAX_LOOPS};
 use wp_proc::{build_soc, run_golden_soc, Link, Organization, RsConfig, Workload};
 use wp_sim::Scenario;
 
-/// The per-link WP1 scenarios of the links in `range`, in `Link::ALL`
-/// submission order (the global row numbering shared by the sharding
-/// parent and its workers).  With `--lanes on|auto` every scenario carries
-/// a lane key; plainly-simulated scenarios read the memory back after the
-/// run, so the sweep demotes them to the scalar kernel and the printed
-/// table is mode-independent.
+/// The per-link WP1 scenarios, in `Link::ALL` order.  With `--lanes
+/// on|auto` every scenario carries a lane key; plainly-simulated scenarios
+/// read the memory back after the run, so the sweep demotes them to the
+/// scalar kernel and the printed table is mode-independent.
 ///
 /// `oracle_target` is `Some(golden_cycles)` under `--oracle on|auto`: each
 /// run is then built as its extrapolating twin (`soc_oracle_scenario`,
@@ -36,10 +31,9 @@ fn link_scenarios(
     workload: &Workload,
     lanes: LaneMode,
     oracle_target: Option<u64>,
-    range: Range<usize>,
 ) -> Vec<Scenario<wp_proc::Msg, wp_proc::SocState>> {
     let wiring = ScenarioWiring::new().lane_key(lanes, "figure1/wp1");
-    Link::ALL[range]
+    Link::ALL
         .iter()
         .map(|&link| {
             let rs = RsConfig::single(link, 1);
@@ -93,8 +87,8 @@ fn print_analytics(workload: &Workload) {
     );
 }
 
-/// Prints the measured per-link table from the merged `(link, cycles)`
-/// rows.
+/// Prints the measured per-link table from each link's cycles to the
+/// goal.
 fn print_link_table(workload: &Workload, golden_cycles: u64, cycles_to_goal: &[u64]) {
     println!("\nPer-link worst loop (1 RS on that link only):");
     println!(
@@ -112,18 +106,17 @@ fn print_link_table(workload: &Workload, golden_cycles: u64, cycles_to_goal: &[u
     }
 }
 
-/// Measures the cycles to the goal of the links in `range`, reporting the
-/// period-oracle saving on stderr under `--oracle`.
+/// Measures every link's cycles to the goal, reporting the period-oracle
+/// saving on stderr under `--oracle`.
 fn measure_links(
     workload: &Workload,
     sweep: &SweepArgs,
     oracle_target: Option<u64>,
-    range: Range<usize>,
 ) -> Result<Vec<u64>, Box<dyn std::error::Error>> {
     let (outcomes, stats) =
         sweep
             .runner()
-            .run_with_stats(link_scenarios(workload, sweep.lanes, oracle_target, range));
+            .run_with_stats(link_scenarios(workload, sweep.lanes, oracle_target));
     sweep.oracle.report_saving([&stats]);
     Ok(outcomes
         .into_iter()
@@ -131,51 +124,14 @@ fn measure_links(
         .collect::<Result<_, _>>()?)
 }
 
-fn encode_cycles(index: usize, cycles: &u64) -> String {
-    format!(
-        "{{\"index\": {index}, \"link\": {}, \"cycles_to_goal\": {cycles}}}",
-        json_string(Link::ALL[index].label())
-    )
-}
-
-/// Decodes the worker record of link row `index`, rejecting a record that
-/// names another link.
-fn decode_cycles(index: usize, record: &Json) -> Result<u64, String> {
-    let link = record.require_str("link")?;
-    let expected = Link::ALL[index].label();
-    if link != expected {
-        return Err(format!(
-            "names link {link}, but row {index} is link {expected}: mismatched worker binary?"
-        ));
-    }
-    record.require_u64("cycles_to_goal")
-}
-
 fn run() -> Result<(), Box<dyn std::error::Error>> {
-    let workload = sort_workload();
     let sweep = SweepArgs::from_env().unwrap_or_else(|e| e.exit());
-    let shard = ShardArgs::from_env().unwrap_or_else(|e| e.exit());
+    let workload = sort_workload();
     // The golden cycle count is the throughput denominator and, under
-    // --oracle, the firing target of every converted scenario, which each
-    // worker then computes itself; otherwise only the publishing run needs it.
-    let run_golden =
-        || run_golden_soc(&workload, Organization::Pipelined, MAX_CYCLES).map(|g| g.cycles);
-    let oracle_target = sweep.oracle.converts_rows().then(run_golden).transpose()?;
-    let Some(cycles) = shard.run_rows(
-        Link::ALL.len(),
-        "per-link run",
-        None,
-        |range| measure_links(&workload, &sweep, oracle_target, range),
-        encode_cycles,
-        decode_cycles,
-    )?
-    else {
-        return Ok(());
-    };
-    let golden_cycles = match oracle_target {
-        Some(cycles) => cycles,
-        None => run_golden()?,
-    };
+    // --oracle, the firing target of every converted scenario.
+    let golden_cycles = run_golden_soc(&workload, Organization::Pipelined, MAX_CYCLES)?.cycles;
+    let oracle_target = sweep.oracle.converts_rows().then_some(golden_cycles);
+    let cycles = measure_links(&workload, &sweep, oracle_target)?;
     print_analytics(&workload);
     print_link_table(&workload, golden_cycles, &cycles);
     Ok(())
@@ -183,22 +139,4 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
 fn main() {
     exit_on_error(run());
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn a_record_naming_another_link_is_rejected() {
-        // A record encoded for row `index` but decoded as row 2.
-        let record = |index| Json::parse(&encode_cycles(index, &99)).expect("parses");
-        assert_eq!(decode_cycles(2, &record(2)), Ok(99));
-        let err = decode_cycles(2, &record(3)).unwrap_err();
-        assert!(
-            err.contains(&format!("row 2 is link {}", Link::ALL[2].label()))
-                && err.contains("mismatched worker binary"),
-            "{err}"
-        );
-    }
 }

@@ -7,6 +7,9 @@ use wp_bench::{format_table, matmul_workload, run_table, sort_workload, table1_b
 use wp_proc::Organization;
 
 fn main() {
+    // No flags: any `--flag` is an argument error, not silently ignored.
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    wp_bench::accept_flags(&args, &[]).unwrap_or_else(|e| e.exit());
     for (name, workload) in [
         ("Extraction Sort", sort_workload()),
         ("Matrix Multiply", matmul_workload()),

@@ -33,12 +33,14 @@
 //! period for latency→relay insertion; `--firings N` the steady-state
 //! target; `--print` / `--dot` dump each spec (canonical text / annotated
 //! Graphviz); `--verify` exits 1 on any failure.  The scheduler flags
-//! (`--workers N`, `--batch N`) are shared with the other binaries.
+//! (`--workers N`, `--batch N`, `--lanes`, `--oracle`) are shared with the
+//! other binaries.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use wp_bench::{flag_value, ArgError, SweepArgs, MAX_CYCLES};
+use wp_bench::cli::NetlistRunArgs;
+use wp_bench::MAX_CYCLES;
 use wp_core::ShellConfig;
 use wp_gen::{generate, GenConfig};
 use wp_netlist::{strongly_connected_components, Netlist, ThroughputModel};
@@ -80,114 +82,6 @@ impl fmt::Display for Failure {
             Failure::Other(m) => write!(f, "{m}"),
         }
     }
-}
-
-struct Options {
-    specs: Vec<String>,
-    count: usize,
-    seed: u64,
-    gen: GenConfig,
-    clock: f64,
-    firings: u64,
-    verify: bool,
-    print: bool,
-    dot: bool,
-}
-
-/// Parses `LO:HI` into an inclusive range pair.
-fn parse_range(flag: &'static str, value: &str) -> Result<(usize, usize), ArgError> {
-    let invalid = || ArgError::InvalidValue {
-        flag: flag.to_string(),
-        value: value.to_string(),
-        expected: "a range LO:HI of positive integers",
-    };
-    let (lo, hi) = value.split_once(':').ok_or_else(invalid)?;
-    let lo: usize = lo.parse().map_err(|_| invalid())?;
-    let hi: usize = hi.parse().map_err(|_| invalid())?;
-    if lo == 0 || hi < lo {
-        return Err(invalid());
-    }
-    Ok((lo, hi))
-}
-
-fn parse_options(args: &[String]) -> Result<Options, ArgError> {
-    let mut specs = Vec::new();
-    let mut iter = args.iter().enumerate();
-    while let Some((i, arg)) = iter.next() {
-        if let Some(v) = arg.strip_prefix("--spec=") {
-            specs.push(v.to_string());
-        } else if arg == "--spec" {
-            match args.get(i + 1).filter(|v| !v.starts_with("--")) {
-                Some(v) => {
-                    specs.push(v.clone());
-                    iter.next();
-                }
-                None => {
-                    return Err(ArgError::MissingValue {
-                        flag: "--spec".to_string(),
-                    })
-                }
-            }
-        }
-    }
-    let parse_num = |name: &'static str, expected: &'static str| -> Result<Option<u64>, ArgError> {
-        match flag_value(args, name)? {
-            None => Ok(None),
-            Some(v) => v.parse().map(Some).map_err(|_| ArgError::InvalidValue {
-                flag: name.to_string(),
-                value: v,
-                expected,
-            }),
-        }
-    };
-    let mut gen = GenConfig::default();
-    if let Some(v) = flag_value(args, "--blocks")? {
-        gen.blocks = parse_range("--blocks", &v)?;
-    }
-    if let Some(v) = flag_value(args, "--chords")? {
-        gen.chords = parse_range("--chords", &v)?;
-    }
-    if let Some(v) = parse_num("--max-relay", "a non-negative integer")? {
-        gen.max_relay = v as usize;
-    }
-    if let Some(v) = parse_num("--latency-percent", "a percentage 0-100")? {
-        if v > 100 {
-            return Err(ArgError::InvalidValue {
-                flag: "--latency-percent".to_string(),
-                value: v.to_string(),
-                expected: "a percentage 0-100",
-            });
-        }
-        gen.latency_percent = v as u8;
-    }
-    let clock = match flag_value(args, "--clock")? {
-        None => 1.0,
-        Some(v) => match v.parse::<f64>() {
-            Ok(c) if c > 0.0 => c,
-            _ => {
-                return Err(ArgError::InvalidValue {
-                    flag: "--clock".to_string(),
-                    value: v,
-                    expected: "a positive clock period",
-                })
-            }
-        },
-    };
-    // Without --spec the runner checks one generated netlist by default;
-    // with --spec, generation is opt-in via --count.
-    let default_count = usize::from(specs.is_empty());
-    Ok(Options {
-        count: parse_num("--count", "a non-negative integer")?
-            .map_or(default_count, |v| v as usize),
-        seed: parse_num("--seed", "a seed")?.unwrap_or(0),
-        gen,
-        clock,
-        firings: parse_num("--firings", "a positive firing target")?.unwrap_or(20_000),
-        verify: args.iter().any(|a| a == "--verify"),
-        print: args.iter().any(|a| a == "--print"),
-        dot: args.iter().any(|a| a == "--dot"),
-        specs,
-    })
 }
 
 /// Process 0's firing bound in the WP1 realisation of `net`: no run of `c`
@@ -414,7 +308,7 @@ fn check_soc(
 fn check_netlist(
     label: &str,
     mut spec: NetlistSpec,
-    opts: &Options,
+    opts: &NetlistRunArgs,
     runner: &SweepRunner,
 ) -> Result<Checked, Failure> {
     if opts.print {
@@ -427,7 +321,7 @@ fn check_netlist(
             .collect();
         print!("{}", spec_to_dot(&spec, &name));
     }
-    spec.insert_relays(opts.clock);
+    spec.insert_relays(opts.generator.clock);
     match soc_spec_context(&spec).map_err(|e| Failure::Other(e.to_string()))? {
         Some(ctx) => check_soc(label, &spec, &ctx, runner),
         // A topology-only SoC spec (processor kinds, no workload
@@ -443,16 +337,14 @@ fn check_netlist(
                 Vec::new(),
             ))
         }
-        None => check_synthetic(label, &spec, opts.firings, runner),
+        None => check_synthetic(label, &spec, opts.generator.firings, runner),
     }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = parse_options(&args).unwrap_or_else(|e| e.exit());
-    let runner = SweepArgs::from_args(&args)
-        .unwrap_or_else(|e| e.exit())
-        .runner();
+    let opts = NetlistRunArgs::from_args(&args).unwrap_or_else(|e| e.exit());
+    let runner = opts.sweep.runner();
 
     // The work list: committed spec files first, then generated seeds.
     let mut netlists: Vec<(String, Result<NetlistSpec, Failure>)> = Vec::new();
@@ -464,8 +356,8 @@ fn main() {
     }
     for i in 0..opts.count {
         let cfg = GenConfig {
-            seed: opts.seed + i as u64,
-            ..opts.gen
+            seed: opts.generator.gen.seed.wrapping_add(i as u64),
+            ..opts.generator.gen
         };
         netlists.push((format!("seed {}", cfg.seed), Ok(generate(&cfg))));
     }

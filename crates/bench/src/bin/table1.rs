@@ -3,16 +3,12 @@
 //! comparing WP1 (strict shells) with WP2 (oracle shells).
 //!
 //! The 2 × configurations wire-pipelined runs of each table are swept across
-//! worker threads by `wp_sim::SweepRunner`'s work-stealing scheduler, and
-//! the table rows can additionally be sharded across worker *processes*
-//! (`wp_dist`): `--shards N` re-invokes this executable once per contiguous
-//! row range, merges the NDJSON results and prints byte-identical output
-//! to a single-process run.
+//! worker threads by `wp_sim::SweepRunner`'s work-stealing scheduler; the
+//! output does not depend on the worker count.
 //!
 //! Usage: `table1 [--program sort|matmul|both] [--quick] [--verify]
 //! [--workers N] [--batch N] [--lanes on|off|auto] [--oracle on|off|auto]
-//! [--json PATH] [--shards N | --shard i/N]
-//! [--emit-ndjson]`
+//! [--json PATH]`
 //!
 //! `--lanes on` (and the default `auto`) tags every scenario for the
 //! lane-packed bit-parallel kernel.  A plain table row reads the
@@ -42,62 +38,24 @@
 //! policy is appended to the printed table and the JSON rows, and any
 //! non-equivalent scenario fails the whole run.
 
-use std::ops::Range;
 use std::time::Instant;
 
+use wp_bench::cli::Table1Args;
 use wp_bench::{
-    bench_report_json, exit_on_error, flag_value, format_table, matmul_workload, run_table_oracle,
-    sort_workload, table1_base_configs, table1_two_rs_configs, table_row_from_json,
-    table_row_ndjson, ArgError, BenchTable, ShardArgs, SweepArgs, TableRow,
+    bench_report_json, exit_on_error, format_table, matmul_workload, run_table_oracle,
+    sort_workload, table1_base_configs, table1_two_rs_configs, BenchTable,
 };
-use wp_dist::Json;
 use wp_proc::{extraction_sort, matrix_multiply, Organization, RsConfig, Workload};
 
-struct Args {
-    program: String,
-    quick: bool,
-    verify: bool,
-    sweep: SweepArgs,
-    shard: ShardArgs,
-    json: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let flag = |name| flag_value(&args, name).unwrap_or_else(|e| e.exit());
-    let program = flag("--program")
-        .or_else(|| args.first().cloned().filter(|a| !a.starts_with("--")))
-        .unwrap_or_else(|| "both".to_string());
-    if !matches!(program.as_str(), "sort" | "matmul" | "both") {
-        ArgError::InvalidValue {
-            flag: "--program".to_string(),
-            value: program,
-            expected: "one of sort, matmul, both",
-        }
-        .exit();
-    }
-    Args {
-        program,
-        quick,
-        verify: args.iter().any(|a| a == "--verify"),
-        sweep: SweepArgs::from_args(&args).unwrap_or_else(|e| e.exit()),
-        shard: ShardArgs::from_args(&args).unwrap_or_else(|e| e.exit()),
-        json: flag("--json").or_else(|| quick.then(|| "BENCH_table1.json".to_string())),
-    }
-}
-
 /// One table of the experiment: its caption, workload and the
-/// relay-station configurations of its rows.  Built deterministically from
-/// the flags, so the sharding parent and every worker agree on the global
-/// row numbering.
+/// relay-station configurations of its rows.
 struct TableSpec {
     title: String,
     workload: Workload,
     configs: Vec<(String, RsConfig)>,
 }
 
-fn sort_spec(args: &Args) -> TableSpec {
+fn sort_spec(args: &Table1Args) -> TableSpec {
     let (workload, title): (Workload, String) = if args.quick {
         (
             extraction_sort(6, wp_bench::WORKLOAD_SEED).expect("sort workload assembles"),
@@ -127,7 +85,7 @@ fn sort_spec(args: &Args) -> TableSpec {
     }
 }
 
-fn matmul_spec(args: &Args) -> TableSpec {
+fn matmul_spec(args: &Table1Args) -> TableSpec {
     let (workload, title): (Workload, String) = if args.quick {
         (
             matrix_multiply(3, wp_bench::WORKLOAD_SEED).expect("matmul workload assembles"),
@@ -163,7 +121,7 @@ fn matmul_spec(args: &Args) -> TableSpec {
     }
 }
 
-fn table_specs(args: &Args) -> Vec<TableSpec> {
+fn table_specs(args: &Table1Args) -> Vec<TableSpec> {
     let mut specs = Vec::new();
     if args.program == "sort" || args.program == "both" {
         specs.push(sort_spec(args));
@@ -174,10 +132,9 @@ fn table_specs(args: &Args) -> Vec<TableSpec> {
     specs
 }
 
-/// Prints the tables and writes the machine-readable report, exactly the
-/// same way for the in-process and the sharded-parent paths.
-fn publish(args: &Args, tables: Vec<BenchTable>, wall_seconds: f64) -> std::io::Result<()> {
-    for table in &tables {
+/// Prints the tables and writes the machine-readable report.
+fn publish(args: &Table1Args, tables: &[BenchTable], wall_seconds: f64) -> std::io::Result<()> {
+    for table in tables {
         println!("{}", format_table(&table.title, &table.rows));
     }
     if let Some(path) = &args.json {
@@ -187,7 +144,7 @@ fn publish(args: &Args, tables: Vec<BenchTable>, wall_seconds: f64) -> std::io::
             runner.workers(),
             runner.batch(),
             wall_seconds,
-            &tables,
+            tables,
         );
         std::fs::write(path, report)?;
         eprintln!("wrote machine-readable report to {path}");
@@ -195,15 +152,13 @@ fn publish(args: &Args, tables: Vec<BenchTable>, wall_seconds: f64) -> std::io::
     Ok(())
 }
 
-/// Sweeps the rows of one submission-order `range` (rows are numbered
-/// across the tables in order) through the table runner with this
-/// invocation's equivalence-gate, lane-packing and period-oracle modes,
-/// reporting the sweep setup and the period-oracle saving on stderr.
-fn sweep_rows(
-    args: &Args,
-    specs: &[TableSpec],
-    range: Range<usize>,
-) -> Result<Vec<TableRow>, Box<dyn std::error::Error>> {
+/// Sweeps every table through the table runner with this invocation's
+/// equivalence-gate, lane-packing and period-oracle modes, reporting the
+/// sweep setup and the period-oracle saving on stderr.
+fn sweep_tables(
+    args: &Table1Args,
+    specs: Vec<TableSpec>,
+) -> Result<Vec<BenchTable>, Box<dyn std::error::Error>> {
     let runner = args.sweep.runner();
     eprintln!(
         "sweeping wire-pipelined runs across {} worker thread(s), batch {}, equivalence gate {}, \
@@ -218,117 +173,38 @@ fn sweep_rows(
         args.sweep.lanes.label(),
         args.sweep.oracle.label(),
     );
-    let mut rows = Vec::with_capacity(range.len());
-    let mut sweeps = Vec::new();
-    let mut offset = 0;
+    let mut tables = Vec::with_capacity(specs.len());
+    let mut sweeps = Vec::with_capacity(specs.len());
     for spec in specs {
-        let span = offset..offset + spec.configs.len();
-        let (start, end) = (range.start.max(span.start), range.end.min(span.end));
-        if start < end {
-            let (spec_rows, stats) = run_table_oracle(
-                &runner,
-                &spec.workload,
-                Organization::Pipelined,
-                &spec.configs[start - offset..end - offset],
-                args.verify,
-                args.sweep.lanes,
-                args.sweep.oracle,
-            )?;
-            rows.extend(spec_rows);
-            sweeps.push(stats);
-        }
-        offset = span.end;
+        let (rows, stats) = run_table_oracle(
+            &runner,
+            &spec.workload,
+            Organization::Pipelined,
+            &spec.configs,
+            args.verify,
+            args.sweep.lanes,
+            args.sweep.oracle,
+        )?;
+        tables.push(BenchTable {
+            title: spec.title,
+            rows,
+        });
+        sweeps.push(stats);
     }
     args.sweep.oracle.report_saving(&sweeps);
-    Ok(rows)
-}
-
-/// The table of global row `index`, given each table's row count (the
-/// tables are numbered in order).
-fn table_of(row_counts: &[usize], index: usize) -> usize {
-    let mut offset = 0;
-    for (table, count) in row_counts.iter().enumerate() {
-        offset += count;
-        if index < offset {
-            return table;
-        }
-    }
-    unreachable!("the protocol validated index < total");
-}
-
-/// Decodes the worker record of global row `index`.  The row's table is a
-/// function of its index, so the record's own `"table"` member is only a
-/// cross-check: a worker with skewed table numbering fails loudly instead
-/// of corrupting the merged tables.
-fn decode_row(row_counts: &[usize], index: usize, record: &Json) -> Result<TableRow, String> {
-    let (table, row) = table_row_from_json(record)?;
-    let expected = table_of(row_counts, index);
-    if table != expected {
-        return Err(format!(
-            "tagged table {table}, but the row numbering places row {index} in table \
-             {expected}: mismatched worker binary?"
-        ));
-    }
-    Ok(row)
+    Ok(tables)
 }
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = Table1Args::from_args(&argv).unwrap_or_else(|e| e.exit());
     let specs = table_specs(&args);
-    let row_counts: Vec<usize> = specs.iter().map(|s| s.configs.len()).collect();
     let start = Instant::now();
-    let Some(rows) = args.shard.run_rows(
-        row_counts.iter().sum(),
-        "table row",
-        Some(args.verify),
-        |range| sweep_rows(&args, &specs, range),
-        |index, row| table_row_ndjson(index, table_of(&row_counts, index), row),
-        |index, record| decode_row(&row_counts, index, record),
-    )?
-    else {
-        return Ok(());
-    };
-    let mut rows = rows.into_iter();
-    let tables = specs
-        .into_iter()
-        .map(|spec| BenchTable {
-            rows: rows.by_ref().take(spec.configs.len()).collect(),
-            title: spec.title,
-        })
-        .collect();
-    publish(&args, tables, start.elapsed().as_secs_f64())?;
+    let tables = sweep_tables(&args, specs)?;
+    publish(&args, &tables, start.elapsed().as_secs_f64())?;
     Ok(())
 }
 
 fn main() {
     exit_on_error(run());
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn a_record_tagged_with_another_table_is_rejected() {
-        let row = TableRow {
-            label: "All 1".to_string(),
-            golden_cycles: 100,
-            wp1_cycles: 200,
-            wp2_cycles: 150,
-            th_wp1: 0.5,
-            th_wp2: 2.0 / 3.0,
-            th_wp1_predicted: 0.5,
-            improvement_percent: 100.0 / 3.0,
-            proven_n_wp1: None,
-            proven_n_wp2: Some(7),
-        };
-        let row_counts = [12, 12];
-        let record = |table| Json::parse(&table_row_ndjson(13, table, &row)).expect("parses");
-        assert_eq!(decode_row(&row_counts, 13, &record(1)), Ok(row.clone()));
-        let err = decode_row(&row_counts, 13, &record(0)).unwrap_err();
-        assert!(
-            err.contains("row 13 in table 1") && err.contains("mismatched worker binary"),
-            "{err}"
-        );
-    }
 }

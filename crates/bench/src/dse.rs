@@ -1,6 +1,5 @@
 //! Shared plumbing of the `dse` binary: frontier spot-verification by lane
-//! simulation, the Pareto report formatting and the NDJSON work-unit
-//! protocol of the sharded search.
+//! simulation and the Pareto report formatting.
 //!
 //! The design-space search itself (`wp_dse`) is purely analytic; this
 //! module is where simulation re-enters, demoted to verification: every
@@ -12,12 +11,11 @@
 use std::fmt::Write as _;
 
 use wp_core::ShellConfig;
-use wp_dist::Json;
-use wp_dse::{CostMap, Evaluator, ParetoPoint, SearchSpace, UnitOutcome};
+use wp_dse::ParetoPoint;
 use wp_sim::{RunGoal, Scenario, SweepRunner};
 use wp_spec::{lower, synthetic_registry, NetlistSpec};
 
-use crate::{json_f64, LaneMode, OracleMode, ScenarioWiring};
+use crate::{LaneMode, OracleMode, ScenarioWiring};
 
 /// Measured-vs-analytic steady-state tolerance (relative) of the frontier
 /// spot-verification, matching the `netlist_run` acceptance bar.
@@ -105,8 +103,8 @@ pub fn spot_verify_frontier(
 
 /// Formats a Pareto frontier as a fixed-width table: one row per point,
 /// ascending cost.  Every column is deterministic (`{:.6}` floats over
-/// bit-identical scores), so CI can diff the output across worker counts,
-/// shard counts and lane/oracle modes byte for byte.
+/// bit-identical scores), so CI can diff the output across worker counts
+/// and lane/oracle modes byte for byte.
 pub fn format_frontier(title: &str, frontier: &[ParetoPoint]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{title}");
@@ -125,103 +123,10 @@ pub fn format_frontier(title: &str, frontier: &[ParetoPoint]) -> String {
     out
 }
 
-/// One NDJSON worker record of the sharded search: the work unit's global
-/// index, the candidates it scored, and its best-per-cost survivors (cost
-/// is derivable, so each entry carries only the assignment and its two
-/// score components; the effective score is their exact quotient).  Single
-/// line, no trailing newline.
-pub fn dse_unit_ndjson(index: usize, outcome: &UnitOutcome) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"index\": {index}, \"scored\": {}, \"points\": [",
-        outcome.scored
-    );
-    for (i, point) in outcome.map.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(
-            out,
-            "{{\"th\": {}, \"period\": {}, \"assignment\": [",
-            json_f64(point.cycle_throughput),
-            json_f64(point.period),
-        );
-        for (j, rs) in point.assignment.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{rs}");
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Parses a worker record produced by [`dse_unit_ndjson`] back into a
-/// [`UnitOutcome`], re-scoring every assignment on the parent's own
-/// evaluator and requiring the worker's floats to be bit-identical — a
-/// worker running a different binary (or a non-deterministic solver) fails
-/// loudly instead of corrupting the merged frontier.
-///
-/// # Errors
-///
-/// Returns a message naming the missing/ill-typed member or the
-/// diverging assignment.
-pub fn dse_unit_from_json(
-    record: &Json,
-    space: &SearchSpace,
-    eval: &mut Evaluator,
-) -> Result<UnitOutcome, String> {
-    let scored = record.require_u64("scored")?;
-    let points = record
-        .get("points")
-        .and_then(Json::as_arr)
-        .ok_or("missing array member \"points\"")?;
-    let mut map = CostMap::new();
-    for point in points {
-        let th = point.require_f64("th")?;
-        let period = point.require_f64("period")?;
-        let assignment: Vec<usize> = point
-            .get("assignment")
-            .and_then(Json::as_arr)
-            .ok_or("missing array member \"assignment\"")?
-            .iter()
-            .map(|v| v.as_usize().ok_or("non-integer relay count"))
-            .collect::<Result<_, _>>()?;
-        if assignment.len() != space.channels() {
-            return Err(format!(
-                "assignment length {} does not match the {}-channel space",
-                assignment.len(),
-                space.channels()
-            ));
-        }
-        if assignment.iter().any(|&rs| rs > space.cap()) {
-            return Err(format!(
-                "assignment {assignment:?} exceeds the per-channel cap {}",
-                space.cap()
-            ));
-        }
-        let score = eval.score(space, &assignment);
-        if score.cycle_throughput.to_bits() != th.to_bits()
-            || score.period.to_bits() != period.to_bits()
-        {
-            return Err(format!(
-                "worker scored assignment {assignment:?} as ({th}, {period}) but this process \
-                 scores it as ({}, {}): mismatched worker binary?",
-                score.cycle_throughput, score.period
-            ));
-        }
-        map.offer(&assignment, score);
-    }
-    Ok(UnitOutcome { scored, map })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wp_dse::{plan_units, run_unit, DseConfig, SearchMode};
+    use wp_dse::{DseConfig, SearchSpace};
     use wp_gen::{generate, GenConfig};
 
     fn small_space() -> (NetlistSpec, SearchSpace) {
@@ -231,49 +136,6 @@ mod tests {
         let spec = generate(&cfg);
         let space = SearchSpace::from_spec(&spec, 2, 1.0);
         (spec, space)
-    }
-
-    #[test]
-    fn unit_outcomes_round_trip_through_the_ndjson_protocol() {
-        let (_, space) = small_space();
-        let cfg = DseConfig {
-            mode: SearchMode::Exhaustive,
-            units: 3,
-            ..DseConfig::default()
-        };
-        let units = plan_units(&space, &cfg);
-        let mut eval = Evaluator::new(&space);
-        for (index, unit) in units.iter().enumerate() {
-            let outcome = run_unit(&space, &cfg, unit, &mut eval);
-            let line = dse_unit_ndjson(index, &outcome);
-            assert!(!line.contains('\n'), "NDJSON records must be one line");
-            let record = Json::parse(&line).expect("worker record parses");
-            assert_eq!(record.get("index").and_then(Json::as_usize), Some(index));
-            let mut parent_eval = Evaluator::new(&space);
-            let parsed =
-                dse_unit_from_json(&record, &space, &mut parent_eval).expect("record reassembles");
-            assert_eq!(parsed, outcome);
-        }
-    }
-
-    #[test]
-    fn tampered_records_fail_the_bit_identity_cross_check() {
-        let (_, space) = small_space();
-        let cfg = DseConfig {
-            mode: SearchMode::Exhaustive,
-            units: 1,
-            ..DseConfig::default()
-        };
-        let unit = plan_units(&space, &cfg)[0];
-        let mut eval = Evaluator::new(&space);
-        let outcome = run_unit(&space, &cfg, &unit, &mut eval);
-        let line = dse_unit_ndjson(0, &outcome);
-        // Perturb the first throughput in the record.
-        let tampered = line.replacen("\"th\": 0.", "\"th\": 0.9", 1);
-        assert_ne!(tampered, line, "the perturbation must land");
-        let record = Json::parse(&tampered).expect("still valid JSON");
-        let err = dse_unit_from_json(&record, &space, &mut eval).unwrap_err();
-        assert!(err.contains("mismatched worker binary"), "{err}");
     }
 
     #[test]

@@ -11,17 +11,8 @@
 //! access (no serde); the emitted subset is plain JSON: objects, arrays,
 //! strings with escaping per RFC 8259 (quotes, backslashes and control
 //! characters), integers and finite floats.
-//!
-//! The process-sharding worker protocol (`wp_dist`) reuses the same writer:
-//! a worker emits one [`table_row_ndjson`] record per completed row and the
-//! parent parses them back with [`table_row_from_json`], reassembling
-//! [`TableRow`]s that are field-for-field identical to the ones a
-//! single-process run produces (floats round-trip exactly through Rust's
-//! shortest-representation formatting).
 
 use std::fmt::Write as _;
-
-use wp_dist::Json;
 
 use crate::TableRow;
 
@@ -71,20 +62,12 @@ pub fn bench_report_json(
 }
 
 fn push_row(out: &mut String, row: &TableRow) {
-    out.push('{');
-    push_row_members(out, row);
-    out.push('}');
-}
-
-/// The comma-separated members of one serialised [`TableRow`] (shared by
-/// the report writer and the NDJSON worker records).
-fn push_row_members(out: &mut String, row: &TableRow) {
     let _ = write!(
         out,
-        "\"label\": {}, \"golden_cycles\": {}, \"wp1_cycles\": {}, \
+        "{{\"label\": {}, \"golden_cycles\": {}, \"wp1_cycles\": {}, \
          \"wp2_cycles\": {}, \"th_wp1\": {}, \"th_wp2\": {}, \
          \"th_wp1_predicted\": {}, \"improvement_percent\": {}, \
-         \"proven_n_wp1\": {}, \"proven_n_wp2\": {}",
+         \"proven_n_wp1\": {}, \"proven_n_wp2\": {}}}",
         json_string(&row.label),
         row.golden_cycles,
         row.wp1_cycles,
@@ -96,41 +79,6 @@ fn push_row_members(out: &mut String, row: &TableRow) {
         json_opt_usize(row.proven_n_wp1),
         json_opt_usize(row.proven_n_wp2),
     );
-}
-
-/// One NDJSON worker record for a sharded table experiment: the row's
-/// global submission index, the table it belongs to, and every
-/// [`TableRow`] field.  Single line, no trailing newline.
-pub fn table_row_ndjson(index: usize, table: usize, row: &TableRow) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "{{\"index\": {index}, \"table\": {table}, ");
-    push_row_members(&mut out, row);
-    out.push('}');
-    out
-}
-
-/// Parses a worker record produced by [`table_row_ndjson`] back into its
-/// table number and [`TableRow`].
-///
-/// # Errors
-///
-/// Returns a message naming the missing or ill-typed member.
-pub fn table_row_from_json(record: &Json) -> Result<(usize, TableRow), String> {
-    Ok((
-        record.require_usize("table")?,
-        TableRow {
-            label: record.require_str("label")?.to_string(),
-            golden_cycles: record.require_u64("golden_cycles")?,
-            wp1_cycles: record.require_u64("wp1_cycles")?,
-            wp2_cycles: record.require_u64("wp2_cycles")?,
-            th_wp1: record.require_f64("th_wp1")?,
-            th_wp2: record.require_f64("th_wp2")?,
-            th_wp1_predicted: record.require_f64("th_wp1_predicted")?,
-            improvement_percent: record.require_f64("improvement_percent")?,
-            proven_n_wp1: record.require_nullable_usize("proven_n_wp1")?,
-            proven_n_wp2: record.require_nullable_usize("proven_n_wp2")?,
-        },
-    ))
 }
 
 /// Formats an optional count as a JSON number or `null` (the equivalence
@@ -182,6 +130,7 @@ pub fn json_f64(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wp_dist::Json;
 
     fn row(label: &str) -> TableRow {
         TableRow {
@@ -230,37 +179,8 @@ mod tests {
         assert_eq!(json_f64(f64::NAN), "null");
     }
 
-    /// Labels with every escaping hazard — quotes, backslashes, newlines,
-    /// tabs, raw control characters, non-ASCII — survive the
-    /// writer → NDJSON parser round trip byte-for-byte, and so do the
-    /// floats and the optional proven-N counts.
-    #[test]
-    fn table_rows_round_trip_through_the_ndjson_parser() {
-        let labels = [
-            "plain",
-            "All 1 \"quoted\" (no CU-IC)",
-            "back\\slash",
-            "new\nline and \t tab",
-            "ctrl\u{1}\u{1f}\u{7f}",
-            "caffè ↯ 日本",
-            "",
-        ];
-        for (i, label) in labels.iter().enumerate() {
-            let mut original = row(label);
-            original.th_wp1 = 1.0 / 3.0; // a float with no finite decimal
-            original.proven_n_wp1 = (i % 2 == 0).then_some(i * 37);
-            let line = table_row_ndjson(i, i % 3, &original);
-            assert!(!line.contains('\n'), "NDJSON records must be one line");
-            let record = Json::parse(&line).expect("worker record parses");
-            assert_eq!(record.get("index").and_then(Json::as_usize), Some(i));
-            let (table, parsed) = table_row_from_json(&record).expect("row reassembles");
-            assert_eq!(table, i % 3);
-            assert_eq!(parsed, original, "label {label:?}");
-        }
-    }
-
-    /// The full report document parses with the NDJSON parser too (same
-    /// writer, same escaping), so the rows inside it round-trip as well.
+    /// The full report document parses with `wp_dist::Json`, escaped
+    /// labels and all.
     #[test]
     fn the_report_document_is_parseable_json() {
         let tables = vec![BenchTable {
@@ -284,18 +204,5 @@ mod tests {
             row_json.get("label").and_then(Json::as_str),
             Some("a\"b\\c\nd")
         );
-    }
-
-    #[test]
-    fn malformed_worker_records_name_the_offending_member() {
-        let record = Json::parse(r#"{"table": 0, "label": "x"}"#).unwrap();
-        let err = table_row_from_json(&record).unwrap_err();
-        assert!(err.contains("golden_cycles"), "{err}");
-        let record = Json::parse(r#"{"label": "x"}"#).unwrap();
-        let err = table_row_from_json(&record).unwrap_err();
-        assert!(err.contains("table"), "{err}");
-        let record = Json::parse(r#"{"table": 0, "label": 3}"#).unwrap();
-        let err = table_row_from_json(&record).unwrap_err();
-        assert!(err.contains("label"), "{err}");
     }
 }

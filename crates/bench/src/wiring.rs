@@ -1,4 +1,4 @@
-//! Declarative sweep-feature wiring shared by the sharding binaries.
+//! Declarative sweep-feature wiring shared by the experiment binaries.
 //!
 //! Every experiment binary re-derived the same three conditionals from its
 //! mode flags: tag the scenario for the bit-parallel lane kernel when

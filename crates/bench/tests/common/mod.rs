@@ -1,7 +1,8 @@
-//! Shared by the end-to-end byte-identity pins (`sharded_table1.rs`):
-//! every sharding binary with the arguments it is pinned under, and the
-//! check of a run with extra flags (`--shards 2`, `--workers 1`) against
-//! the reference run.
+//! Shared by the end-to-end byte-identity pins
+//! (`worker_count_independence.rs`): every binary that sweeps rows for a
+//! paper table or figure, with the arguments it is pinned under, and the
+//! check of a run with extra flags (`--workers 1`) against the reference
+//! run.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -13,7 +14,7 @@ const SEED7_SPEC: &str = concat!(
     "/../../examples/generated_seed7.nl"
 );
 
-/// One pinned invocation of a sharding binary.
+/// One pinned invocation of an experiment binary.
 pub struct Case {
     /// The binary, for messages.
     pub name: &'static str,
@@ -26,8 +27,9 @@ pub struct Case {
     pub report: bool,
 }
 
-/// Every sharding binary, each with the arguments of its pin.
-pub const SHARDING_CASES: &[Case] = &[
+/// Every row-sweeping experiment binary, each with the arguments of its
+/// pin.
+pub const CASES: &[Case] = &[
     Case {
         name: "table1",
         exe: env!("CARGO_BIN_EXE_table1"),
@@ -66,14 +68,10 @@ pub const SHARDING_CASES: &[Case] = &[
     },
 ];
 
-/// The `table1` pin, which the table-specific tests extend.
-pub const TABLE1: &Case = &SHARDING_CASES[0];
-
-/// The stdout, stderr and (for a reporting binary) `--json` report of one
+/// The stdout and (for a reporting binary) `--json` report of one
 /// successful run.
 pub struct Run {
     pub stdout: String,
-    pub stderr: String,
     pub report: Option<String>,
 }
 
@@ -103,27 +101,23 @@ impl Case {
         });
         Run {
             stdout: String::from_utf8(output.stdout).expect("utf-8 stdout"),
-            stderr: String::from_utf8(output.stderr).expect("utf-8 stderr"),
             report,
         }
     }
 }
 
-/// Runs every case as is and with `extra` appended, and asserts that both
-/// printed the same non-empty stdout byte for byte and wrote reports that
-/// are identical after `mask`.  Returns the (reference, extra) run pairs,
-/// in case order.
-pub fn assert_every_binary_reproduces(
-    extra: &[&str],
-    tag: &str,
-    mask: fn(&str) -> String,
-) -> Vec<(Run, Run)> {
-    SHARDING_CASES
+/// Runs every case under the default worker count and under `--workers
+/// 1`, and asserts that both printed the same non-empty stdout byte for
+/// byte and wrote reports identical modulo the wall time and the worker
+/// count they record.  Returns the default-worker-count runs, in case
+/// order.
+pub fn assert_every_binary_is_worker_count_independent() -> Vec<Run> {
+    CASES
         .iter()
         .enumerate()
         .map(|(i, case)| {
-            let reference = case.run(&[], &format!("{tag}_ref{i}"));
-            let variant = case.run(extra, &format!("{tag}_{i}"));
+            let reference = case.run(&[], &format!("ref{i}"));
+            let one_worker = case.run(&["--workers", "1"], &format!("w1_{i}"));
             assert!(
                 !reference.stdout.is_empty(),
                 "{} {:?} printed nothing",
@@ -131,62 +125,20 @@ pub fn assert_every_binary_reproduces(
                 case.args
             );
             assert_eq!(
-                reference.stdout, variant.stdout,
-                "{} {:?} {extra:?}: stdout must be byte-identical to the reference run",
+                reference.stdout, one_worker.stdout,
+                "{} {:?} --workers 1: stdout must be byte-identical to the reference run",
                 case.name, case.args
             );
             assert_eq!(
-                reference.report.as_deref().map(mask),
-                variant.report.as_deref().map(mask),
-                "{} {:?} {extra:?}: reports must be identical modulo the masked lines",
+                reference.report.as_deref().map(results_only),
+                one_worker.report.as_deref().map(results_only),
+                "{} {:?} --workers 1: reports must be identical modulo wall time and workers",
                 case.name,
                 case.args
-            );
-            (reference, variant)
-        })
-        .collect()
-}
-
-/// Runs every case in process and with `extra` (a distributed mode), and
-/// asserts that the distributed run really dispatched, printed
-/// byte-identical stdout and wrote a report identical modulo wall time.
-/// Returns the in-process runs, in case order.
-pub fn assert_every_binary_matches_in_process(extra: &[&str], tag: &str) -> Vec<Run> {
-    assert_every_binary_reproduces(extra, tag, without_wall_time)
-        .into_iter()
-        .zip(SHARDING_CASES)
-        .map(|((reference, distributed), case)| {
-            assert!(
-                distributed.stderr.contains("dispatching"),
-                "{} {:?} {extra:?} ran in process:\n{}",
-                case.name,
-                case.args,
-                distributed.stderr
             );
             reference
         })
         .collect()
-}
-
-/// Runs every case under the default worker count and under `--workers
-/// 1`, and asserts that both printed the same stdout byte for byte and
-/// wrote reports identical modulo the wall time and the worker count they
-/// record.  Returns the default-worker-count runs, in case order.
-pub fn assert_every_binary_is_worker_count_independent() -> Vec<Run> {
-    assert_every_binary_reproduces(&["--workers", "1"], "w1", results_only)
-        .into_iter()
-        .map(|(reference, _)| reference)
-        .collect()
-}
-
-/// The report with its wall-clock line dropped (the only field a
-/// distributed run is allowed to differ in).
-pub fn without_wall_time(report: &str) -> String {
-    report
-        .lines()
-        .filter(|line| !line.contains("\"wall_seconds\""))
-        .collect::<Vec<_>>()
-        .join("\n")
 }
 
 /// The report without the lines describing how the run went rather than

@@ -1,8 +1,8 @@
 //! A minimal RFC 8259 JSON value with a hand-rolled parser.
 //!
 //! The workspace builds without registry access, so there is no serde; the
-//! worker protocol instead emits JSON through `wp_bench`'s hand-rolled
-//! writer and parses it back with this module.  The parser accepts the full
+//! bench reports are written by `wp_bench`'s hand-rolled writer and read
+//! back with this module.  The parser accepts the full
 //! RFC 8259 grammar (objects, arrays, strings with every escape including
 //! `\uXXXX` surrogate pairs, numbers, booleans, `null`) so a round-trip
 //! through any compliant writer is lossless for the value shapes the bench
@@ -13,7 +13,7 @@ use std::fmt;
 /// A parsed JSON value.
 ///
 /// Numbers are stored as `f64`: every count in the bench reports (cycles,
-/// proven N, shard indices) is far below 2⁵³, where `f64` is exact.
+/// proven N, metric values) is far below 2⁵³, where `f64` is exact.
 /// Object members keep their source order, so re-serialising a parsed
 /// report preserves field order.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,17 +109,6 @@ impl Json {
         self.as_u64().and_then(|n| usize::try_from(n).ok())
     }
 
-    /// Decodes the null-or-count convention of the worker records:
-    /// `Some(None)` for `null` (the measurement was off), `Some(Some(n))`
-    /// for an exact non-negative integer, `None` for anything else
-    /// (a malformed record).
-    pub fn as_nullable_usize(&self) -> Option<Option<usize>> {
-        match self {
-            Json::Null => Some(None),
-            other => other.as_usize().map(Some),
-        }
-    }
-
     /// The value as a boolean, if it is one.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -139,64 +128,6 @@ impl Json {
             Json::Arr(items) => Some(items),
             _ => None,
         }
-    }
-
-    /// Looks up an object member that must be a count
-    /// ([`Json::as_u64`]); the error names the member, and callers prefix
-    /// the record's identity.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the missing or ill-typed member.
-    pub fn require_u64(&self, key: &str) -> Result<u64, String> {
-        self.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("member '{key}' is missing or not a count"))
-    }
-
-    /// [`Json::require_u64`] narrowed to `usize`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the missing or ill-typed member.
-    pub fn require_usize(&self, key: &str) -> Result<usize, String> {
-        self.get(key)
-            .and_then(Json::as_usize)
-            .ok_or_else(|| format!("member '{key}' is missing or not a count"))
-    }
-
-    /// Looks up an object member that must be a number.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the missing or ill-typed member.
-    pub fn require_f64(&self, key: &str) -> Result<f64, String> {
-        self.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("member '{key}' is missing or not a number"))
-    }
-
-    /// Looks up an object member that must be a string.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the missing or ill-typed member.
-    pub fn require_str(&self, key: &str) -> Result<&str, String> {
-        self.get(key)
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("member '{key}' is missing or not a string"))
-    }
-
-    /// Looks up an object member following the null-or-count convention
-    /// ([`Json::as_nullable_usize`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the missing or ill-typed member.
-    pub fn require_nullable_usize(&self, key: &str) -> Result<Option<usize>, String> {
-        self.get(key)
-            .and_then(Json::as_nullable_usize)
-            .ok_or_else(|| format!("member '{key}' is missing, or not a count or null"))
     }
 }
 

@@ -31,8 +31,8 @@
 //! * [`CostMap`] and [`ParetoPoint`] rank candidates into an
 //!   (area-cost, effective-throughput) Pareto frontier with a
 //!   deterministic total order, so merging partial results is commutative
-//!   and the frontier is byte-identical regardless of worker count, work
-//!   chunking or process sharding.
+//!   and the frontier is byte-identical regardless of worker count or work
+//!   chunking.
 //! * [`search`] drives the whole thing over a deterministic [`WorkUnit`]
 //!   plan: exhaustive enumeration for small spaces (contiguous index
 //!   ranges, each decoded once and then stepped as an odometer), seeded

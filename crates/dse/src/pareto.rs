@@ -38,7 +38,7 @@ impl ParetoPoint {
     /// lexicographically smaller assignment.  Because this is a total
     /// order over distinct candidates, folding any permutation of offers
     /// into a [`CostMap`] yields the same survivor — the property the
-    /// worker-count/shard-count independence tests pin.
+    /// worker-count and unit-count independence tests pin.
     pub fn beats(&self, other: &ParetoPoint) -> bool {
         beats(self.effective, &self.assignment, other)
     }

@@ -16,10 +16,10 @@ pub const DEFAULT_EXHAUSTIVE_LIMIT: u128 = 1 << 21;
 pub const DEFAULT_WALKS: usize = 64;
 /// Default steps per neighborhood walk.
 pub const DEFAULT_STEPS: usize = 2_000;
-/// Default work-unit count of an exhaustive enumeration.  Fixed by the
-/// plan — not by the worker count — so the unit list (and therefore the
-/// sharding protocol's record numbering) is identical no matter how many
-/// threads, processes or hosts split it.
+/// Default work-unit count of an exhaustive enumeration: enough units for
+/// the worker threads to balance their load.  Fixed by the plan — not by
+/// the worker count — so the unit list is identical however many threads
+/// run it.
 pub const DEFAULT_UNITS: usize = 64;
 
 /// How the space is covered.
@@ -80,8 +80,7 @@ impl Default for DseConfig {
 }
 
 /// One deterministic unit of search work.  The plan depends only on the
-/// space and the config — never on the worker count — so every process of
-/// a sharded run agrees on the unit numbering.
+/// space and the config — never on the worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkUnit {
     /// Score the flat-index range `lo..hi` of the exhaustive enumeration.
@@ -143,7 +142,9 @@ fn resolve_mode(space: &SearchSpace, mode: SearchMode) -> SearchMode {
 
 /// Plans the deterministic work-unit list of a search: contiguous
 /// flat-index ranges for an exhaustive run (at most `cfg.units`, never
-/// empty ones), one unit per walk for a neighborhood run.
+/// empty ones), one unit per walk for a neighborhood run.  [`search`]
+/// runs the plan on a thread pool ([`run_units`]); callers that time the
+/// stages separately call the three steps themselves.
 pub fn plan_units(space: &SearchSpace, cfg: &DseConfig) -> Vec<WorkUnit> {
     match resolve_mode(space, cfg.mode) {
         SearchMode::Exhaustive => {

@@ -7,7 +7,7 @@
 //! independent O(N²) dominance check, then asserts [`wp_dse::search`]
 //! returns exactly that frontier — points, tie-breaks and order included.
 //! The determinism tests pin the worker-count, unit-count and seed
-//! contracts the sharded pipeline relies on.
+//! contracts: the frontier never depends on how the work is split.
 
 use wp_dse::{search, DseConfig, Evaluator, SearchMode, SearchSpace};
 use wp_gen::{generate, GenConfig};

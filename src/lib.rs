@@ -25,8 +25,8 @@
 //! * [`floorplan`] (`wp_floorplan`) — placement, wire delay and
 //!   relay-station budgeting;
 //! * [`area`] (`wp_area`) — wrapper area overhead model;
-//! * [`dist`] (`wp_dist`) — process-level shard planner, NDJSON worker
-//!   protocol and result merger for sharded sweeps.
+//! * [`dist`] (`wp_dist`) — the JSON value type the bench reports are
+//!   read back with.
 //!
 //! See the `examples/` directory for runnable entry points and the
 //! `wp-bench` crate for the experiment harness that regenerates every table
