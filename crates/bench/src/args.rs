@@ -30,8 +30,10 @@
 //!
 //! Every binary declares the flags it accepts ([`accept_flags`]); any
 //! other `--flag` — a typo, or a flag that no longer exists — is an
-//! [`ArgError::UnknownFlag`].  The binaries' own flags are parsed in
-//! [`crate::cli`].
+//! [`ArgError::UnknownFlag`], and any other token — a positional argument
+//! no binary reads — is an [`ArgError::UnexpectedArgument`].  `table1`'s
+//! program, its one positional, is taken out first ([`split_flags`]).  The
+//! binaries' own flags are parsed in [`crate::cli`].
 //!
 //! Both the `--flag value` and the `--flag=value` spellings are accepted.
 //! Parsing returns [`ArgError`] instead of exiting, so it is unit-testable;
@@ -69,6 +71,11 @@ pub enum ArgError {
         /// The flag's name, without an `=value` part.
         flag: String,
     },
+    /// A token that is neither a declared flag nor a flag's value.
+    UnexpectedArgument {
+        /// The token as given.
+        arg: String,
+    },
 }
 
 impl fmt::Display for ArgError {
@@ -81,6 +88,7 @@ impl fmt::Display for ArgError {
                 expected,
             } => write!(f, "{flag} expects {expected}, got '{value}'"),
             ArgError::UnknownFlag { flag } => write!(f, "unknown flag {flag}"),
+            ArgError::UnexpectedArgument { arg } => write!(f, "unexpected argument '{arg}'"),
         }
     }
 }
@@ -149,21 +157,42 @@ pub fn flag_value(args: &[String], name: &str) -> Result<Option<String>, ArgErro
     Ok(None)
 }
 
-/// Checks that every `--flag` token of `args` is one the binary declares.
+/// Checks that every token of `args` is a flag the binary declares or the
+/// value of one.
 ///
 /// `declared` lists the accepted flags in groups (say, [`SweepArgs::FLAGS`]
 /// and the binary's own).  A flag spelled with a trailing `=`
 /// (`"--json="`) takes a value, in either spelling; the token after its
 /// bare spelling is its value unless it is itself a `--flag` (then
 /// [`flag_value`] reports the value missing).  A flag without the `=`
-/// (`"--quick"`) is a switch.  Tokens without the `--` prefix —
-/// positional arguments, values such as `-1` — are left to the parser.
+/// (`"--quick"`) is a switch.
 ///
 /// # Errors
 ///
-/// Returns [`ArgError::UnknownFlag`] for the first undeclared flag, and
-/// [`ArgError::InvalidValue`] for a switch given a value (`--quick=yes`).
+/// Returns [`ArgError::UnknownFlag`] for the first undeclared flag,
+/// [`ArgError::InvalidValue`] for a switch given a value (`--quick=yes`)
+/// and [`ArgError::UnexpectedArgument`] for the first positional token.
 pub fn accept_flags(args: &[String], declared: &[&[&str]]) -> Result<(), ArgError> {
+    match split_flags(args, declared)?.first() {
+        Some(arg) => Err(ArgError::UnexpectedArgument {
+            arg: (*arg).clone(),
+        }),
+        None => Ok(()),
+    }
+}
+
+/// Checks every `--flag` token of `args` like [`accept_flags`], and returns
+/// the positional tokens — those that are neither a flag nor a flag's
+/// value — in order, for a binary that reads one.
+///
+/// # Errors
+///
+/// Returns [`ArgError::UnknownFlag`] or [`ArgError::InvalidValue`] as
+/// [`accept_flags`] does.
+pub(crate) fn split_flags<'a>(
+    args: &'a [String],
+    declared: &[&[&str]],
+) -> Result<Vec<&'a String>, ArgError> {
     let takes_value = |name: &str| {
         declared
             .iter()
@@ -173,9 +202,11 @@ pub fn accept_flags(args: &[String], declared: &[&[&str]]) -> Result<(), ArgErro
                 None => (*flag == name).then_some(false),
             })
     };
+    let mut positionals = Vec::new();
     let mut tokens = args.iter().peekable();
     while let Some(token) = tokens.next() {
         if !token.starts_with("--") {
+            positionals.push(token);
             continue;
         }
         let (name, value) = match token.split_once('=') {
@@ -201,7 +232,7 @@ pub fn accept_flags(args: &[String], declared: &[&[&str]]) -> Result<(), ArgErro
             _ => {}
         }
     }
-    Ok(())
+    Ok(positionals)
 }
 
 /// The `--lanes` modes: whether the experiment binaries tag their sweep
@@ -576,13 +607,48 @@ mod tests {
         let declared: &[&[&str]] = &[SweepArgs::FLAGS, &["--json=", "--quick"]];
         for args in [
             &["--quick", "--workers", "2", "--json=out.json"][..],
-            &["sort", "--lanes=off", "--json", "x.json", "--oracle", "on"],
             &["--workers", "-1"],
             &["--json", "--quick"],
             &[],
         ] {
             assert_eq!(accept_flags(&strings(args), declared), Ok(()), "{args:?}");
         }
+        // `split_flags` hands the positionals to a binary that reads them.
+        let args = strings(&[
+            "sort",
+            "--lanes=off",
+            "--json",
+            "x.json",
+            "x",
+            "--oracle",
+            "on",
+        ]);
+        let positionals = split_flags(&args, declared).expect("declared");
+        assert_eq!(positionals, [&args[0], &args[4]]);
+    }
+
+    /// A token that is neither a declared flag nor a flag's value is an
+    /// error, named as given; a flag's value never is.
+    #[test]
+    fn stray_positionals_are_unexpected_arguments() {
+        let declared: &[&[&str]] = &[SweepArgs::FLAGS, &["--json=", "--quick"]];
+        for (args, stray) in [
+            (&["sort", "--quick"][..], "sort"),
+            (&["--quick", "sort"], "sort"),
+            (&["--json", "x.json", "y.json"], "y.json"),
+            (&["--quick", "-1"], "-1"),
+            (&["-"], "-"),
+        ] {
+            assert_eq!(
+                accept_flags(&strings(args), declared),
+                Err(ArgError::UnexpectedArgument {
+                    arg: stray.to_string()
+                }),
+                "{args:?}"
+            );
+        }
+        let err = accept_flags(&strings(&["sort"]), declared).unwrap_err();
+        assert_eq!(err.to_string(), "unexpected argument 'sort'");
     }
 
     #[test]

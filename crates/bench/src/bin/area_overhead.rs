@@ -8,7 +8,8 @@ use wp_area::{
 };
 
 fn main() {
-    // No flags: any `--flag` is an argument error, not silently ignored.
+    // No arguments: any flag or positional is an argument error, not
+    // silently ignored.
     let args: Vec<String> = std::env::args().skip(1).collect();
     wp_bench::accept_flags(&args, &[]).unwrap_or_else(|e| e.exit());
     let lib = CellLibrary::default();

@@ -9,7 +9,8 @@ use wp_floorplan::{anneal, AnnealConfig, Block, Floorplan, WireModel};
 use wp_proc::{build_soc, run_golden_soc, run_wp_soc, Link, Organization, RsConfig};
 
 fn main() {
-    // No flags: any `--flag` is an argument error, not silently ignored.
+    // No arguments: any flag or positional is an argument error, not
+    // silently ignored.
     let args: Vec<String> = std::env::args().skip(1).collect();
     wp_bench::accept_flags(&args, &[]).unwrap_or_else(|e| e.exit());
     let workload = sort_workload();

@@ -12,7 +12,7 @@ use wp_dse::{SearchMode, DEFAULT_EXHAUSTIVE_LIMIT, DEFAULT_STEPS, DEFAULT_UNITS,
 use wp_gen::GenConfig;
 use wp_spec::MAX_RELAY_STATIONS;
 
-use crate::args::{accept_flags, flag_value, ArgError, SweepArgs};
+use crate::args::{accept_flags, flag_value, split_flags, ArgError, SweepArgs};
 
 /// Whether the switch `name` is present.
 fn switch(args: &[String], name: &str) -> bool {
@@ -69,18 +69,26 @@ impl Table1Args {
     pub const FLAGS: &'static [&'static str] = &["--program=", "--json=", "--quick", "--verify"];
 
     /// Parses `table1`'s argument list.  The program may also be given as
-    /// the first, positional argument.
+    /// one positional argument, in any position, instead of `--program`.
     ///
     /// # Errors
     ///
     /// Returns [`ArgError`] on an undeclared flag, a malformed or missing
-    /// value, or an unknown program.
+    /// value, an unknown program, or a positional argument beyond the one
+    /// program.
     pub fn from_args(args: &[String]) -> Result<Self, ArgError> {
-        accept_flags(args, &[SweepArgs::FLAGS, Self::FLAGS])?;
+        let mut positionals = split_flags(args, &[SweepArgs::FLAGS, Self::FLAGS])?.into_iter();
+        let flag = flag_value(args, "--program")?;
+        let positional = if flag.is_none() {
+            positionals.next().cloned()
+        } else {
+            None
+        };
+        if let Some(arg) = positionals.next() {
+            return Err(ArgError::UnexpectedArgument { arg: arg.clone() });
+        }
         let quick = switch(args, "--quick");
-        let program = flag_value(args, "--program")?
-            .or_else(|| args.first().cloned().filter(|a| !a.starts_with("--")))
-            .unwrap_or_else(|| "both".to_string());
+        let program = flag.or(positional).unwrap_or_else(|| "both".to_string());
         if !matches!(program.as_str(), "sort" | "matmul" | "both") {
             return Err(ArgError::InvalidValue {
                 flag: "--program".to_string(),

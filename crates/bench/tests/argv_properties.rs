@@ -2,7 +2,8 @@
 //! argument vectors fed through `flag_value`, `SweepArgs` and every
 //! binary's parser (`wp_bench::cli`) yield `Ok` or an `ArgError`, and a
 //! parser whose argument list starts with an undeclared flag names that
-//! flag.
+//! flag.  A positional argument is read only by `table1`, once, as its
+//! program; every other parser names a stray one.
 
 use proptest::prelude::*;
 use wp_bench::cli::{
@@ -209,6 +210,55 @@ proptest! {
                     flag: UNDECLARED[flag].to_string()
                 }
             );
+        }
+    }
+
+    // `table1` takes its program as one positional in any position; a
+    // second positional is named as unexpected, whichever comes second.
+    #[test]
+    fn table1_reads_one_positional_program_anywhere(at in 0usize..5, again in 0usize..6) {
+        let mut argv: Vec<String> = ["--quick", "--verify", "--workers=2", "--lanes=off"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        argv.insert(at, "sort".to_string());
+        let args = Table1Args::from_args(&argv).expect("one positional program");
+        prop_assert_eq!(args.program.as_str(), "sort");
+        prop_assert!(args.quick && args.verify);
+        argv.insert(again, "matmul".to_string());
+        let stray = if again <= at { "sort" } else { "matmul" };
+        prop_assert_eq!(
+            Table1Args::from_args(&argv).unwrap_err(),
+            ArgError::UnexpectedArgument { arg: stray.to_string() }
+        );
+    }
+
+    // Every other parser names a positional token at either end of its
+    // own valid command line.
+    #[test]
+    fn a_stray_positional_is_named_by_every_other_parser(
+        stray in "[a-z0-9.:/]{1,8}",
+        front in any::<bool>(),
+    ) {
+        let with_stray = |valid: &[&str]| {
+            let mut argv: Vec<String> = valid.iter().map(|s| s.to_string()).collect();
+            if front {
+                argv.insert(0, stray.clone());
+            } else {
+                argv.push(stray.clone());
+            }
+            argv
+        };
+        let errors = [
+            SweepArgs::only(&with_stray(&["--workers", "2"])).err(),
+            AblationArgs::from_args(&with_stray(VALID[2])).err(),
+            DseArgs::from_args(&with_stray(VALID[4])).err(),
+            NetlistRunArgs::from_args(&with_stray(VALID[5])).err(),
+            BenchArgs::from_args(&with_stray(VALID[6])).err(),
+            BenchCompareArgs::from_args(&with_stray(VALID[7])).err(),
+        ];
+        for error in errors {
+            prop_assert_eq!(error, Some(ArgError::UnexpectedArgument { arg: stray.clone() }));
         }
     }
 }

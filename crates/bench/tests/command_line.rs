@@ -1,7 +1,8 @@
 //! The command line of every binary: a flag the binary does not declare —
 //! a typo, or one of the retired process-sharding flags (`--shards`,
-//! `--shard`, `--shard-range`, `--emit-ndjson`, `--hosts`) — and a
-//! mistyped `table1` program are argument errors.  Each exits with status
+//! `--shard`, `--shard-range`, `--emit-ndjson`, `--hosts`) —, a positional
+//! argument no binary reads and a mistyped `table1` program are argument
+//! errors.  Each exits with status
 //! 2, names the problem on stderr, prints nothing and writes nothing,
 //! instead of running with silent defaults.
 
@@ -109,4 +110,51 @@ fn an_unknown_program_is_rejected_without_writing_a_report() {
     let written: Vec<_> = std::fs::read_dir(&cwd).expect("temp cwd").collect();
     let _ = std::fs::remove_dir_all(&cwd);
     assert!(written.is_empty(), "table1 wrote {written:?}");
+}
+
+/// A positional argument is an argument error in every binary but
+/// `table1`, which reads one as its program.
+#[test]
+fn a_stray_positional_exits_2_in_every_other_binary() {
+    let cwd = empty_dir("stray");
+    for &(name, exe) in BINARIES.iter().filter(|(name, _)| *name != "table1") {
+        assert_argument_error(name, exe, &["stray"], &cwd, "unexpected argument 'stray'");
+    }
+    let table1 = env!("CARGO_BIN_EXE_table1");
+    let args = ["sort", "--quick", "matmul"];
+    assert_argument_error(
+        "table1",
+        table1,
+        &args,
+        &cwd,
+        "unexpected argument 'matmul'",
+    );
+    let written: Vec<_> = std::fs::read_dir(&cwd).expect("temp cwd").collect();
+    let _ = std::fs::remove_dir_all(&cwd);
+    assert!(written.is_empty(), "a rejected run wrote {written:?}");
+}
+
+/// `table1 --quick sort` runs only the sort table: the positional program
+/// is read wherever it stands, not only as the first argument.
+#[test]
+fn a_trailing_positional_program_selects_the_table() {
+    let cwd = empty_dir("sort");
+    let output = Command::new(env!("CARGO_BIN_EXE_table1"))
+        .args(["--quick", "sort"])
+        .current_dir(&cwd)
+        .output()
+        .expect("the binary runs");
+    let _ = std::fs::remove_dir_all(&cwd);
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let captions: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.starts_with("Table 1"))
+        .collect();
+    assert_eq!(captions.len(), 1, "{stdout}");
+    assert!(captions[0].contains("Extraction Sort"), "{stdout}");
 }

@@ -7,24 +7,20 @@
 //! τ-filtered realisations are prefix-compatible for as long as both are
 //! observed.
 //!
-//! The functions in this module implement those definitions on recorded
-//! traces and are used by every experiment in the workspace to prove that
-//! wrapping and wire pipelining preserved functionality.  Two checkers are
-//! provided:
-//!
-//! * [`check_equivalence`] compares fully recorded [`ChannelTrace`]s after
-//!   the fact (simple, but retains and re-materialises both realisations);
-//! * [`StreamingEquivalence`] consumes the two token streams *as they are
-//!   produced* and maintains per-channel verdicts incrementally, so
-//!   golden-vs-pipelined equivalence can be checked in extra memory bounded
-//!   by the lag between the two systems — independent of the trace length —
-//!   without retaining either realisation.
+//! One algorithm implements those definitions and is used by every
+//! experiment in the workspace to prove that wrapping and wire pipelining
+//! preserved functionality: [`StreamingEquivalence`] consumes the two
+//! τ-filtered value streams *as they are produced* and maintains
+//! per-channel verdicts incrementally, so golden-vs-pipelined equivalence
+//! can be checked in extra memory bounded by the lag between the two
+//! systems — independent of the trace length — without retaining either
+//! realisation.  [`check_equivalence`] is the same checker applied to two
+//! finished recordings ([`TraceArena`]s).
 
 use std::collections::VecDeque;
 use std::fmt;
 
-use crate::token::Token;
-use crate::trace::ChannelTrace;
+use crate::trace::TraceArena;
 
 /// The verdict of comparing one pair of channel realisations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,72 +126,48 @@ impl fmt::Display for EquivalenceReport {
     }
 }
 
-/// Checks whether two τ-filtered value sequences agree on their first `n`
-/// elements (the paper's N-equivalence restricted to a single channel).
+/// Checks two recorded systems for equivalence by streaming every
+/// channel's τ-filtered values through a [`StreamingEquivalence`].
 ///
-/// Returns `false` when either sequence is shorter than `n`.
-pub fn n_equivalent<V: PartialEq>(reference: &[V], candidate: &[V], n: usize) -> bool {
-    if reference.len() < n || candidate.len() < n {
-        return false;
-    }
-    reference[..n] == candidate[..n]
-}
-
-/// Compares one pair of τ-filtered sequences on their common prefix.
-pub fn compare_filtered<V: PartialEq>(reference: &[V], candidate: &[V]) -> ChannelVerdict {
-    let compared = reference.len().min(candidate.len());
-    for i in 0..compared {
-        if reference[i] != candidate[i] {
-            return ChannelVerdict::Mismatch { position: i };
-        }
-    }
-    ChannelVerdict::Match { compared }
-}
-
-/// Checks a set of paired channel traces for equivalence.
-///
-/// The traces are paired by position; the names of the reference traces are
-/// used in the report.  A channel present in one system but not the other
-/// (a reference/candidate count mismatch) produces a
+/// Channels are paired by position; the names of the reference channels
+/// are used in the report.  A channel present in one system but not the
+/// other (a reference/candidate count mismatch) produces a
 /// [`ChannelVerdict::Unpaired`] entry, so the report comes back
 /// non-equivalent instead of silently comparing only the channels that
 /// happened to line up.
 ///
-/// Accepts anything that dereferences to a slice of traces (`&[_]`, arrays,
-/// `Vec`s — in particular the materialised traces returned by the
-/// simulators).
-///
 /// # Examples
 ///
 /// ```
-/// use wp_core::{check_equivalence, ChannelTrace, Token};
+/// use wp_core::{check_equivalence, Token, TraceArena};
 ///
-/// let mut golden = ChannelTrace::new("out");
-/// let mut pipelined = ChannelTrace::new("out");
+/// let mut golden = TraceArena::new(["out"]);
+/// let mut pipelined = TraceArena::new(["out"]);
 /// for v in 0..4u32 {
-///     golden.record(Token::Valid(v));
-///     pipelined.record(Token::Void);       // latency differs ...
-///     pipelined.record(Token::Valid(v));   // ... but values agree
+///     golden.record(0, Token::Valid(v));
+///     pipelined.record(0, Token::Void);       // latency differs ...
+///     pipelined.record(0, Token::Valid(v));   // ... but values agree
 /// }
-/// let report = check_equivalence(&[golden], &[pipelined]);
+/// let report = check_equivalence(&golden, &pipelined);
 /// assert!(report.is_equivalent());
 /// assert_eq!(report.proven_n(), 4);
 /// ```
 pub fn check_equivalence<V: Clone + PartialEq>(
-    reference: impl AsRef<[ChannelTrace<V>]>,
-    candidate: impl AsRef<[ChannelTrace<V>]>,
+    reference: &TraceArena<V>,
+    candidate: &TraceArena<V>,
 ) -> EquivalenceReport {
-    let (reference, candidate) = (reference.as_ref(), candidate.as_ref());
-    let paired = reference.len().min(candidate.len());
-    let mut entries = Vec::with_capacity(reference.len().max(candidate.len()));
-    for (r, c) in reference.iter().zip(candidate.iter()) {
-        let verdict = compare_filtered(&r.filtered(), &c.filtered());
-        entries.push((r.name().to_string(), verdict));
+    let mut checker =
+        StreamingEquivalence::pair(reference.channel_names(), candidate.channel_names());
+    // Values beyond the shorter stream of a channel can never be compared,
+    // so pushing the zipped pairs yields the same verdicts as pushing
+    // everything, without buffering the longer side's tail.
+    for (ch, (r, c)) in reference.iter().zip(candidate.iter()).enumerate() {
+        for (rv, cv) in r.values().zip(c.values()) {
+            checker.push_reference(ch, rv.clone());
+            checker.push_candidate(ch, cv.clone());
+        }
     }
-    for extra in reference[paired..].iter().chain(&candidate[paired..]) {
-        entries.push((extra.name().to_string(), ChannelVerdict::Unpaired));
-    }
-    EquivalenceReport { entries }
+    checker.report()
 }
 
 /// Which side of a streaming comparison currently leads on a channel.
@@ -222,7 +194,6 @@ struct StreamChannel<V> {
 
 /// Streaming (incremental) equivalence checker.
 ///
-/// Where [`check_equivalence`] needs both realisations fully recorded,
 /// `StreamingEquivalence` consumes the two τ-filtered value streams *as the
 /// tokens are produced* — in any interleaving — and maintains per-channel
 /// verdicts on the fly.  Per channel it keeps only the values one side has
@@ -231,8 +202,7 @@ struct StreamChannel<V> {
 /// trace length: a billion-cycle golden-vs-pipelined comparison runs in the
 /// same few buffered tokens as a ten-cycle one.
 ///
-/// Channels are paired by position, like [`check_equivalence`]; channels
-/// present on only one side are reported [`ChannelVerdict::Unpaired`] and
+/// Channels are paired by position; channels present on only one side are reported [`ChannelVerdict::Unpaired`] and
 /// values pushed to them are ignored (they can never be compared).
 ///
 /// # Examples
@@ -281,8 +251,7 @@ impl<V: PartialEq> StreamingEquivalence<V> {
     /// Creates a checker pairing the reference and candidate channel lists
     /// by position.  Channels beyond the shorter list become
     /// [`ChannelVerdict::Unpaired`] entries of the report (making it
-    /// non-equivalent), mirroring the [`check_equivalence`] count-mismatch
-    /// behaviour.
+    /// non-equivalent).
     pub fn pair<I1, S1, I2, S2>(reference: I1, candidate: I2) -> Self
     where
         I1: IntoIterator<Item = S1>,
@@ -347,28 +316,6 @@ impl<V: PartialEq> StreamingEquivalence<V> {
         }
     }
 
-    /// Feeds a per-cycle token of the reference realisation (τ symbols are
-    /// skipped, valid payloads cloned into the stream).
-    pub fn record_reference(&mut self, channel: usize, token: &Token<V>)
-    where
-        V: Clone,
-    {
-        if let Token::Valid(v) = token {
-            self.push_reference(channel, v.clone());
-        }
-    }
-
-    /// Feeds a per-cycle token of the candidate realisation (τ symbols are
-    /// skipped, valid payloads cloned into the stream).
-    pub fn record_candidate(&mut self, channel: usize, token: &Token<V>)
-    where
-        V: Clone,
-    {
-        if let Token::Valid(v) = token {
-            self.push_candidate(channel, v.clone());
-        }
-    }
-
     /// The largest number of candidate values buffered ahead of the
     /// reference on any channel.  A driver can use this as back-pressure:
     /// while it is non-zero, advancing the reference system shrinks it.
@@ -428,48 +375,48 @@ mod tests {
     use super::*;
     use crate::token::Token;
 
-    fn trace(name: &str, values: &[Option<u32>]) -> ChannelTrace<u32> {
-        let mut t = ChannelTrace::new(name);
-        for v in values {
-            t.record(v.map_or(Token::Void, Token::Valid));
+    /// One arena recording the given channels; `None` records τ.
+    fn arena(channels: &[(&str, &[Option<u32>])]) -> TraceArena<u32> {
+        let mut arena = TraceArena::new(channels.iter().map(|(name, _)| *name));
+        for (ch, (_, values)) in channels.iter().enumerate() {
+            for v in *values {
+                arena.record(ch, v.map_or(Token::Void, Token::Valid));
+            }
         }
-        t
+        arena
     }
 
     #[test]
-    fn identical_sequences_are_n_equivalent() {
-        assert!(n_equivalent(&[1, 2, 3], &[1, 2, 3], 3));
-        assert!(n_equivalent(&[1, 2, 3, 4], &[1, 2, 3], 3));
-        assert!(!n_equivalent(&[1, 2], &[1, 2], 3));
-        assert!(!n_equivalent(&[1, 2, 9], &[1, 2, 3], 3));
-    }
-
-    #[test]
-    fn compare_filtered_finds_first_mismatch() {
+    fn first_mismatch_position_and_compared_prefix() {
+        let report = check_equivalence(
+            &arena(&[("a", &[Some(1), Some(2), Some(3)])]),
+            &arena(&[("a", &[Some(1), Some(9), Some(3)])]),
+        );
         assert_eq!(
-            compare_filtered(&[1, 2, 3], &[1, 9, 3]),
+            report.entries()[0].1,
             ChannelVerdict::Mismatch { position: 1 }
         );
-        assert_eq!(
-            compare_filtered(&[1, 2], &[1, 2, 3]),
-            ChannelVerdict::Match { compared: 2 }
+        let report = check_equivalence(
+            &arena(&[("a", &[Some(1), Some(2)])]),
+            &arena(&[("a", &[Some(1), Some(2), Some(3)])]),
         );
+        assert_eq!(report.entries()[0].1, ChannelVerdict::Match { compared: 2 });
     }
 
     #[test]
     fn void_symbols_do_not_affect_equivalence() {
-        let golden = trace("a", &[Some(1), Some(2), Some(3)]);
-        let wp = trace("a", &[None, Some(1), None, None, Some(2), Some(3), None]);
-        let report = check_equivalence(&[golden], &[wp]);
+        let golden = arena(&[("a", &[Some(1), Some(2), Some(3)])]);
+        let wp = arena(&[("a", &[None, Some(1), None, None, Some(2), Some(3), None])]);
+        let report = check_equivalence(&golden, &wp);
         assert!(report.is_equivalent());
         assert_eq!(report.proven_n(), 3);
     }
 
     #[test]
     fn value_mismatch_is_detected_and_named() {
-        let golden = trace("data", &[Some(1), Some(2)]);
-        let wp = trace("data", &[Some(1), Some(7)]);
-        let report = check_equivalence(&[golden], &[wp]);
+        let golden = arena(&[("data", &[Some(1), Some(2)])]);
+        let wp = arena(&[("data", &[Some(1), Some(7)])]);
+        let report = check_equivalence(&golden, &wp);
         assert!(!report.is_equivalent());
         assert_eq!(report.proven_n(), 0);
         assert_eq!(report.mismatched_channels(), vec!["data"]);
@@ -478,11 +425,12 @@ mod tests {
 
     #[test]
     fn proven_n_is_minimum_over_channels() {
-        let g1 = trace("a", &[Some(1), Some(2), Some(3)]);
-        let g2 = trace("b", &[Some(9), Some(8)]);
-        let c1 = trace("a", &[Some(1), Some(2), Some(3)]);
-        let c2 = trace("b", &[Some(9)]);
-        let report = check_equivalence(&[g1, g2], &[c1, c2]);
+        let golden = arena(&[
+            ("a", &[Some(1), Some(2), Some(3)]),
+            ("b", &[Some(9), Some(8)]),
+        ]);
+        let candidate = arena(&[("a", &[Some(1), Some(2), Some(3)]), ("b", &[Some(9)])]);
+        let report = check_equivalence(&golden, &candidate);
         assert!(report.is_equivalent());
         assert_eq!(report.proven_n(), 1);
         assert!(format!("{report}").contains("N = 1"));
@@ -493,11 +441,10 @@ mod tests {
     /// channels happened to line up.
     #[test]
     fn channel_count_mismatch_is_not_equivalent() {
-        let g1 = trace("a", &[Some(1), Some(2)]);
-        let g2 = trace("b", &[Some(3)]);
-        let c1 = trace("a", &[Some(1), Some(2)]);
+        let golden = arena(&[("a", &[Some(1), Some(2)]), ("b", &[Some(3)])]);
         // Candidate is missing channel "b" entirely.
-        let report = check_equivalence(&[g1.clone(), g2], std::slice::from_ref(&c1));
+        let candidate = arena(&[("a", &[Some(1), Some(2)])]);
+        let report = check_equivalence(&golden, &candidate);
         assert!(!report.is_equivalent());
         assert_eq!(report.proven_n(), 0);
         assert_eq!(report.entries().len(), 2);
@@ -506,15 +453,16 @@ mod tests {
         assert!(format!("{report}").contains("NOT equivalent"));
 
         // The mirror case: the candidate has a channel the reference lacks.
-        let c2 = trace("extra", &[Some(9)]);
-        let report = check_equivalence(&[g1], &[c1, c2]);
+        let golden = arena(&[("a", &[Some(1), Some(2)])]);
+        let candidate = arena(&[("a", &[Some(1), Some(2)]), ("extra", &[Some(9)])]);
+        let report = check_equivalence(&golden, &candidate);
         assert!(!report.is_equivalent());
         assert_eq!(report.mismatched_channels(), vec!["extra"]);
     }
 
     #[test]
     fn empty_report_is_vacuous_and_displays_distinctly() {
-        let report = check_equivalence(&[] as &[ChannelTrace<u32>], &[]);
+        let report = check_equivalence(&arena(&[]), &arena(&[]));
         assert!(report.is_vacuous());
         assert!(report.is_equivalent(), "vacuous truth is still truth");
         assert_eq!(report.proven_n(), 0);
@@ -523,14 +471,15 @@ mod tests {
             "vacuously equivalent (no channels compared)"
         );
 
-        let nonempty = check_equivalence(&[trace("a", &[Some(1)])], &[trace("a", &[Some(1)])]);
+        let one = arena(&[("a", &[Some(1)])]);
+        let nonempty = check_equivalence(&one, &one);
         assert!(!nonempty.is_vacuous());
         assert_eq!(format!("{nonempty}"), "equivalent (proven N = 1)");
     }
 
     /// The verdict must not depend on *how* the two streams interleave:
     /// lockstep, reference-first-in-bulk and candidate-first-in-bulk all
-    /// see the same sequences, so they must agree with the batch checker.
+    /// see the same sequences, so they must reach the same verdict.
     #[test]
     fn streaming_is_interleaving_independent() {
         let golden = [vec![1u32, 2, 3, 4], vec![9, 8, 7]];
@@ -628,15 +577,5 @@ mod tests {
             ("c".to_string(), ChannelVerdict::Unpaired)
         );
         assert_eq!(report.proven_n(), 0);
-    }
-
-    #[test]
-    fn streaming_record_skips_void_tokens() {
-        let mut eq = StreamingEquivalence::new(["ch"]);
-        eq.record_reference(0, &Token::Valid(4u32));
-        eq.record_candidate(0, &Token::Void);
-        eq.record_candidate(0, &Token::Valid(4));
-        assert!(eq.is_equivalent());
-        assert_eq!(eq.proven_n(), 1);
     }
 }

@@ -19,10 +19,10 @@
 //! * [`BoundedFifo`] — the finite input queues of the shells;
 //! * [`Shell`] — the wrapper itself, in the strict (WP1) or oracle (WP2)
 //!   flavour selected by [`SyncPolicy`];
-//! * [`ChannelTrace`] / [`TraceArena`] and [`check_equivalence`] /
-//!   [`StreamingEquivalence`] — the recording (standalone or arena-backed)
-//!   and the N-equivalence checks (batch or streaming) used to prove that
-//!   wrapping preserved functionality.
+//! * [`TraceArena`] and [`StreamingEquivalence`] — the channel recorder
+//!   and the one N-equivalence checker used to prove that wrapping
+//!   preserved functionality ([`check_equivalence`] runs the checker over
+//!   two finished recordings).
 //!
 //! Higher-level crates assemble these pieces into full systems:
 //! `wp-netlist` (graph analysis and the m/(m+n) loop-throughput law),
@@ -78,15 +78,12 @@ mod trace;
 pub use control::{
     relay_station_control, shell_fire_control, shell_release_control, ControlWord, RelayControl,
 };
-pub use equivalence::{
-    check_equivalence, compare_filtered, n_equivalent, ChannelVerdict, EquivalenceReport,
-    StreamingEquivalence,
-};
+pub use equivalence::{check_equivalence, ChannelVerdict, EquivalenceReport, StreamingEquivalence};
 pub use error::ProtocolError;
 pub use fifo::BoundedFifo;
 pub use port::{Iter as PortSetIter, PortSet, MAX_PORTS};
 pub use process::{collect_outputs, Process, RecordingSink, SequenceSource};
 pub use relay::{RelayChain, RelayStation};
 pub use shell::{Shell, ShellConfig, ShellStats, StallCause, SyncPolicy};
-pub use token::{Event, Token};
-pub use trace::{ChannelTrace, TraceArena, TraceEntry, TraceRef};
+pub use token::Token;
+pub use trace::{TraceArena, TraceEntry, TraceRef};

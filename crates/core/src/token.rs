@@ -103,33 +103,6 @@ impl<V: fmt::Display> fmt::Display for Token<V> {
     }
 }
 
-/// An event of the formal model: a payload together with its tag.
-///
-/// Tags are clock ticks of the *original* (un-pipelined) system; equivalently
-/// the index of the producer firing that generated the value.  Events are not
-/// transported on wires (only validity bits are, see the module docs); they
-/// are used by the equivalence checker and by tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Event<V> {
-    /// The informative payload.
-    pub value: V,
-    /// The tag (firing index in the original system) of the payload.
-    pub tag: u64,
-}
-
-impl<V> Event<V> {
-    /// Creates an event from a payload and its tag.
-    pub fn new(value: V, tag: u64) -> Self {
-        Self { value, tag }
-    }
-}
-
-impl<V: fmt::Display> fmt::Display for Event<V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "({}, t{})", self.value, self.tag)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,11 +156,5 @@ mod tests {
     fn display_uses_tau_for_void() {
         assert_eq!(format!("{}", Token::<u32>::Void), "τ");
         assert_eq!(format!("{}", Token::Valid(9u32)), "9");
-    }
-
-    #[test]
-    fn event_display_includes_tag() {
-        let e = Event::new(4u32, 7);
-        assert_eq!(format!("{e}"), "(4, t7)");
     }
 }

@@ -2,133 +2,21 @@
 //!
 //! A *realisation* of a channel over a time interval is the sequence of
 //! tokens observed on it, void symbols included — exactly the
-//! `(v1,t1), τ, τ, (v2,t2), …` sequences of the paper.  Two recorders
-//! implement that model:
+//! `(v1,t1), τ, τ, (v2,t2), …` sequences of the paper.  [`TraceArena`]
+//! records the realisations of many channels at once: **one shared token
+//! slab** for the payloads of every channel plus per-channel
+//! `(cycle, slot)` index lists ([`TraceEntry`]).  Void symbols cost no
+//! storage (only a cycle-counter bump), capacity can be reserved up front
+//! ([`TraceArena::reserve_cycles`]) so recording performs **zero heap
+//! allocations in steady state**, and [`TraceRef`] reads each channel
+//! without materialising anything.
 //!
-//! * [`ChannelTrace`] is the simple, self-contained recorder: one growing
-//!   `Vec<Token<V>>` per channel.  It remains the right tool for tests and
-//!   one-off recordings.
-//! * [`TraceArena`] is the simulators' recorder: **one shared token slab**
-//!   for the payloads of every channel plus per-channel `(cycle, slot)`
-//!   index lists ([`TraceEntry`]).  Void symbols cost no storage (only a
-//!   cycle-counter bump), capacity can be reserved up front
-//!   ([`TraceArena::reserve_cycles`]) so recording performs **zero heap
-//!   allocations in steady state**, and [`TraceRef`] exposes each channel
-//!   through the same read API as [`ChannelTrace`] without materialising
-//!   anything.
-//!
-//! τ-filtering and tag reconstruction turn either recording into the event
-//! sequence used by the equivalence definitions (see
-//! [`crate::check_equivalence`] and [`crate::StreamingEquivalence`]).
+//! τ-filtering turns a recording into the value sequence used by the
+//! equivalence definitions (see [`crate::check_equivalence`] and
+//! [`crate::StreamingEquivalence`]).  The tag of each value is implicit:
+//! the k-th valid token of a channel has tag k.
 
-use std::fmt;
-
-use crate::token::{Event, Token};
-
-/// The recorded realisation of one channel: one token per simulated cycle.
-///
-/// # Examples
-///
-/// ```
-/// use wp_core::{ChannelTrace, Token};
-///
-/// let mut trace = ChannelTrace::new("alu_flags");
-/// trace.record(Token::Valid(1u32));
-/// trace.record(Token::Void);
-/// trace.record(Token::Valid(2u32));
-/// assert_eq!(trace.filtered(), vec![1, 2]);
-/// assert_eq!(trace.len(), 3);
-/// assert_eq!(trace.valid_count(), 2);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ChannelTrace<V> {
-    name: String,
-    tokens: Vec<Token<V>>,
-}
-
-impl<V: Clone> ChannelTrace<V> {
-    /// Creates an empty trace for the channel called `name`.
-    pub fn new(name: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            tokens: Vec::new(),
-        }
-    }
-
-    /// The channel name this trace belongs to.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Appends the token observed during one more cycle.
-    pub fn record(&mut self, token: Token<V>) {
-        self.tokens.push(token);
-    }
-
-    /// Number of recorded cycles.
-    pub fn len(&self) -> usize {
-        self.tokens.len()
-    }
-
-    /// Returns `true` when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
-    }
-
-    /// The raw per-cycle tokens.
-    pub fn tokens(&self) -> &[Token<V>] {
-        &self.tokens
-    }
-
-    /// Number of informative (valid) tokens recorded.
-    pub fn valid_count(&self) -> usize {
-        self.tokens.iter().filter(|t| t.is_valid()).count()
-    }
-
-    /// The τ-filtered sequence of payloads, in order of appearance.
-    pub fn filtered(&self) -> Vec<V> {
-        self.tokens
-            .iter()
-            .filter_map(|t| t.as_valid().cloned())
-            .collect()
-    }
-
-    /// The τ-filtered sequence with reconstructed tags: the k-th valid token
-    /// gets tag k, as guaranteed by the ordering property of
-    /// latency-insensitive channels.
-    pub fn events(&self) -> Vec<Event<V>> {
-        self.filtered()
-            .into_iter()
-            .enumerate()
-            .map(|(k, v)| Event::new(v, k as u64))
-            .collect()
-    }
-
-    /// Fraction of recorded cycles carrying a valid token (the channel
-    /// utilisation, which for the output of a block equals its throughput).
-    pub fn utilization(&self) -> f64 {
-        if self.tokens.is_empty() {
-            0.0
-        } else {
-            self.valid_count() as f64 / self.tokens.len() as f64
-        }
-    }
-
-    /// Clears the recording.
-    pub fn clear(&mut self) {
-        self.tokens.clear();
-    }
-}
-
-impl<V: fmt::Display> fmt::Display for ChannelTrace<V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: ", self.name)?;
-        for t in &self.tokens {
-            write!(f, "{t} ")?;
-        }
-        Ok(())
-    }
-}
+use crate::token::Token;
 
 /// Position of one valid token inside a [`TraceArena`]: the cycle it was
 /// observed in and the slot of its payload in the arena's shared slab.
@@ -160,7 +48,12 @@ struct Lane {
 ///
 /// Channels are addressed by the index order of the names given to
 /// [`TraceArena::new`]; [`TraceArena::channel`] returns a borrowed
-/// [`TraceRef`] exposing the familiar [`ChannelTrace`] read API.
+/// [`TraceRef`] view of one of them.
+///
+/// Two arenas compare equal when they record the same channels with the
+/// same names, cycle counts, valid-token cycles and values — the slab
+/// layout (which depends on the recording order across channels) is not
+/// compared.
 ///
 /// # Examples
 ///
@@ -298,17 +191,16 @@ impl<V> TraceArena<V> {
     }
 }
 
-impl<V: Clone> TraceArena<V> {
-    /// Materialises every channel into a standalone [`ChannelTrace`]
-    /// (compatibility with the pre-arena API; allocates one `Vec` per
-    /// channel).
-    pub fn to_channel_traces(&self) -> Vec<ChannelTrace<V>> {
-        self.iter().map(|ch| ch.to_channel_trace()).collect()
+impl<V: PartialEq> PartialEq for TraceArena<V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.num_channels() == other.num_channels() && self.iter().eq(other.iter())
     }
 }
 
-/// A borrowed view of one channel's realisation inside a [`TraceArena`],
-/// exposing the same read API as [`ChannelTrace`].
+/// A borrowed view of one channel's realisation inside a [`TraceArena`].
+///
+/// Two views compare equal when they have the same name, cycle count,
+/// valid-token cycles and values, in whichever arenas they live.
 #[derive(Debug)]
 pub struct TraceRef<'a, V> {
     arena: &'a TraceArena<V>,
@@ -353,36 +245,10 @@ impl<'a, V> TraceRef<'a, V> {
         &self.lane().entries
     }
 
-    /// The τ-filtered payload sequence, borrowed straight out of the slab
-    /// (no allocation, unlike [`ChannelTrace::filtered`]).
+    /// The τ-filtered payload sequence, borrowed straight out of the slab.
     pub fn values(&self) -> impl Iterator<Item = &'a V> {
-        self.values_from(0)
-    }
-
-    /// The τ-filtered payload sequence starting at valid-token index
-    /// `start` (saturating at the end).  O(1) to position — unlike
-    /// `values().skip(start)`, which would re-walk the prefix — so
-    /// incremental consumers (the streaming equivalence driver) stay
-    /// linear over a growing recording.
-    pub fn values_from(&self, start: usize) -> impl Iterator<Item = &'a V> {
         let arena = self.arena;
-        self.lane()
-            .entries
-            .get(start..)
-            .unwrap_or_default()
-            .iter()
-            .map(move |e| &arena.slab[e.slot])
-    }
-
-    /// Fraction of recorded cycles carrying a valid token (see
-    /// [`ChannelTrace::utilization`]).
-    pub fn utilization(&self) -> f64 {
-        let lane = self.lane();
-        if lane.cycles == 0 {
-            0.0
-        } else {
-            lane.entries.len() as f64 / lane.cycles as f64
-        }
+        self.lane().entries.iter().map(move |e| &arena.slab[e.slot])
     }
 }
 
@@ -392,32 +258,19 @@ impl<V: Clone> TraceRef<'_, V> {
     pub fn filtered(&self) -> Vec<V> {
         self.values().cloned().collect()
     }
+}
 
-    /// The τ-filtered sequence with reconstructed tags (see
-    /// [`ChannelTrace::events`]).
-    pub fn events(&self) -> Vec<Event<V>> {
-        self.values()
-            .enumerate()
-            .map(|(k, v)| Event::new(v.clone(), k as u64))
-            .collect()
-    }
-
-    /// Materialises this channel into a standalone [`ChannelTrace`],
-    /// reconstructing the void symbols between the valid tokens.
-    pub fn to_channel_trace(&self) -> ChannelTrace<V> {
-        let lane = self.lane();
-        let mut trace = ChannelTrace::new(lane.name.clone());
-        let mut next = lane.entries.iter().peekable();
-        for cycle in 0..lane.cycles {
-            match next.peek() {
-                Some(e) if e.cycle == cycle => {
-                    trace.record(Token::Valid(self.arena.slab[e.slot].clone()));
-                    next.next();
-                }
-                _ => trace.record(Token::Void),
-            }
-        }
-        trace
+impl<V: PartialEq> PartialEq for TraceRef<'_, V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.name() == other.name()
+            && self.len() == other.len()
+            && self.valid_count() == other.valid_count()
+            && self
+                .entries()
+                .iter()
+                .zip(other.entries())
+                .all(|(a, b)| a.cycle == b.cycle)
+            && self.values().eq(other.values())
     }
 }
 
@@ -425,8 +278,8 @@ impl<V: Clone> TraceRef<'_, V> {
 mod tests {
     use super::*;
 
-    fn sample() -> ChannelTrace<u32> {
-        let mut t = ChannelTrace::new("ch");
+    fn sample() -> TraceArena<u32> {
+        let mut arena = TraceArena::new(["ch"]);
         for tok in [
             Token::Valid(1),
             Token::Void,
@@ -435,69 +288,41 @@ mod tests {
             Token::Valid(3),
             Token::Void,
         ] {
-            t.record(tok);
+            arena.record(0, tok);
         }
-        t
+        arena
     }
 
     #[test]
     fn filtering_removes_void_symbols() {
-        let t = sample();
-        assert_eq!(t.filtered(), vec![1, 2, 3]);
-        assert_eq!(t.valid_count(), 3);
-        assert_eq!(t.len(), 6);
-    }
-
-    #[test]
-    fn events_reconstruct_tags_in_order() {
-        let t = sample();
-        let events = t.events();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0], Event::new(1, 0));
-        assert_eq!(events[2], Event::new(3, 2));
-    }
-
-    #[test]
-    fn utilization_is_valid_fraction() {
-        let t = sample();
-        assert!((t.utilization() - 0.5).abs() < 1e-12);
-        let empty: ChannelTrace<u32> = ChannelTrace::new("e");
-        assert_eq!(empty.utilization(), 0.0);
+        let arena = sample();
+        let view = arena.channel(0);
+        assert_eq!(view.filtered(), vec![1, 2, 3]);
+        assert_eq!(view.valid_count(), 3);
+        assert_eq!(view.len(), 6);
     }
 
     #[test]
     fn clear_resets_the_trace() {
-        let mut t = sample();
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.name(), "ch");
-    }
-
-    #[test]
-    fn display_shows_tau() {
-        let t = sample();
-        let s = format!("{t}");
-        assert!(s.contains('τ'));
-        assert!(s.starts_with("ch:"));
+        let mut arena = sample();
+        arena.clear();
+        assert!(arena.channel(0).is_empty());
+        assert_eq!(arena.channel(0).name(), "ch");
     }
 
     /// Interleaves recordings on two channels and checks every view accessor
-    /// against the equivalent standalone [`ChannelTrace`].
+    /// against the per-cycle tokens each channel was given.
     #[test]
     fn arena_views_match_channel_traces() {
-        let mut arena = TraceArena::new(["a", "b"]);
-        let mut a = ChannelTrace::new("a");
-        let mut b = ChannelTrace::new("b");
-        for (cycle, (ta, tb)) in [
+        let cycles = [
             (Token::Valid(1u32), Token::Void),
             (Token::Void, Token::Valid(10)),
             (Token::Valid(2), Token::Valid(20)),
             (Token::Void, Token::Void),
             (Token::Valid(3), Token::Void),
-        ]
-        .into_iter()
-        .enumerate()
-        {
+        ];
+        let mut arena = TraceArena::new(["a", "b"]);
+        for (cycle, &(ta, tb)) in cycles.iter().enumerate() {
             // Alternate the recording order across cycles: slab slots
             // interleave but the per-channel index lists keep them apart.
             if cycle % 2 == 0 {
@@ -507,21 +332,24 @@ mod tests {
                 arena.record(1, tb);
                 arena.record(0, ta);
             }
-            a.record(ta);
-            b.record(tb);
         }
+        let a: Vec<Token<u32>> = cycles.iter().map(|c| c.0).collect();
+        let b: Vec<Token<u32>> = cycles.iter().map(|c| c.1).collect();
         assert_eq!(arena.num_channels(), 2);
         assert_eq!(arena.total_valid(), 5);
         assert_eq!(arena.channel_names().collect::<Vec<_>>(), vec!["a", "b"]);
-        for (view, trace) in arena.iter().zip([&a, &b]) {
-            assert_eq!(view.name(), trace.name());
-            assert_eq!(view.len(), trace.len());
-            assert_eq!(view.valid_count(), trace.valid_count());
-            assert_eq!(view.filtered(), trace.filtered());
-            assert_eq!(view.events(), trace.events());
-            assert_eq!(view.values().copied().collect::<Vec<_>>(), trace.filtered());
-            assert!((view.utilization() - trace.utilization()).abs() < 1e-12);
-            assert_eq!(&view.to_channel_trace(), trace);
+        for (view, (name, tokens)) in arena.iter().zip([("a", &a), ("b", &b)]) {
+            let valid_cycles: Vec<u64> = (0..tokens.len() as u64)
+                .filter(|&c| tokens[c as usize].is_valid())
+                .collect();
+            let values: Vec<u32> = tokens.iter().filter_map(|t| t.into_valid()).collect();
+            assert_eq!(view.name(), name);
+            assert_eq!(view.len(), tokens.len());
+            assert_eq!(view.valid_count(), values.len());
+            assert_eq!(view.filtered(), values);
+            assert_eq!(view.values().copied().collect::<Vec<_>>(), values);
+            let entry_cycles: Vec<u64> = view.entries().iter().map(|e| e.cycle).collect();
+            assert_eq!(entry_cycles, valid_cycles);
         }
     }
 
@@ -553,25 +381,45 @@ mod tests {
         assert_eq!(arena.channel(0).filtered(), vec![9]);
     }
 
+    /// Equality ignores the slab layout but sees every recorded difference:
+    /// a value, a void position, a cycle count or a channel name.
     #[test]
-    fn values_from_resumes_mid_stream_and_saturates() {
-        let mut arena = TraceArena::new(["ch"]);
-        for v in [5u32, 6, 7] {
-            arena.record_valid(0, v);
-            arena.record_void(0);
-        }
-        let view = arena.channel(0);
-        assert_eq!(view.values_from(0).copied().collect::<Vec<_>>(), [5, 6, 7]);
-        assert_eq!(view.values_from(2).copied().collect::<Vec<_>>(), [7]);
-        assert_eq!(view.values_from(3).count(), 0);
-        assert_eq!(view.values_from(99).count(), 0, "past-the-end saturates");
-    }
+    fn arena_equality_is_semantic() {
+        let record = |order_flipped: bool, tokens: [(Token<u32>, Token<u32>); 3]| {
+            let mut arena = TraceArena::new(["a", "b"]);
+            for (ta, tb) in tokens {
+                if order_flipped {
+                    arena.record(1, tb);
+                    arena.record(0, ta);
+                } else {
+                    arena.record(0, ta);
+                    arena.record(1, tb);
+                }
+            }
+            arena
+        };
+        let base = [
+            (Token::Valid(1), Token::Valid(5)),
+            (Token::Void, Token::Valid(6)),
+            (Token::Valid(2), Token::Void),
+        ];
+        assert_eq!(record(false, base), record(true, base));
 
-    #[test]
-    fn empty_arena_view_has_zero_utilization() {
-        let arena: TraceArena<u32> = TraceArena::new(["e"]);
-        let view = arena.channel(0);
-        assert_eq!(view.utilization(), 0.0);
-        assert!(view.to_channel_trace().is_empty());
+        let mut value = base;
+        value[2].0 = Token::Valid(9);
+        assert_ne!(record(false, base), record(false, value));
+
+        let mut shifted = base;
+        shifted[0].0 = Token::Void;
+        shifted[1].0 = Token::Valid(1);
+        assert_ne!(record(false, base), record(false, shifted));
+
+        let mut longer = record(false, base);
+        longer.record_void(1);
+        assert_ne!(record(false, base), longer);
+
+        let renamed = TraceArena::<u32>::new(["a", "c"]);
+        assert_ne!(TraceArena::<u32>::new(["a", "b"]), renamed);
+        assert_ne!(TraceArena::<u32>::new(["a"]), TraceArena::new(["a", "b"]));
     }
 }

@@ -9,8 +9,8 @@
 use proptest::prelude::*;
 
 use wp_core::{
-    check_equivalence, n_equivalent, BoundedFifo, ChannelTrace, PortSet, Process, RelayChain,
-    Shell, ShellConfig, Token,
+    check_equivalence, BoundedFifo, ChannelVerdict, PortSet, Process, RelayChain, Shell,
+    ShellConfig, Token, TraceArena,
 };
 
 // ---------------------------------------------------------------------------
@@ -268,9 +268,19 @@ proptest! {
 proptest! {
     #[test]
     fn n_equivalence_is_prefix_monotone(values in prop::collection::vec(0u32..50, 1..30), n in 0usize..35) {
-        // A sequence is N-equivalent to itself for every N up to its length.
-        let holds = n_equivalent(&values, &values, n);
-        prop_assert_eq!(holds, n <= values.len());
+        // A sequence is N-equivalent to each of its prefixes, for N up to
+        // the prefix length.
+        let mut golden = TraceArena::new(["ch"]);
+        let mut prefix = TraceArena::new(["ch"]);
+        for (i, &v) in values.iter().enumerate() {
+            golden.record_valid(0, v);
+            if i < n {
+                prefix.record_valid(0, v);
+            }
+        }
+        let report = check_equivalence(&golden, &prefix);
+        prop_assert!(report.is_equivalent());
+        prop_assert_eq!(report.proven_n(), n.min(values.len()));
     }
 
     #[test]
@@ -278,24 +288,24 @@ proptest! {
         values in prop::collection::vec(0u32..50, 0..30),
         voids in prop::collection::vec(any::<bool>(), 0..60),
     ) {
-        let mut golden = ChannelTrace::new("ch");
+        let mut golden = TraceArena::new(["ch"]);
         for &v in &values {
-            golden.record(Token::Valid(v));
+            golden.record_valid(0, v);
         }
         // The candidate interleaves the same values with arbitrary τ symbols.
-        let mut candidate = ChannelTrace::new("ch");
+        let mut candidate = TraceArena::new(["ch"]);
         let mut it = values.iter();
         for &is_void in &voids {
             if is_void {
-                candidate.record(Token::Void);
+                candidate.record_void(0);
             } else if let Some(&v) = it.next() {
-                candidate.record(Token::Valid(v));
+                candidate.record_valid(0, v);
             }
         }
         for &v in it {
-            candidate.record(Token::Valid(v));
+            candidate.record_valid(0, v);
         }
-        let report = check_equivalence(&[golden], &[candidate]);
+        let report = check_equivalence(&golden, &candidate);
         prop_assert!(report.is_equivalent());
         prop_assert_eq!(report.proven_n(), values.len());
     }
@@ -304,16 +314,38 @@ proptest! {
     fn corrupting_a_value_breaks_equivalence(
         values in prop::collection::vec(0u32..50, 1..30),
         index in 0usize..30,
+        voids in prop::collection::vec(any::<bool>(), 0..60),
     ) {
         let index = index % values.len();
-        let mut golden = ChannelTrace::new("ch");
-        let mut candidate = ChannelTrace::new("ch");
+        let mut golden = TraceArena::new(["ch"]);
+        let mut candidate = TraceArena::new(["ch"]);
+        // The candidate's recording up to (not including) the corruption.
+        let mut before = TraceArena::new(["ch"]);
+        let mut voids = voids.into_iter();
         for (i, &v) in values.iter().enumerate() {
-            golden.record(Token::Valid(v));
-            candidate.record(Token::Valid(if i == index { v + 1 } else { v }));
+            golden.record_valid(0, v);
+            // τ symbols before a value shift its cycle, never its index.
+            while voids.next() == Some(true) {
+                candidate.record_void(0);
+                if i < index {
+                    before.record_void(0);
+                }
+            }
+            candidate.record_valid(0, if i == index { v + 1 } else { v });
+            if i < index {
+                before.record_valid(0, v);
+            }
         }
-        let report = check_equivalence(&[golden], &[candidate]);
+        let report = check_equivalence(&golden, &candidate);
         prop_assert!(!report.is_equivalent());
+        prop_assert_eq!(
+            &report.entries()[0].1,
+            &ChannelVerdict::Mismatch { position: index }
+        );
+        // A mismatching report proves nothing; what the two systems agree
+        // on is exactly the prefix before the corrupted value.
+        prop_assert_eq!(report.proven_n(), 0);
+        prop_assert_eq!(check_equivalence(&golden, &before).proven_n(), index);
     }
 }
 

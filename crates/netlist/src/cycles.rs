@@ -114,15 +114,6 @@ pub fn enumerate_cycles(net: &Netlist, max_cycles: usize) -> CycleEnumeration {
     CycleEnumeration { cycles, truncated }
 }
 
-/// Enumerates the simple cycles of `net`, visiting at most `max_cycles`
-/// cycles (enumeration stops once the cap is reached).
-///
-/// Use [`enumerate_cycles`] when the caller must know whether the cap
-/// truncated the inventory.
-pub fn simple_cycles(net: &Netlist, max_cycles: usize) -> Vec<Cycle> {
-    enumerate_cycles(net, max_cycles).cycles
-}
-
 struct CycleFinder<'a> {
     net: &'a Netlist,
     max_cycles: usize,
@@ -202,7 +193,7 @@ mod tests {
         let b = net.add_node("B");
         net.add_edge("ab", a, b);
         net.add_edge("ba", b, a);
-        let cycles = simple_cycles(&net, 100);
+        let cycles = enumerate_cycles(&net, 100).cycles;
         assert_eq!(cycles.len(), 1);
         assert_eq!(cycles[0].process_count(), 2);
         assert_eq!(cycles[0].describe(&net), "A -> B -> A");
@@ -213,7 +204,7 @@ mod tests {
         let mut net = Netlist::new();
         let a = net.add_node("A");
         net.add_edge("aa", a, a);
-        let cycles = simple_cycles(&net, 10);
+        let cycles = enumerate_cycles(&net, 10).cycles;
         assert_eq!(cycles.len(), 1);
         assert_eq!(cycles[0].process_count(), 1);
         assert_eq!(cycles[0].edges.len(), 1);
@@ -228,7 +219,7 @@ mod tests {
         net.add_edge("ab", a, b);
         net.add_edge("ac", a, c);
         net.add_edge("bc", b, c);
-        assert!(simple_cycles(&net, 10).is_empty());
+        assert!(enumerate_cycles(&net, 10).cycles.is_empty());
     }
 
     #[test]
@@ -243,7 +234,7 @@ mod tests {
         net.add_edge("bc", b, c);
         net.add_edge("cb", c, b);
         net.add_edge("ca", c, a);
-        let cycles = simple_cycles(&net, 100);
+        let cycles = enumerate_cycles(&net, 100).cycles;
         let mut found: Vec<Vec<String>> = cycles.iter().map(|c| names(c, &net)).collect();
         found.sort();
         assert_eq!(cycles.len(), 3);
@@ -262,7 +253,7 @@ mod tests {
         net.add_edge("ba", b, a);
         net.set_relay_stations(w0, 1);
         net.set_relay_stations(w1, 3);
-        let cycles = simple_cycles(&net, 10);
+        let cycles = enumerate_cycles(&net, 10).cycles;
         assert_eq!(cycles.len(), 1);
         assert!(cycles[0].contains_edge(w1));
         assert!(!cycles[0].contains_edge(w0));
@@ -283,9 +274,9 @@ mod tests {
                 }
             }
         }
-        let cycles = simple_cycles(&net, 7);
+        let cycles = enumerate_cycles(&net, 7).cycles;
         assert_eq!(cycles.len(), 7);
-        let all = simple_cycles(&net, 10_000);
+        let all = enumerate_cycles(&net, 10_000).cycles;
         // Number of simple cycles of K5 (directed, all ordered pairs) is 84.
         assert_eq!(all.len(), 84);
     }

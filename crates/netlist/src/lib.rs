@@ -24,7 +24,7 @@
 //!   ([`ThroughputAnalysis::is_exhaustive`]);
 //! * [`McrSolver`] — the exact solver as a reusable workspace for
 //!   incremental re-solves over a fixed topology (placement search);
-//! * [`simple_cycles`] / [`strongly_connected_components`] — the loop
+//! * [`enumerate_cycles`] / [`strongly_connected_components`] — the loop
 //!   inventory behind the enumerated backend (Johnson-style enumeration
 //!   restricted to cyclic SCCs);
 //! * [`optimize_assignment`] / [`optimize_assignment_greedy`] — the
@@ -66,7 +66,7 @@ mod insertion;
 mod scc;
 mod throughput;
 
-pub use cycles::{enumerate_cycles, simple_cycles, Cycle, CycleEnumeration};
+pub use cycles::{enumerate_cycles, Cycle, CycleEnumeration};
 pub use dot::{loop_inventory, to_dot, to_dot_with};
 pub use graph::{Edge, EdgeId, Netlist, Node, NodeId};
 pub use insertion::{
@@ -74,6 +74,4 @@ pub use insertion::{
     relay_stations_for_delay, OptimizedAssignment,
 };
 pub use scc::{cyclic_components, strongly_connected_components};
-#[allow(deprecated)]
-pub use throughput::{analyze_loops, loop_throughput, predicted_throughput};
 pub use throughput::{LoopInfo, McrSolver, ThroughputAnalysis, ThroughputModel, DEFAULT_MAX_LOOPS};

@@ -29,7 +29,7 @@ use crate::scc::cyclic_components;
 /// Default cap on the number of enumerated loops.
 pub const DEFAULT_MAX_LOOPS: usize = 100_000;
 
-/// The loop law, shared by both backends and the deprecated shim.
+/// The loop law, shared by both backends.
 fn law(m: usize, n: usize) -> f64 {
     if m == 0 {
         return 1.0;
@@ -47,13 +47,6 @@ const UNREACHED: i64 = i64::MIN / 4;
 /// denominators), by exact cross-multiplication.
 fn exceeds(a: (i64, i64), b: (i64, i64)) -> bool {
     (a.0 as i128) * (b.1 as i128) > (b.0 as i128) * (a.1 as i128)
-}
-
-/// Throughput of a single loop with `m` processes and `n` relay stations
-/// under strict (WP1) synchronisation.
-#[deprecated(note = "use `ThroughputModel::law` instead")]
-pub fn loop_throughput(m: usize, n: usize) -> f64 {
-    law(m, n)
 }
 
 /// One analysed loop: the cycle plus the quantities of the law.
@@ -612,20 +605,6 @@ impl McrSolver {
     }
 }
 
-/// Enumerates the loops of `net` (up to `max_loops`) and applies the
-/// throughput law to each under the current relay-station assignment.
-#[deprecated(note = "use `ThroughputModel::Enumerated { max_loops }.analyze(net)` instead")]
-pub fn analyze_loops(net: &Netlist, max_loops: usize) -> ThroughputAnalysis {
-    ThroughputModel::Enumerated { max_loops }.analyze(net)
-}
-
-/// Convenience wrapper: the system throughput predicted by the law for the
-/// current relay-station assignment of `net`.
-#[deprecated(note = "use `ThroughputModel::Exact.predict(net)` instead")]
-pub fn predicted_throughput(net: &Netlist) -> f64 {
-    ThroughputModel::Exact.predict(net)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -721,23 +700,6 @@ mod tests {
         assert_eq!(exact.loops()[0].processes, 2);
         assert_eq!(exact.loops()[0].relay_stations, 2);
         assert!(exact.loops()[0].cycle.contains_edge(ac));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_answer() {
-        let mut net = ring(3);
-        let e = net.edge_ids().next().unwrap();
-        net.set_relay_stations(e, 1);
-        assert_eq!(loop_throughput(3, 1), ThroughputModel::law(3, 1));
-        assert_eq!(
-            predicted_throughput(&net),
-            ThroughputModel::Exact.predict(&net)
-        );
-        assert_eq!(
-            analyze_loops(&net, 100).system_throughput(),
-            enumerated(&net, 100).system_throughput()
-        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 
 use wp_netlist::{
-    enumerate_cycles, optimize_assignment, simple_cycles, strongly_connected_components, McrSolver,
-    Netlist, NodeId, ThroughputModel,
+    enumerate_cycles, optimize_assignment, strongly_connected_components, McrSolver, Netlist,
+    NodeId, ThroughputModel,
 };
 
 /// Builds a random directed graph from an edge list over `n` nodes.
@@ -69,7 +69,7 @@ proptest! {
         edges in prop::collection::vec((0usize..7, 0usize..7), 0..20),
     ) {
         let net = build_graph(n, &edges);
-        let cycles = simple_cycles(&net, 10_000);
+        let cycles = enumerate_cycles(&net, 10_000).cycles;
         for cycle in &cycles {
             // No repeated node.
             let mut nodes = cycle.nodes.clone();

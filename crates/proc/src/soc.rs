@@ -10,7 +10,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::OnceLock;
 
-use wp_core::{ChannelTrace, ShellConfig, SyncPolicy};
+use wp_core::{ShellConfig, SyncPolicy, TraceArena};
 use wp_sim::{GoldenSimulator, LidSimulator, ProcessId, SimError, SystemBuilder};
 use wp_spec::NetlistSpec;
 
@@ -303,7 +303,7 @@ pub struct RunOutcome {
     /// Instructions retired by the control unit.
     pub instructions: u64,
     /// Recorded channel realisations (for equivalence checking).
-    pub traces: Vec<ChannelTrace<Msg>>,
+    pub traces: TraceArena<Msg>,
 }
 
 impl RunOutcome {
@@ -378,7 +378,7 @@ pub fn run_golden_soc(
         cycles,
         memory,
         instructions: instructions_from_process(sim.process(CU)),
-        traces: sim.traces(),
+        traces: sim.traces().clone(),
     })
 }
 
@@ -411,7 +411,7 @@ pub fn run_wp_soc(
         cycles,
         memory,
         instructions: instructions_from_process(sim.process(CU)),
-        traces: sim.traces(),
+        traces: sim.traces().clone(),
     })
 }
 

@@ -21,7 +21,8 @@
 //! between cycles.
 //!
 //! The module also holds `impl_trace_arena_accessors`, the one definition
-//! of the trace accessors every arena-recording simulator shares.
+//! of the trace accessors every simulator shares: each records its channel
+//! realisations into a [`wp_core::TraceArena`].
 
 use wp_core::Token;
 
@@ -216,25 +217,16 @@ impl LanePlaneArena {
     }
 }
 
-/// Implements the four arena-backed trace accessors (`traces`,
-/// `trace_arena`, `reserve_traces`, `clear_traces`) for a simulator type
-/// holding its recordings in a `traces: TraceArena<V>` field.  The three
-/// arena-recording simulators used to carry copy-pasted versions of these;
-/// they now share this one definition.
+/// Implements the three trace accessors (`traces`, `reserve_traces`,
+/// `clear_traces`) for a simulator type holding its recordings in a
+/// `traces: TraceArena<V>` field.  Every simulator shares this one
+/// definition.
 macro_rules! impl_trace_arena_accessors {
     ($ty:ident) => {
-        impl<V: Clone> $ty<V> {
-            /// The recorded channel traces (one per channel, in channel
-            /// order), materialised out of the trace arena into standalone
-            /// [`wp_core::ChannelTrace`]s for compatibility with the
-            /// pre-arena API; use [`Self::trace_arena`] to read the
-            /// recordings without copying.
-            pub fn traces(&self) -> Vec<wp_core::ChannelTrace<V>> {
-                self.traces.to_channel_traces()
-            }
-
-            /// Borrowed access to the arena-backed channel recordings.
-            pub fn trace_arena(&self) -> &wp_core::TraceArena<V> {
+        impl<V> $ty<V> {
+            /// The recorded channel realisations (one channel per system
+            /// channel, in channel order), borrowed from the trace arena.
+            pub fn traces(&self) -> &wp_core::TraceArena<V> {
                 &self.traces
             }
 

@@ -203,10 +203,10 @@ mod tests {
         let mut sim = GoldenSimulator::new(ring()).unwrap();
         sim.run_for(5);
         assert_eq!(sim.cycles(), 5);
-        assert_eq!(sim.traces().len(), 2);
-        assert_eq!(sim.traces()[0].len(), 5);
+        assert_eq!(sim.traces().num_channels(), 2);
+        assert_eq!(sim.traces().channel(0).len(), 5);
         // In the golden system every cycle carries an informative token.
-        assert_eq!(sim.traces()[0].valid_count(), 5);
+        assert_eq!(sim.traces().channel(0).valid_count(), 5);
     }
 
     #[test]
@@ -217,7 +217,7 @@ mod tests {
         assert_eq!(cycles, 4);
         assert!(sim.is_halted(0));
         // The values observed on src_fwd are the emitted sequence.
-        assert_eq!(sim.traces()[0].filtered(), vec![1, 2, 3, 4]);
+        assert_eq!(sim.traces().channel(0).filtered(), vec![1, 2, 3, 4]);
     }
 
     #[test]
@@ -225,7 +225,7 @@ mod tests {
         let mut sim = GoldenSimulator::new(halting_pipeline()).unwrap();
         sim.run_for(6);
         // fwd_term lags src_fwd by one firing (Forward resets to 0).
-        assert_eq!(sim.traces()[1].filtered(), vec![0, 1, 2, 3, 4, 0]);
+        assert_eq!(sim.traces().channel(1).filtered(), vec![0, 1, 2, 3, 4, 0]);
     }
 
     #[test]
@@ -244,7 +244,7 @@ mod tests {
         let mut sim = GoldenSimulator::new(ring()).unwrap();
         sim.set_trace_enabled(false);
         sim.run_for(3);
-        assert_eq!(sim.traces()[0].len(), 0);
+        assert_eq!(sim.traces().channel(0).len(), 0);
         assert_eq!(sim.cycles(), 3);
     }
 

@@ -13,11 +13,12 @@
 //!
 //! Throughput is measured as firings per cycle of a designated process, and
 //! functional correctness is established by comparing the τ-filtered channel
-//! traces of the two simulators — after the fact with
-//! [`wp_core::check_equivalence`], or while the candidate runs with
-//! [`wp_core::StreamingEquivalence`].  Both simulators record into an
-//! arena-backed trace store ([`wp_core::TraceArena`]) that stays
-//! allocation-free in steady state once capacity is reserved.
+//! realisations of the two simulators with one checker,
+//! [`wp_core::StreamingEquivalence`]: while the candidate runs (a sweep's
+//! [`Scenario::with_equivalence_check`]), or over two finished recordings
+//! ([`wp_core::check_equivalence`]).  Every simulator records into a
+//! [`wp_core::TraceArena`], borrowed through its `traces()` accessor, which
+//! stays allocation-free in steady state once capacity is reserved.
 //!
 //! Three more pieces support experiments at scale:
 //!

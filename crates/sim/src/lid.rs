@@ -499,7 +499,7 @@ mod tests {
         b.connect("fwd_term", fwd, 0, term, 0, 2);
         let mut lid = LidSimulator::new(b, ShellConfig::strict()).unwrap();
         lid.run_until_firings(2, 21, 1000).unwrap();
-        let received = lid.traces()[1].filtered();
+        let received = lid.traces().channel(1).filtered();
         // The Forward resets to 0, then forwards 1..=20.
         assert_eq!(received[0], 0);
         assert_eq!(&received[1..21], (1..=20).collect::<Vec<u64>>().as_slice());

@@ -25,7 +25,7 @@
 //!
 //! [`GoldenSimulator`]: crate::GoldenSimulator
 
-use wp_core::{ChannelTrace, Process, RelayChain, Shell, ShellConfig, Token, TraceArena};
+use wp_core::{Process, RelayChain, Shell, ShellConfig, Token, TraceArena};
 
 use crate::lid::LidReport;
 use crate::spec::{check_shell_config, ChannelSpec, ProcessId, SimError, SystemBuilder};
@@ -39,7 +39,10 @@ pub struct NaiveSimulator<V> {
     shells: Vec<Shell<V>>,
     channels: Vec<ChannelSpec>,
     chains: Vec<RelayChain<V>>,
-    traces: Vec<ChannelTrace<V>>,
+    /// The naive step records into the same [`TraceArena`] as the kernels:
+    /// the seed behaviour being preserved is the *step*, not the recording
+    /// format, so the kernel-equivalence tests compare identical structures.
+    traces: TraceArena<V>,
     trace_enabled: bool,
     cycles: u64,
     cycles_since_firing: u64,
@@ -78,10 +81,7 @@ impl<V: Clone + PartialEq> NaiveSimulator<V> {
             .iter()
             .map(|c| RelayChain::new(c.relay_stations))
             .collect();
-        let traces = channels
-            .iter()
-            .map(|c| ChannelTrace::new(c.name.clone()))
-            .collect();
+        let traces = TraceArena::new(channels.iter().map(|c| c.name.clone()));
         Ok(Self {
             shells,
             channels,
@@ -112,11 +112,6 @@ impl<V: Clone + PartialEq> NaiveSimulator<V> {
     /// Number of firings performed by a process so far.
     pub fn firings(&self, id: ProcessId) -> u64 {
         self.shells[id].firings()
-    }
-
-    /// The recorded channel traces (one per channel, in channel order).
-    pub fn traces(&self) -> &[ChannelTrace<V>] {
-        &self.traces
     }
 
     /// Immutable access to the enclosed process.
@@ -157,11 +152,14 @@ impl<V: Clone + PartialEq> NaiveSimulator<V> {
 
             if self.trace_enabled {
                 let accepted = delivered.is_valid() && !cons_stop;
-                self.traces[idx].record(if accepted {
-                    delivered.clone()
-                } else {
-                    Token::Void
-                });
+                self.traces.record(
+                    idx,
+                    if accepted {
+                        delivered.clone()
+                    } else {
+                        Token::Void
+                    },
+                );
             }
 
             shell_inputs[ch.dst][ch.dst_port] = delivered;
@@ -315,10 +313,7 @@ impl<V: Clone + PartialEq> NaiveSimulator<V> {
 pub struct NaiveGoldenSimulator<V> {
     processes: Vec<Box<dyn Process<V>>>,
     channels: Vec<ChannelSpec>,
-    /// Even the naive golden step records into a [`TraceArena`]: the seed
-    /// behaviour being preserved here is the *step* scratch allocation, not
-    /// the recording format, and sharing the recorder keeps the
-    /// golden-equivalence property tests comparing identical structures.
+    /// Recorded like [`NaiveSimulator`]'s traces, into a [`TraceArena`].
     traces: TraceArena<V>,
     trace_enabled: bool,
     cycles: u64,
@@ -435,4 +430,5 @@ impl<V: Clone + PartialEq> NaiveGoldenSimulator<V> {
     }
 }
 
+crate::arena::impl_trace_arena_accessors!(NaiveSimulator);
 crate::arena::impl_trace_arena_accessors!(NaiveGoldenSimulator);

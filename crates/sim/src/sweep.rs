@@ -52,7 +52,7 @@
 //! port counts, channel endpoints — everything except per-channel
 //! relay-station counts, which may vary per lane) and demotes the whole
 //! batch to the scalar kernel if they are not.  Scenarios that need
-//! payloads — traces, a golden equivalence twin, a post-extraction — or a
+//! payloads — a golden equivalence twin, a post-extraction — or a
 //! non-strict policy are never batched.  Because every lane is
 //! bit-identical to its scalar run, outcomes stay submission-ordered and
 //! independent of worker count, batch size **and lane packing**; the lane
@@ -143,7 +143,6 @@ pub struct Scenario<V, T = ()> {
     build: BuildFn<V>,
     drain: Option<(u64, u64)>,
     post: Option<PostFn<V, T>>,
-    trace_enabled: bool,
     /// Golden-twin factory installed by [`Scenario::with_equivalence_check`].
     golden: Option<BuildFn<V>>,
     /// Deterministic firing gate installed by
@@ -162,7 +161,6 @@ impl<V, T> fmt::Debug for Scenario<V, T> {
             .field("config", &self.config)
             .field("goal", &self.goal)
             .field("drain", &self.drain)
-            .field("trace_enabled", &self.trace_enabled)
             .field("equivalence_check", &self.golden.is_some())
             .field("stall", &self.stall)
             .field("lane_key", &self.lane_key)
@@ -175,10 +173,11 @@ impl<V> Scenario<V> {
     /// Creates a scenario from its label, shell configuration, run goal and
     /// system factory.
     ///
-    /// Channel traces are disabled by default (sweeps compare cycle counts
-    /// and reports, not realisations); re-enable with
-    /// [`Scenario::with_traces`].  The post-extraction type starts as `()`;
-    /// [`Scenario::with_post`] changes it.
+    /// Sweeps record no channel traces: they compare cycle counts and
+    /// reports, and [`Scenario::with_equivalence_check`] streams the
+    /// realisations it compares instead of retaining them.  The
+    /// post-extraction type starts as `()`; [`Scenario::with_post`]
+    /// changes it.
     pub fn new(
         label: impl Into<String>,
         config: ShellConfig,
@@ -192,7 +191,6 @@ impl<V> Scenario<V> {
             build: Box::new(build),
             drain: None,
             post: None,
-            trace_enabled: false,
             golden: None,
             stall: None,
             lane_key: None,
@@ -224,7 +222,6 @@ impl<V> Scenario<V> {
             build: self.build,
             drain: self.drain,
             post: None,
-            trace_enabled: self.trace_enabled,
             golden: self.golden,
             stall: self.stall,
             lane_key: self.lane_key,
@@ -248,13 +245,6 @@ impl<V, T> Scenario<V, T> {
         self
     }
 
-    /// Enables channel-trace recording for this scenario.
-    #[must_use]
-    pub fn with_traces(mut self) -> Self {
-        self.trace_enabled = true;
-        self
-    }
-
     /// Verifies this scenario against its golden twin while it runs: the
     /// wire-pipelined simulator's recorded tokens are streamed into a
     /// [`StreamingEquivalence`] checker chunk by chunk, and a
@@ -266,10 +256,9 @@ impl<V, T> Scenario<V, T> {
     /// The per-scenario [`EquivalenceReport`] (including the proven `N`)
     /// lands in [`SweepOutcome::equivalence`].  A golden twin realising
     /// different channels makes the report non-equivalent
-    /// ([`wp_core::ChannelVerdict::Unpaired`]).  Unless
-    /// [`Scenario::with_traces`] was also requested, the scenario's trace
-    /// arena is cleared after each chunk, so enabling the check does not
-    /// change how much trace memory the sweep holds.
+    /// ([`wp_core::ChannelVerdict::Unpaired`]).  The scenario's trace arena
+    /// is cleared after each chunk, so the check holds at most one chunk of
+    /// recorded tokens.
     #[must_use]
     pub fn with_equivalence_check(
         mut self,
@@ -322,7 +311,7 @@ impl<V, T> Scenario<V, T> {
     ///
     /// Extrapolation applies only to [`RunGoal::UntilFirings`] scenarios
     /// that need nothing from the post-goal simulator state — no drain, no
-    /// traces, no golden equivalence twin, no post-extraction; the opt-in
+    /// golden equivalence twin, no post-extraction; the opt-in
     /// is ignored for anything else.  Non-strict runs, and runs the lane
     /// kernel rejects, simulate plainly; stalled runs simulate to their
     /// goals on the lane kernel.  Both are counted in
@@ -345,19 +334,17 @@ impl<V, T> Scenario<V, T> {
             && self.drain.is_none()
             && self.post.is_none()
             && self.golden.is_none()
-            && !self.trace_enabled
     }
 
     /// Whether this scenario may be packed into a lane batch: it opted in,
     /// uses strict shells (the oracle policy consults payload-dependent
-    /// firing profiles) and needs nothing payload-sensitive — no traces, no
-    /// golden equivalence twin, no post-extraction.
+    /// firing profiles) and needs nothing payload-sensitive — no golden
+    /// equivalence twin, no post-extraction.
     fn lane_eligible(&self) -> bool {
         self.lane_key.is_some()
             && self.config.policy == SyncPolicy::Strict
             && self.post.is_none()
             && self.golden.is_none()
-            && !self.trace_enabled
     }
 
     /// Extracts a caller-defined value from the finished simulator (e.g.
@@ -375,7 +362,6 @@ impl<V, T> Scenario<V, T> {
             build: self.build,
             drain: self.drain,
             post: Some(Box::new(post)),
-            trace_enabled: self.trace_enabled,
             golden: self.golden,
             stall: self.stall,
             lane_key: self.lane_key,
@@ -948,42 +934,23 @@ fn run_goal_chunk<V: Clone + PartialEq>(
 struct EquivalenceDriver<V> {
     golden: GoldenSimulator<V>,
     checker: StreamingEquivalence<V>,
-    /// Per-channel count of candidate trace entries already streamed into
-    /// the checker (reset whenever the candidate arena is cleared).
-    consumed: Vec<usize>,
-    /// Same cursor for the golden arena (always cleared after feeding).
-    golden_consumed: Vec<usize>,
 }
 
 impl<V: Clone + PartialEq> EquivalenceDriver<V> {
     fn new(candidate: &LidSimulator<V>, golden: GoldenSimulator<V>) -> Self {
         let checker = StreamingEquivalence::pair(
-            golden.trace_arena().channel_names(),
-            candidate.trace_arena().channel_names(),
+            golden.traces().channel_names(),
+            candidate.traces().channel_names(),
         );
-        let consumed = vec![0; candidate.trace_arena().num_channels()];
-        let golden_consumed = vec![0; golden.trace_arena().num_channels()];
-        Self {
-            golden,
-            checker,
-            consumed,
-            golden_consumed,
-        }
+        Self { golden, checker }
     }
 
     /// Streams the candidate tokens recorded since the last call into the
-    /// checker, then steps the golden twin just far enough to catch up.
-    /// When `clear_candidate` is set the candidate arena is emptied
-    /// afterwards (bounded memory); otherwise a cursor remembers how far
-    /// the stream was consumed.
-    fn sync(&mut self, sim: &mut LidSimulator<V>, clear_candidate: bool) {
-        feed_new_tokens(sim.trace_arena(), &mut self.consumed, |ch, v| {
-            self.checker.push_candidate(ch, v);
-        });
-        if clear_candidate {
-            sim.clear_traces();
-            self.consumed.fill(0);
-        }
+    /// checker and clears the candidate arena, then steps the golden twin
+    /// just far enough to catch up.
+    fn sync(&mut self, sim: &mut LidSimulator<V>) {
+        drain_into(sim.traces(), |ch, v| self.checker.push_candidate(ch, v));
+        sim.clear_traces();
         // The golden system records one valid token per channel per cycle,
         // so every step shrinks the maximum candidate lead by one: this
         // demand-driven loop terminates after exactly `candidate_lead`
@@ -991,34 +958,20 @@ impl<V: Clone + PartialEq> EquivalenceDriver<V> {
         // already produced.
         while self.checker.candidate_lead() > 0 {
             self.golden.step();
-            feed_new_tokens(
-                self.golden.trace_arena(),
-                &mut self.golden_consumed,
-                |ch, v| {
-                    self.checker.push_reference(ch, v);
-                },
-            );
+            drain_into(self.golden.traces(), |ch, v| {
+                self.checker.push_reference(ch, v)
+            });
             self.golden.clear_traces();
-            self.golden_consumed.fill(0);
         }
     }
 }
 
-/// Streams every valid token recorded after the per-channel `consumed`
-/// cursors into `push`, advancing the cursors.  `values_from` positions in
-/// O(1), so repeated syncs over a growing (uncleared) arena stay linear in
-/// the trace length.
-fn feed_new_tokens<V: Clone>(
-    arena: &TraceArena<V>,
-    consumed: &mut [usize],
-    mut push: impl FnMut(usize, V),
-) {
-    for (ch, cursor) in consumed.iter_mut().enumerate() {
-        let view = arena.channel(ch);
-        for value in view.values_from(*cursor) {
+/// Streams every valid token of `arena` into `push`, channel by channel.
+fn drain_into<V: Clone>(arena: &TraceArena<V>, mut push: impl FnMut(usize, V)) {
+    for (ch, view) in arena.iter().enumerate() {
+        for value in view.values() {
             push(ch, value.clone());
         }
-        *cursor = view.valid_count();
     }
 }
 
@@ -1032,16 +985,14 @@ where
         error,
     };
     let mut sim = LidSimulator::new((scenario.build)(), scenario.config).map_err(fail)?;
-    sim.set_trace_enabled(scenario.trace_enabled);
+    // Only the equivalence check reads the candidate realisations.
+    sim.set_trace_enabled(scenario.golden.is_some());
     sim.set_stall_schedule(scenario.stall);
 
     let mut driver = match &scenario.golden {
         Some(golden_build) => {
-            // The comparison needs the candidate realisations: force
-            // recording on (the arena is drained chunk by chunk, so this
-            // does not retain the full trace unless `with_traces` asked
-            // for it) and reserve one chunk of capacity up front.
-            sim.set_trace_enabled(true);
+            // The arena is drained chunk by chunk: reserve one chunk of
+            // capacity up front.
             sim.reserve_traces(EQUIVALENCE_CHUNK as usize);
             let golden = GoldenSimulator::new(golden_build()).map_err(fail)?;
             Some(EquivalenceDriver::new(&sim, golden))
@@ -1058,7 +1009,7 @@ where
     loop {
         let done = run_goal_chunk(&mut sim, scenario.goal, chunk).map_err(fail)?;
         if let Some(driver) = &mut driver {
-            driver.sync(&mut sim, !scenario.trace_enabled);
+            driver.sync(&mut sim);
         }
         if done {
             break;
@@ -1068,7 +1019,7 @@ where
     if let Some((idle_cycles, max_extra)) = scenario.drain {
         sim.drain(idle_cycles, max_extra).map_err(fail)?;
         if let Some(driver) = &mut driver {
-            driver.sync(&mut sim, !scenario.trace_enabled);
+            driver.sync(&mut sim);
         }
     }
     let post = scenario.post.as_ref().map(|f| f(&sim));
@@ -1649,8 +1600,8 @@ mod tests {
     }
 
     /// Scenarios that need the post-goal simulator — a drain, a post
-    /// extraction, recorded traces — never take the oracle path even when
-    /// they opted in; their outcomes are untouched.
+    /// extraction, a golden equivalence twin — never take the oracle path
+    /// even when they opted in; their outcomes are untouched.
     #[test]
     fn oracle_opt_in_is_ignored_for_ineligible_scenarios() {
         let goal = RunGoal::UntilFirings {
@@ -1665,8 +1616,8 @@ mod tests {
             Scenario::<u64>::new("posted", ShellConfig::strict(), goal, || ring(2, 1))
                 .with_oracle()
                 .with_post(|_sim| ()),
-            Scenario::<u64>::new("traced", ShellConfig::strict(), goal, || ring(2, 1))
-                .with_traces()
+            Scenario::<u64>::new("verified", ShellConfig::strict(), goal, || ring(2, 1))
+                .with_equivalence_check(|| ring(2, 0))
                 .with_oracle(),
         ];
         let (outcomes, stats) = SweepRunner::new(1).run_with_stats(scenarios);
@@ -1753,26 +1704,24 @@ mod tests {
         assert_eq!(stats.oracle_simulated_cycles, 0);
     }
 
-    /// `with_traces` + `with_equivalence_check`: the caller's traces must
-    /// survive the streaming comparison (no chunk clearing).
+    /// The equivalence check retains no realisation: after the run the
+    /// candidate's trace arena holds nothing, while the report still
+    /// proves every token of the several chunks it streamed.
     #[test]
-    fn equivalence_check_preserves_requested_traces() {
+    fn equivalence_check_drains_the_candidate_traces() {
         let cycles = 3 * EQUIVALENCE_CHUNK; // force several chunks
         let scenarios = vec![Scenario::<u64>::new(
-            "traced",
+            "verified",
             ShellConfig::strict(),
             RunGoal::ForCycles(cycles),
             || ring(2, 0),
         )
-        .with_traces()
         .with_equivalence_check(|| ring(2, 0))
-        .with_post(move |sim| {
-            let traces = sim.traces();
-            traces.len() == 2 && traces.iter().all(|t| t.len() == cycles as usize)
-        })];
+        .with_post(|sim| sim.traces().iter().map(|t| t.len()).sum::<usize>())];
         let outcome = SweepRunner::new(1).run(scenarios).remove(0).expect("runs");
-        assert_eq!(outcome.post, Some(true), "traces were clipped or cleared");
+        assert_eq!(outcome.post, Some(0), "the candidate arena was retained");
         let report = outcome.equivalence.expect("check enabled");
         assert!(report.is_equivalent(), "{report}");
+        assert_eq!(report.proven_n(), cycles as usize);
     }
 }

@@ -179,14 +179,7 @@ fn assert_cycle_identical(build: impl Fn() -> SystemBuilder<u64>, cycles: u64) {
     arena.run_for(cycles);
     naive.run_for(cycles);
     assert_eq!(arena.cycles(), naive.cycles(), "cycle counts diverge");
-    for (a, n) in arena.traces().iter().zip(naive.traces()) {
-        assert_eq!(
-            a.tokens(),
-            n.tokens(),
-            "per-cycle trace of channel '{}' diverges",
-            a.name()
-        );
-    }
+    assert_eq!(arena.traces(), naive.traces(), "per-cycle traces diverge");
     let n_proc = build().process_count();
     for id in 0..n_proc {
         let (pa, pn) = (arena.process(id), naive.process(id));
@@ -226,7 +219,7 @@ proptest! {
         let ca = arena.run_until_halt(0, 10_000).expect("arena halts");
         let cn = naive.run_until_halt(0, 10_000).expect("naive halts");
         prop_assert_eq!(ca, cn);
-        prop_assert_eq!(arena.traces()[0].tokens(), naive.traces()[0].tokens());
+        prop_assert_eq!(arena.traces(), naive.traces());
     }
 
     #[test]
@@ -241,7 +234,7 @@ proptest! {
         let mut naive = NaiveGoldenSimulator::new(ring(stages)).expect("builds");
         arena.run_for(cycles);
         naive.run_for(cycles);
-        prop_assert_eq!(arena.traces()[0].len(), 0);
+        prop_assert_eq!(arena.traces().channel(0).len(), 0);
         for id in 0..stages {
             prop_assert_eq!(arena.process(id).output(0), naive.process(id).output(0));
         }

@@ -129,8 +129,8 @@ fn main() {
         before,
         "traced GoldenSimulator::step allocated in steady state"
     );
-    assert_eq!(golden.trace_arena().total_valid(), 1_016 * 4);
-    assert_eq!(golden.trace_arena().channel(0).len(), 1_016);
+    assert_eq!(golden.traces().total_valid(), 1_016 * 4);
+    assert_eq!(golden.traces().channel(0).len(), 1_016);
 
     // Traced wire-pipelined run: tokens are accepted (and recorded) at the
     // consumer's pace, voids cost only a counter bump, and the reserved
@@ -146,7 +146,7 @@ fn main() {
         before,
         "traced LidSimulator::step allocated in steady state"
     );
-    let arena = lid.trace_arena();
+    let arena = lid.traces();
     assert_eq!(arena.channel(0).len(), 1_016);
     assert!(
         arena.total_valid() > 0,
